@@ -22,6 +22,7 @@ criterion applicable there.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -35,6 +36,12 @@ from .selfsim import SystemParams
 
 CFL_DEFAULT = 0.3
 CFL_VELOCITY_FLOOR = 1e-12
+# trig_interp: points within UNIFORM_RTOL*(L + |xs[0]|) of one uniform
+# period take the FFT route; the dense route builds its phase matrix
+# DENSE_BLOCK_ROWS points at a time (DENSE_BLOCK_ROWS*(n/2+1)*16 bytes
+# per block, 8.4 MB at n=4096).
+UNIFORM_RTOL = 64 * np.finfo(float).eps
+DENSE_BLOCK_ROWS = 256
 
 
 class NonFinite(NumericalError):
@@ -47,6 +54,11 @@ def _rfft(w: np.ndarray) -> np.ndarray:
 
 def _irfft(w_hat: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(w_hat, n=n)
+
+
+def _check_cfl(cfl: float) -> None:
+    if not (math.isfinite(cfl) and cfl > 0.0):
+        raise ValidationError(f"cfl must be finite and positive, got cfl={cfl}")
 
 
 def _dealias_mask(grid: Grid1D) -> np.ndarray:
@@ -218,6 +230,11 @@ class BlowupExperimentConfig:
             raise ValidationError(f"slope must be negative, got slope={self.slope}")
         if not (self.threshold < 0.0):
             raise ValidationError("threshold must be negative")
+        _check_cfl(self.cfl)
+        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
+            raise ValidationError(f"t_max must be finite and positive, got t_max={self.t_max}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValidationError(f"sigma must be finite and >= 0, got sigma={self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -321,47 +338,85 @@ def run_blowup_experiment(
 # ---------------------------------------------------------------------------
 
 
+def _is_one_period(grid: Grid1D, xs: np.ndarray) -> bool:
+    """True when xs is xs[0] + j*L/len(xs), j = 0..len(xs)-1, to round-off."""
+    m = xs.size
+    if m < 2:
+        return False
+    uniform = xs[0] + np.arange(m) * (grid.length / m)
+    tol = UNIFORM_RTOL * (grid.length + abs(float(xs[0])))
+    return bool(np.max(np.abs(xs - uniform)) <= tol)
+
+
 def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of nodal values at xs."""
+    """Evaluate the trigonometric interpolant of nodal values at xs.
+
+    values has shape (n,) or (..., n), for instance rho and u stacked as
+    (2, n); the result has shape values.shape[:-1] + (len(xs),).  The
+    interpolant is Re sum_k a_k c_k exp(i w_k (x - x0)) over the
+    half-spectrum c = rfft(values), with a_k = 2/n (1/n for the mean
+    and Nyquist modes).  Two routes evaluate the same sum:
+
+    * one period, when xs is xs[0] + j*L/m for j = 0..m-1 to within
+      UNIFORM_RTOL*(L + |xs[0]|), m >= 2: the terms are shifted by
+      exp(i w_k (xs[0] - x0)), folded mod m (zero-padded when m > n)
+      and summed by one inverse FFT of length m, O(n log n + m log m).
+      The points are taken as exactly uniform, which moves the result
+      by no more than the round-off already carried by xs.
+    * anything else (single points, partial periods, non-uniform
+      points): the dense phase matrix, O(m n), built DENSE_BLOCK_ROWS
+      points at a time, so its memory does not grow with len(xs).
+    """
+    values = np.asarray(values, dtype=float)
+    xs = np.asarray(xs, dtype=float).ravel()
     coeffs = _rfft(values) / grid.n
-    k = grid.wavenumbers
-    phase = np.exp(1j * np.outer(np.asarray(xs, dtype=float) - grid.x0, k))
-    weights = np.full(k.shape, 2.0)
-    weights[0] = 1.0
-    if grid.n % 2 == 0:
-        weights[-1] = 1.0
-    return np.real(phase @ (weights * coeffs))
+    coeffs[..., 1:-1] *= 2.0  # n is even: the mean and Nyquist modes count once
+    m = xs.size
+    if _is_one_period(grid, xs):
+        coeffs = coeffs * np.exp(1j * grid.wavenumbers * (xs[0] - grid.x0))
+        folds = -(-coeffs.shape[-1] // m)
+        padded = np.zeros(coeffs.shape[:-1] + (folds * m,), dtype=complex)
+        padded[..., : coeffs.shape[-1]] = coeffs
+        folded = padded.reshape(coeffs.shape[:-1] + (folds, m)).sum(axis=-2)
+        return np.fft.ifft(folded, norm="forward").real
+    out = np.empty(coeffs.shape[:-1] + (m,))
+    for start in range(0, m, DENSE_BLOCK_ROWS):
+        block = xs[start : start + DENSE_BLOCK_ROWS]
+        phase = np.exp(1j * np.outer(block - grid.x0, grid.wavenumbers))
+        # a row-wise sum, not a matmul: the values do not depend on the blocking
+        out[..., start : start + block.size] = (phase * coeffs[..., None, :]).sum(-1).real
+    return out
 
 
 class RunSampler:
     """(t, x) sampler over a solver run, stepping and caching on demand.
 
-    Advances from the nearest cached state at or before the requested
+    Advances from the latest cached state at or before the requested
     time with CFL-limited steps, landing exactly on t with one final
-    short step; spatial evaluation uses the trigonometric interpolant.
+    short step; the cached states are kept in time order, so finding
+    the start state is a bisection.  rho and u are evaluated together
+    by one trig_interp call: a query over one full period of uniform
+    points (the residual lab's grid nodes shifted by c*h) costs
+    O(n log n + m log m), any other query O(m n).
     """
 
     def __init__(self, state0: SolverState, cfl: float = CFL_DEFAULT):
+        _check_cfl(cfl)
         self._states = [state0]
         self._cfl = cfl
 
     def _state_at(self, t: float) -> SolverState:
         if t < self._states[0].t - 1e-15:
             raise ValidationError(f"t={t} precedes the run start {self._states[0].t}")
-        idx = max(
-            i for i, st in enumerate(self._states) if st.t <= t + 1e-15
-        )
+        idx = bisect.bisect_right(self._states, t + 1e-15, key=lambda st: st.t) - 1
         state = self._states[idx]
         while state.t < t - 1e-15:
             dt = min(cfl_dt(state, self._cfl), t - state.t)
             state = step(state, dt, cfl=self._cfl)
-            self._states.append(state)
-            self._states.sort(key=lambda st: st.t)
+            bisect.insort_right(self._states, state, key=lambda st: st.t)
         return state
 
     def __call__(self, t: float, xs):
         state = self._state_at(t)
-        xs_arr = np.asarray(xs, dtype=float)
-        rho = trig_interp(state.grid, state.rho, xs_arr)
-        u = trig_interp(state.grid, state.u, xs_arr)
+        rho, u = trig_interp(state.grid, np.stack((state.rho, state.u)), xs)
         return rho, u

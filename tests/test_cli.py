@@ -150,6 +150,13 @@ def test_solve_short_run(tmp_path):
     assert (tmp_path / "solve_snapshot_0.csv").exists()
 
 
+def test_solve_rejects_zero_cfl(tmp_path, capsys):
+    # cfl = 0 gives dt = 0, which used to loop forever
+    code = run_cli("solve", "--out", str(tmp_path), "--cfl", "0", "--n", "256")
+    assert code == 2
+    assert "cfl" in capsys.readouterr().err
+
+
 def test_sweep_emits_grid_rows(tmp_path, capsys):
     code = run_cli(
         "sweep", "--out", str(tmp_path),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dp2 import pdesolver
 from dp2.errors import ValidationError
 from dp2.grid import Grid1D
 from dp2.pdesolver import (
@@ -15,6 +16,7 @@ from dp2.pdesolver import (
     cfl_dt,
     dealias,
     helmholtz_inverse,
+    odd_gaussian_derivative,
     parity_residual,
     run_blowup_experiment,
     spectral_dx,
@@ -32,6 +34,25 @@ TWO_PI = 2.0 * math.pi
 
 def make_state(grid, rho, u, params=PARAMS):
     return SolverState.make(0.0, dealias(grid, rho), dealias(grid, u), params, grid)
+
+
+def dense_interp(grid, values, xs):
+    """Reference: the interpolant summed through the full phase matrix."""
+    coeffs = np.fft.rfft(values) / grid.n
+    k = grid.wavenumbers
+    phase = np.exp(1j * np.outer(np.asarray(xs, dtype=float) - grid.x0, k))
+    weights = np.full(k.shape, 2.0)
+    weights[0] = 1.0
+    weights[-1] = 1.0
+    return np.real(phase @ (weights * coeffs))
+
+
+def solver_like_fields(grid):
+    """rho and u shaped like the residual lab's solver runs, stacked (2, n)."""
+    x = grid.nodes - grid.x0
+    rho = 1.0 + 0.08 * np.cos(x + 0.3) - 0.05 * np.sin(2.0 * x) + 0.02 * np.cos(3.0 * x + 1.0)
+    u = odd_gaussian_derivative(Grid1D(n=grid.n, length=grid.length), -1.2, 0.4)
+    return np.stack((dealias(grid, rho), u))
 
 
 def test_grid_validation():
@@ -271,3 +292,106 @@ def test_characteristic_density_factor_matches_pointwise_density():
     rho_end = float(trig_interp(grid, state.rho, np.array([q]))[0])
     assert factor > 0.0
     assert rho_end / rho_start == pytest.approx(factor, rel=1e-2)
+
+
+def _scan_state_at(sampler, t):
+    """The sampler's former bookkeeping: rescan all states, re-sort after each step."""
+    states = sampler._states
+    if t < states[0].t - 1e-15:
+        raise ValidationError(f"t={t} precedes the run start {states[0].t}")
+    idx = max(i for i, st in enumerate(states) if st.t <= t + 1e-15)
+    state = states[idx]
+    while state.t < t - 1e-15:
+        dt = min(cfl_dt(state, sampler._cfl), t - state.t)
+        state = step(state, dt, cfl=sampler._cfl)
+        states.append(state)
+        states.sort(key=lambda st: st.t)
+    return state
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cfl": 0.0}, {"cfl": -0.3}, {"cfl": math.nan}, {"cfl": math.inf},
+    {"t_max": 0.0}, {"t_max": -1.0}, {"t_max": math.inf}, {"t_max": math.nan},
+    {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
+])
+def test_blowup_config_rejects_bad_step_and_horizon(kwargs):
+    # cfl = 0 made dt = 0, so the run loop never advanced
+    with pytest.raises(ValidationError):
+        BlowupExperimentConfig(n=256, **kwargs)
+
+
+@pytest.mark.parametrize("cfl", [0.0, -0.1, math.nan, math.inf])
+def test_run_sampler_rejects_bad_cfl(cfl):
+    grid = Grid1D(n=64, length=TWO_PI)
+    state0 = make_state(grid, np.ones(grid.n), 0.2 * np.sin(grid.nodes))
+    with pytest.raises(ValidationError):
+        RunSampler(state0, cfl=cfl)(0.1, grid.nodes)  # cfl = 0 never returned
+
+
+def test_run_sampler_bookkeeping_matches_rescan():
+    grid = Grid1D(n=128, length=TWO_PI)
+    x = grid.nodes
+    state0 = make_state(grid, 0.8 + 0.1 * np.cos(x), 0.3 * np.sin(x))
+    fine, coarse = Grid1D(n=64, length=TWO_PI), Grid1D(n=32, length=TWO_PI)
+    t, queries = 0.25, []
+    for level in (fine, coarse):
+        dt = level.dx
+        queries += [(t + dt, level.nodes), (t - dt, level.nodes), (t, level.nodes + dt)]
+    new = RunSampler(state0)
+    old = RunSampler(state0)
+    old._state_at = lambda tq: _scan_state_at(old, tq)
+    for tq, xs in queries:
+        got, want = new(tq, xs), old(tq, xs)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(new._states) == len(old._states)
+        assert [st.t for st in new._states] == [st.t for st in old._states]
+
+
+@pytest.mark.parametrize("m", [64, 256, 1024])  # m < n, m = n, m > n
+@pytest.mark.parametrize("offset", [0.0, 1.0, -1.0, 2.0, -2.0, 0.37])
+@pytest.mark.parametrize("x0", [0.0, -1.3])
+def test_trig_interp_one_period_matches_dense(m, offset, x0):
+    grid = Grid1D(n=256, length=TWO_PI, x0=x0)
+    values = solver_like_fields(grid)
+    xs = Grid1D(n=m, length=TWO_PI, x0=x0).nodes + offset * (TWO_PI / m)
+    assert pdesolver._is_one_period(grid, xs)
+    got = trig_interp(grid, values, xs)
+    assert got.shape == (2, m)
+    for row, field in zip(got, values):
+        scale = np.max(np.abs(field))
+        assert np.max(np.abs(row - dense_interp(grid, field, xs))) <= 1e-13 * scale
+        assert np.array_equal(row, trig_interp(grid, field, xs))
+
+
+@pytest.mark.parametrize("start", [0.5, 1.0, 3.0])  # in units of L: wraps past x0 + L
+def test_trig_interp_one_period_wraps_past_the_domain(start):
+    grid = Grid1D(n=256, length=TWO_PI, x0=-1.3)
+    values = solver_like_fields(grid)[1]
+    xs = grid.x0 + start * TWO_PI + np.arange(128) * (TWO_PI / 128)
+    assert pdesolver._is_one_period(grid, xs)
+    err = np.max(np.abs(trig_interp(grid, values, xs) - dense_interp(grid, values, xs)))
+    assert err <= 1e-13 * np.max(np.abs(values))
+
+
+def test_trig_interp_other_points_take_dense_route():
+    grid = Grid1D(n=256, length=TWO_PI)
+    values = solver_like_fields(grid)
+    x = grid.nodes
+    jitter = np.random.default_rng(3).uniform(-1e-3, 1e-3, size=grid.n) * grid.dx
+    for xs in (np.array([1.234]), x[:32] + 0.37 * grid.dx, x + jitter):
+        assert not pdesolver._is_one_period(grid, xs)
+        got = trig_interp(grid, values, xs)
+        for row, field in zip(got, values):
+            want = dense_interp(grid, field, xs)
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(field))
+
+
+def test_trig_interp_dense_blocks_do_not_change_values(monkeypatch):
+    grid = Grid1D(n=256, length=TWO_PI)
+    values = solver_like_fields(grid)
+    xs = np.random.default_rng(4).uniform(-1.0, 8.0, size=1000)
+    monkeypatch.setattr(pdesolver, "DENSE_BLOCK_ROWS", xs.size)
+    single = trig_interp(grid, values, xs)
+    for rows in (1, 7, 256):
+        monkeypatch.setattr(pdesolver, "DENSE_BLOCK_ROWS", rows)
+        assert np.array_equal(trig_interp(grid, values, xs), single)
