@@ -251,7 +251,7 @@ def cmd_selfsim(args) -> int:
         if _want(args, "csv"):
             width = 1.2 * meta["support_halfwidth"]
             xs = np.linspace(-width, width, params["grid_n"])
-            rho, u = sol.snapshot(t, xs)
+            rho, u = sol.evaluate(t, xs)
             write_csv(
                 out / f"selfsim_snapshot_{idx}.csv",
                 "x,rho,u",
@@ -301,18 +301,10 @@ def cmd_verify(args) -> int:
             "h,mass_eq_linf,momentum_eq_linf",
             zip(report.hs, report.mass_norms, report.momentum_norms),
         )
-        fine = max(grids, key=lambda g: g.n)
-        h = fine.dx
-        r1 = residual.mass_equation_residual(
-            sol.evaluate, sol.params, params["t"], fine, h, params["dt_over_h"] * h
-        )
-        r2 = residual.momentum_equation_residual(
-            sol.evaluate, sol.params, params["t"], fine, h, params["dt_over_h"] * h
-        )
         write_csv(
             out / "verify_residuals.csv",
             "x,R1,R2",
-            zip(fine.nodes.tolist(), r1.tolist(), r2.tolist()),
+            zip(*(column.tolist() for column in report.finest_residuals)),
         )
     if _want(args, "json"):
         payload = json.loads(report.to_json())

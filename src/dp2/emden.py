@@ -15,8 +15,10 @@ Two independent routes to the touchdown time are provided:
 * :func:`integrate` - adaptive embedded Runge-Kutta with dense output
   and event detection at the touchdown threshold;
 * :func:`touchdown_time_quadrature` - closed-form energy reduction
-  a'^2 = a1^2 + 2*xi*(a^(1-kappa) - a0^(1-kappa))/(mu*(1-kappa))
-  followed by adaptive quadrature of ds = -da/|a'(a)|.
+  a'^2 = a1^2 + 2*xi*(a^(1-kappa) - a0^(1-kappa))/(mu*(1-kappa)),
+  whose time integral ds = -da/|a'(a)| is the regularized incomplete
+  beta function for kappa < 1 and the scaled complementary error
+  function for kappa = 1.
 
 They share no code path and cross-check each other in the test suite.
 """
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy import special
 from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ValidationError
@@ -295,63 +298,30 @@ def classify(problem: EmdenProblem) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracle: energy reduction + adaptive Simpson integration.
+# Quadrature oracle: energy reduction, summed in closed form.
 # ---------------------------------------------------------------------------
 
 
 class QuadratureBudgetExceeded(NumericalError):
-    """Adaptive quadrature exceeded its evaluation budget."""
+    """Kept for callers that catch it; the closed-form oracle never raises it."""
 
 
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float, depth: int = 48) -> float:
-    """Adaptive Simpson with Richardson acceptance, relative tolerance.
+def touchdown_time_quadrature(problem: EmdenProblem) -> float:
+    """Touchdown time from the conserved-energy reduction, in closed form.
 
-    The absolute budget is anchored to a coarse composite estimate of
-    the integral: endpoint or midpoint sampling alone misjudges the
-    scale badly for boundary-layer integrands such as (w - v**2)**p at
-    p >> 1 (the near-kappa-1 energy reductions).
-    """
-    xs = np.linspace(a, b, 257)
-    fs = np.array([f(x) for x in xs])
-    coarse = float(
-        (b - a) / 256.0 / 3.0 * (fs[0] + fs[-1] + 4.0 * fs[1:-1:2].sum() + 2.0 * fs[2:-2:2].sum())
-    )
-    scale = max(abs(coarse), 1e-300)
-    budget = [200_000]
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, rel_tol * scale, depth, budget)
+    Independent oracle for :func:`integrate`: energy conservation gives
+    a'(a)^2 = C*(w_t - w) with w = a^(1-kappa), C = 2|xi|/(mu*(1-kappa))
+    and turning level w_t = w0 + a1^2/C, for either sign of a1.  The
+    time to fall from w_t to a = 0 is
 
+        full = w_t^(p+1/2) * B(p+1, 1/2) / ((1-kappa)*sqrt(C)),  p = kappa/(1-kappa),
 
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth, budget):
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise QuadratureBudgetExceeded(
-            "adaptive Simpson exceeded its evaluation budget; integrand "
-            "likely unresolved at the requested tolerance"
-        )
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return _simpson_rec(
-        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1, budget
-    ) + _simpson_rec(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1, budget)
-
-
-def touchdown_time_quadrature(problem: EmdenProblem, rel_tol: float = 1e-11) -> float:
-    """Touchdown time from the conserved-energy reduction.
-
-    Independent oracle for :func:`integrate`: reduces the dynamics to
-    a'(a)^2 via energy conservation and integrates ds = -da/|a'(a)|
-    over the decreasing branch with adaptive Simpson quadrature,
-    splitting at the turning point when a1 > 0.  Endpoint square-root
-    singularities are removed analytically by substitution before any
-    numerical quadrature runs.
+    and the fall from w0 is full * I_{w0/w_t}(p+1, 1/2), with I the
+    regularized incomplete beta function (DLMF 8.17).  A rising start (a1 > 0)
+    climbs to w_t first, which takes full - full*I, so S = full*(2 - I);
+    otherwise S = full*I.  At kappa = 1 the potential is logarithmic and
+    S = a0*sqrt(pi/c)*erfcx(-a1/sqrt(c)) with c = 2|xi|/mu, the scaled
+    complementary error function (DLMF 7.2).
 
     Supports xi < 0 with kappa in (0, 1]; raises NoTouchdown otherwise.
     """
@@ -364,66 +334,24 @@ def touchdown_time_quadrature(problem: EmdenProblem, rel_tol: float = 1e-11) -> 
             f"quadrature oracle supports kappa in (0, 1], got {problem.kappa}"
         )
 
-    if problem.kappa == 1.0:
-        return _touchdown_log_potential(problem, rel_tol)
-    return _touchdown_power_potential(problem, rel_tol)
-
-
-def _touchdown_power_potential(problem: EmdenProblem, rel_tol: float) -> float:
-    # a'(a)^2 = a1^2 + C*(a0^om - a^om) with om = 1-kappa, C = 2|xi|/(mu*om).
-    om = 1.0 - problem.kappa
-    p = problem.kappa / om
-    C = 2.0 * abs(problem.xi) / (problem.mu * om)
-    w0 = problem.a0**om
-    a1 = problem.a1
-
-    def branch_integrand(wt):
-        # ds as a function of v after w = wt - v**2; max() guards the
-        # rounding underflow of wt - v**2 at the endpoint.
-        return lambda v: 2.0 * max(wt - v * v, 0.0) ** p / (om * math.sqrt(C))
-
-    total = 0.0
-    if a1 > 0.0:
-        # Rising branch up to the turning point w_t, where a'(a_turn) = 0.
-        wt = w0 + a1 * a1 / C
-        total += _adaptive_simpson(branch_integrand(wt), 0.0, math.sqrt(wt - w0), rel_tol)
-        # Falling branch from the turning point down to a = 0.
-        total += _adaptive_simpson(branch_integrand(wt), 0.0, math.sqrt(wt), rel_tol)
-        return total
-
-    if a1 == 0.0:
-        # Turning point coincides with a0: pure falling branch.
-        return _adaptive_simpson(branch_integrand(w0), 0.0, math.sqrt(w0), rel_tol)
-
-    # a1 < 0: monotone fall with nonzero speed everywhere; substitute
-    # w = w0 - v^2 so the integrand is smooth on the interior.
-    def fall(v):
-        w = max(w0 - v * v, 0.0)
-        return 2.0 * v * w**p / (om * math.sqrt(a1 * a1 + C * v * v))
-
-    return _adaptive_simpson(fall, 0.0, math.sqrt(w0), rel_tol)
-
-
-def _touchdown_log_potential(problem: EmdenProblem, rel_tol: float) -> float:
-    # kappa = 1: a'(a)^2 = a1^2 + c*ln(a0/a), c = 2|xi|/mu.
-    c = 2.0 * abs(problem.xi) / problem.mu
     a0, a1 = problem.a0, problem.a1
+    if problem.kappa == 1.0:
+        c = 2.0 * abs(problem.xi) / problem.mu
+        return a0 * math.sqrt(math.pi / c) * float(special.erfcx(-a1 / math.sqrt(c)))
 
-    total = 0.0
-    if a1 > 0.0:
-        a_pk = a0 * math.exp(a1 * a1 / c)
-        z1 = math.log(a_pk / a0)
-        up = lambda v: 2.0 * a_pk * math.exp(-v * v) / math.sqrt(c)
-        total += _adaptive_simpson(up, 0.0, math.sqrt(z1), rel_tol)
-        # Descent from rest at a_pk: closed form a_pk*sqrt(pi/c)
-        # (Gaussian integral after a = a_pk*exp(-v^2)).
-        total += a_pk * math.sqrt(math.pi / c)
-        return total
-
-    if a1 == 0.0:
-        return a0 * math.sqrt(math.pi / c)
-
-    # a1 < 0: integrate a0*exp(-z)/sqrt(a1^2 + c*z) with a = a0*exp(-z);
-    # smooth, exponentially decaying; truncation error at Z=60 is ~1e-26.
-    fall = lambda z: a0 * math.exp(-z) / math.sqrt(a1 * a1 + c * z)
-    return _adaptive_simpson(fall, 0.0, 60.0, rel_tol)
+    kappa = problem.kappa
+    om = 1.0 - kappa
+    p = kappa / om
+    C = 2.0 * abs(problem.xi) / (problem.mu * om)
+    # With r = w_t/w0 - 1, w_t^(p+1/2) = a0^((1+kappa)/2) * (1+r)^(p+1/2) and
+    # I_{w0/w_t}(p+1, 1/2) = 1 - I_{r/(1+r)}(1/2, p+1).  Neither form rounds
+    # w0 = a0^(1-kappa) or w0/w_t near 1, so S stays accurate as kappa -> 1.
+    r = a1 * a1 / (C * a0**om)
+    full = (
+        a0 ** (0.5 * (1.0 + kappa))
+        * math.exp((p + 0.5) * math.log1p(r))
+        * special.beta(p + 1.0, 0.5)
+        / (om * math.sqrt(C))
+    )
+    fall = special.betaincc(0.5, p + 1.0, r / (1.0 + r))
+    return float(full * (2.0 - fall) if a1 > 0.0 else full * fall)

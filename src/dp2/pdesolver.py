@@ -48,14 +48,6 @@ class NonFinite(NumericalError):
     """A tendency or state entry is not finite (blowup in progress)."""
 
 
-def _rfft(w: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(w)
-
-
-def _irfft(w_hat: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.irfft(w_hat, n=n)
-
-
 def _check_cfl(cfl: float) -> None:
     if not (math.isfinite(cfl) and cfl > 0.0):
         raise ValidationError(f"cfl must be finite and positive, got cfl={cfl}")
@@ -68,16 +60,16 @@ def _dealias_mask(grid: Grid1D) -> np.ndarray:
 
 def dealias(grid: Grid1D, w: np.ndarray) -> np.ndarray:
     """Zero the top third of the spectrum (2/3-rule product filter)."""
-    w_hat = _rfft(w)
+    w_hat = np.fft.rfft(w)
     w_hat[~_dealias_mask(grid)] = 0.0
-    return _irfft(w_hat, grid.n)
+    return np.fft.irfft(w_hat, n=grid.n)
 
 
 def spectral_dx(grid: Grid1D, w: np.ndarray) -> np.ndarray:
-    w_hat = _rfft(w) * (1j * grid.wavenumbers)
+    w_hat = np.fft.rfft(w) * (1j * grid.wavenumbers)
     if grid.n % 2 == 0:
         w_hat[-1] = 0.0  # odd-derivative Nyquist mode is not representable
-    return _irfft(w_hat, grid.n)
+    return np.fft.irfft(w_hat, n=grid.n)
 
 
 def helmholtz_inverse(grid: Grid1D, w: np.ndarray) -> np.ndarray:
@@ -89,8 +81,8 @@ def helmholtz_inverse(grid: Grid1D, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (grid.n,):
         raise ValidationError(f"field length {w.shape} does not match grid n={grid.n}")
-    w_hat = _rfft(w) / (1.0 + grid.wavenumbers**2)
-    return _irfft(w_hat, grid.n)
+    w_hat = np.fft.rfft(w) / (1.0 + grid.wavenumbers**2)
+    return np.fft.irfft(w_hat, n=grid.n)
 
 
 @dataclass(frozen=True)
@@ -136,13 +128,13 @@ def _tendency_arrays(
     ik = 1j * grid.wavenumbers
     mask = _dealias_mask(grid)
 
-    rho_hat = _rfft(rho)
-    u_hat = _rfft(u)
-    rho_x = _irfft(ik * rho_hat, grid.n)
-    u_x = _irfft(ik * u_hat, grid.n)
+    rho_hat = np.fft.rfft(rho)
+    u_hat = np.fft.rfft(u)
+    rho_x = np.fft.irfft(ik * rho_hat, n=grid.n)
+    u_x = np.fft.irfft(ik * u_hat, n=grid.n)
 
     def dealiased(prod: np.ndarray) -> np.ndarray:
-        p_hat = _rfft(prod)
+        p_hat = np.fft.rfft(prod)
         p_hat[~mask] = 0.0
         return p_hat
 
@@ -152,8 +144,8 @@ def _tendency_arrays(
     q_hat = dealiased(1.5 * u * u + 0.5 * params.k3 * rho * rho)
     du_hat = -dealiased(u * u_x) - ik / (1.0 + grid.wavenumbers**2) * q_hat
 
-    drho = _irfft(drho_hat, grid.n)
-    du = _irfft(du_hat, grid.n)
+    drho = np.fft.irfft(drho_hat, n=grid.n)
+    du = np.fft.irfft(du_hat, n=grid.n)
     if not (np.all(np.isfinite(drho)) and np.all(np.isfinite(du))):
         raise NonFinite("tendency produced non-finite entries")
     return drho, du
@@ -369,7 +361,7 @@ def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float).ravel()
-    coeffs = _rfft(values) / grid.n
+    coeffs = np.fft.rfft(values) / grid.n
     coeffs[..., 1:-1] *= 2.0  # n is even: the mean and Nyquist modes count once
     m = xs.size
     if _is_one_period(grid, xs):

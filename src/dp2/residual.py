@@ -19,7 +19,7 @@ snapshots can be validated through the same interface.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,6 +52,9 @@ class ResidualReport:
     hs: tuple
     mass_norms: tuple
     momentum_norms: tuple
+    # Finest level's (nodes, R1, R2), for callers that emit pointwise
+    # residuals; not part of the JSON report.
+    finest_residuals: tuple = field(default=(), repr=False, compare=False)
 
     def to_json(self) -> str:
         d = {
@@ -205,6 +208,7 @@ def convergence_study(
         mass_norms.append(float(np.max(np.abs(r1[mask]))))
         mom_norms.append(float(np.max(np.abs(r2[mask]))))
         finest = (h, dt, mass_norms[-1], mom_norms[-1], delta)
+        finest_residuals = (grid.nodes, r1, r2)
 
     return ResidualReport(
         grid_h=finest[0],
@@ -217,4 +221,5 @@ def convergence_study(
         hs=tuple(hs),
         mass_norms=tuple(mass_norms),
         momentum_norms=tuple(mom_norms),
+        finest_residuals=finest_residuals,
     )

@@ -125,19 +125,13 @@ def comparison_trajectory(
 
 
 def escape_time(crit: BlowupCriterion, dt: float, t_max: float = 10.0) -> Optional[float]:
-    """First time |v| exceeds the escape threshold, or None."""
-    if not (dt > 0.0):
-        raise ValidationError(f"dt must be > 0, got dt={dt}")
-    result = check(crit)
-    horizon = 10.0 * result.t_bound if result.applies else t_max
-    c2 = crit.c**2
-    t, v = 0.0, crit.v0
-    while t < horizon:
-        v = _rk4_step(v, dt, c2)
-        t += dt
-        if abs(v) > ESCAPE_THRESHOLD:
-            return t
-    return None
+    """First time |v| exceeds the escape threshold, or None.
+
+    Reads the last row of :func:`comparison_trajectory`, which stops at
+    the first escape; that time is 0.0 when |v0| already exceeds it.
+    """
+    t, v = comparison_trajectory(crit, dt, t_max)[-1]
+    return float(t) if abs(v) > ESCAPE_THRESHOLD else None
 
 
 def density_positivity_factor(

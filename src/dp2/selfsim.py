@@ -185,10 +185,6 @@ class SelfSimilarSolution:
 
     # -- emission ----------------------------------------------------------
 
-    def snapshot(self, t: float, xs: np.ndarray):
-        rho, u = self.evaluate(t, xs)
-        return rho, u
-
     def snapshot_metadata(self, t: float) -> dict:
         a, a_dot = self._scale_at(t)
         return {

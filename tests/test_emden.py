@@ -149,6 +149,52 @@ def test_turning_point_case_agrees_with_oracle():
     assert np.max(traj.samples[:, 1]) > kwargs["a0"]  # actually rose first
 
 
+def _assert_oracle_matches_integrate(**kwargs):
+    s_quad = touchdown_time_quadrature(EmdenProblem(s_max=1.0, **kwargs))
+    traj = integrate(EmdenProblem(s_max=2.0 * s_quad, **kwargs), tol=1e-10)
+    assert traj.fate is Fate.TOUCHDOWN
+    assert abs(traj.touchdown_s - s_quad) / s_quad < 1e-4
+    return s_quad
+
+
+def test_oracle_small_kappa_falling_start():
+    # Small p = kappa/(1-kappa) with a falling start: the (w0 - v^2)^p
+    # endpoint factor exhausted the budget of an adaptive-Simpson oracle.
+    s = _assert_oracle_matches_integrate(
+        xi=-1.5580054077029755, kappa=0.11959143384416046, mu=4.0,
+        a0=2.813871414100901, a1=-2.8556900354709285,
+    )
+    assert s == pytest.approx(0.930048336, rel=1e-8)
+
+
+def test_oracle_kappa_near_one_falling_start():
+    # p = kappa/(1-kappa) ~ 1.4e4: an adaptive-Simpson oracle returned 0.0 here.
+    s = _assert_oracle_matches_integrate(
+        xi=-1.607306286064532, kappa=0.9999299284855272, mu=4.0,
+        a0=1.1223697210109371, a1=-1.433772427366471,
+    )
+    assert s == pytest.approx(0.67915565, rel=1e-7)
+
+
+def test_oracle_small_kappa_lattice():
+    # Small-kappa, falling-start box; an adaptive-Simpson oracle failed on 7 of these cells.
+    for xi in np.linspace(-3.0, -0.1, 4):
+        for kappa in np.linspace(0.05, 0.3, 4):
+            for a1 in np.linspace(-3.0, -0.05, 4):
+                _assert_oracle_matches_integrate(
+                    xi=float(xi), kappa=float(kappa), mu=4.0, a0=2.0, a1=float(a1)
+                )
+
+
+@pytest.mark.parametrize("a1", [0.7, -0.7])
+def test_oracle_log_potential_both_slopes(a1):
+    kwargs = dict(xi=-1.0, mu=4.0, a0=1.3, a1=a1)
+    s_log = _assert_oracle_matches_integrate(kappa=1.0, **kwargs)
+    # kappa -> 1 from below must reach the logarithmic value continuously.
+    s_near = touchdown_time_quadrature(EmdenProblem(kappa=1.0 - 1e-12, **kwargs))
+    assert s_near == pytest.approx(s_log, rel=1e-8)
+
+
 def test_convexity_along_samples():
     grow = integrate(EmdenProblem(xi=1.0, kappa=0.5, s_max=5.0), tol=1e-10)
     assert np.all(np.diff(grow.samples[:, 2]) >= -1e-12)  # a_dot nondecreasing

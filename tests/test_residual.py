@@ -114,6 +114,19 @@ def test_convergence_orders_on_interior_band(k3, xi, s_max):
     assert report.momentum_eq_linf < 1e-3
 
 
+def test_report_carries_finest_level_residuals():
+    sol = branch2_solution()
+    grids = study_grids(3, 128)
+    report = convergence_study(sol.evaluate, sol.params, 0.1, grids, dt_over_h=0.5)
+    fine = grids[-1]
+    x, r1, r2 = report.finest_residuals
+    h = fine.dx
+    assert np.array_equal(x, fine.nodes)
+    assert np.array_equal(r1, mass_equation_residual(sol.evaluate, sol.params, 0.1, fine, h, 0.5 * h))
+    assert np.array_equal(r2, momentum_equation_residual(sol.evaluate, sol.params, 0.1, fine, h, 0.5 * h))
+    assert "finest_residuals" not in report.to_json()
+
+
 def test_boundary_inclusion_destroys_order():
     sol = branch2_solution()
     report = convergence_study(sol.evaluate, sol.params, 0.1, study_grids(), delta_in_h=0.0)

@@ -7,6 +7,7 @@ import pytest
 
 from dp2.errors import ValidationError
 from dp2.riccati import (
+    ESCAPE_THRESHOLD,
     BlowupCriterion,
     EmptyHistory,
     check,
@@ -32,6 +33,16 @@ def test_bounded_point_closed_form_vs_rk4():
     assert result.t_bound == pytest.approx(0.582, abs=1e-3)
     rk4 = escape_time(crit, dt=1e-4)
     assert abs(rk4 - result.t_bound) / result.t_bound < 1e-3
+
+
+def test_escape_time_is_zero_when_v0_already_escaped():
+    # |v0| beyond the threshold: the trajectory escapes at its first row.
+    for v0 in (-2.0 * ESCAPE_THRESHOLD, 2.0 * ESCAPE_THRESHOLD):
+        assert escape_time(BlowupCriterion(M=0.0, v0=v0), dt=1e-4) == 0.0
+
+
+def test_escape_time_none_when_trajectory_settles():
+    assert escape_time(BlowupCriterion(M=1.0, v0=5.0), dt=1e-3, t_max=5.0) is None
 
 
 def test_inconclusive_when_hypothesis_fails():
