@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from dp2 import pdesolver
 from dp2.errors import ValidationError
@@ -395,3 +396,142 @@ def test_trig_interp_dense_blocks_do_not_change_values(monkeypatch):
     for rows in (1, 7, 256):
         monkeypatch.setattr(pdesolver, "DENSE_BLOCK_ROWS", rows)
         assert np.array_equal(trig_interp(grid, values, xs), single)
+
+
+# ---------------------------------------------------------------------------
+# Physical-space reference: the solver as it was before the state moved to
+# Fourier space (ten numpy.fft transforms per RK4 stage, nodal combination).
+# ---------------------------------------------------------------------------
+
+
+def reference_tendency(grid, params, rho, u):
+    ik = 1j * grid.wavenumbers
+    mask = np.arange(grid.n // 2 + 1) <= grid.n // 3
+
+    rho_x = np.fft.irfft(ik * np.fft.rfft(rho), n=grid.n)
+    u_x = np.fft.irfft(ik * np.fft.rfft(u), n=grid.n)
+
+    def dealiased(prod):
+        p_hat = np.fft.rfft(prod)
+        p_hat[~mask] = 0.0
+        return p_hat
+
+    drho_hat = -params.k2 * dealiased(u * rho_x) - (params.k1 + params.k2) * dealiased(
+        rho * u_x
+    )
+    q_hat = dealiased(1.5 * u * u + 0.5 * params.k3 * rho * rho)
+    du_hat = -dealiased(u * u_x) - ik / (1.0 + grid.wavenumbers**2) * q_hat
+    return np.fft.irfft(drho_hat, n=grid.n), np.fft.irfft(du_hat, n=grid.n)
+
+
+def reference_step(grid, params, rho, u, dt):
+    dr1, du1 = reference_tendency(grid, params, rho, u)
+    dr2, du2 = reference_tendency(grid, params, rho + 0.5 * dt * dr1, u + 0.5 * dt * du1)
+    dr3, du3 = reference_tendency(grid, params, rho + 0.5 * dt * dr2, u + 0.5 * dt * du2)
+    dr4, du4 = reference_tendency(grid, params, rho + dt * dr3, u + dt * du3)
+    rho_new = rho + dt / 6.0 * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
+    u_new = u + dt / 6.0 * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+    return rho_new, u_new
+
+
+def reference_min_ux(grid, u):
+    u_hat = np.fft.rfft(u) * (1j * grid.wavenumbers)
+    u_hat[-1] = 0.0
+    return float(np.min(np.fft.irfft(u_hat, n=grid.n)))
+
+
+def reference_blowup_run(config):
+    """(steps, crossing time) of the former driver: min of the doubling rule and the CFL dt."""
+    grid = Grid1D(n=config.n, length=config.length)
+    params = SystemParams(k1=config.k1, k2=config.k2, k3=config.k3)
+    u = odd_gaussian_derivative(grid, config.slope, config.length / 16.0)
+    rho = np.zeros(grid.n)
+    u0_max = float(np.max(np.abs(u)))
+    dt0 = config.cfl * grid.dx / u0_max
+    t, steps = 0.0, 0
+    while t < config.t_max:
+        u_max = float(np.max(np.abs(u)))
+        doublings = max(0, math.ceil(math.log2(u_max / u0_max))) if u_max > u0_max else 0
+        dt = min(dt0 / 2**doublings, config.cfl * grid.dx / u_max, config.t_max - t)
+        rho, u = reference_step(grid, params, rho, u, dt)
+        t, steps = t + dt, steps + 1
+        if reference_min_ux(grid, u) < config.threshold:
+            return steps, t
+    return steps, None
+
+
+def test_steps_match_physical_space_reference():
+    params = SystemParams(k1=0.8, k2=1.2, k3=0.5)
+    grid = Grid1D(n=256, length=TWO_PI)
+    x = grid.nodes
+    rho = dealias(grid, 0.9 + 0.2 * np.cos(2.0 * x + 0.4) + 0.1 * np.sin(5.0 * x))
+    u = dealias(grid, 0.4 * np.sin(x) - 0.15 * np.cos(3.0 * x + 1.1) + 0.05 * np.sin(7.0 * x))
+    state = SolverState.make(0.0, rho, u, params, grid)
+    for _ in range(50):
+        dt = cfl_dt(state)
+        state = step(state, dt)
+        rho, u = reference_step(grid, params, rho, u, dt)
+    for got, want in ((state.rho, rho), (state.u, u)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    ux_scale = np.max(np.abs(spectral_dx(grid, u)))
+    assert abs(state.min_ux - reference_min_ux(grid, u)) <= 1e-12 * ux_scale
+    assert abs(state.max_rho - float(np.max(rho))) <= 1e-12 * np.max(np.abs(rho))
+    # the tendency wrapper still answers in physical space
+    for got, want in zip(tendency(state), reference_tendency(grid, params, state.rho, state.u)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_blowup_run_matches_physical_space_driver():
+    config = BlowupExperimentConfig(n=1024, slope=-5.0, threshold=-100.0, t_max=0.3)
+    result = run_blowup_experiment(config)
+    steps, crossing = reference_blowup_run(config)
+    assert len(result.times) - 1 == steps
+    assert result.crossing_time == crossing
+
+
+def test_step_costs_28_transforms_in_8_calls(monkeypatch):
+    grid = Grid1D(n=256, length=TWO_PI)
+    state = make_state(grid, 1.0 + 0.1 * np.cos(grid.nodes), 0.3 * np.sin(grid.nodes))
+    calls, rows = [], []
+    for name in ("rfft", "irfft"):
+        original = getattr(scipy.fft, name)
+
+        def counted(x, *args, _original=original, **kwargs):
+            calls.append(1)
+            rows.append(int(np.prod(np.shape(x)[:-1])))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    step(state, cfl_dt(state))
+    assert (len(calls), sum(rows)) == (8, 28)
+
+
+def test_step_raises_nonfinite_when_tendency_overflows():
+    # the state is finite, but u*u_x ~ 1e320 overflows inside the first stage
+    grid = Grid1D(n=64, length=TWO_PI)
+    state = SolverState.make(0.0, np.zeros(grid.n), 1e160 * np.sin(grid.nodes), PARAMS, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite):
+            tendency(state)
+        with pytest.raises(NonFinite):
+            step(state, cfl_dt(state))
+
+
+def test_make_keeps_the_given_nodal_values():
+    # A transform round trip moves these values by an ulp; a 1-ulp rise in
+    # max|u0| would halve dt for the whole blowup run (doubling rule).
+    grid = Grid1D(n=1024, length=TWO_PI)
+    u = odd_gaussian_derivative(grid, -5.0, TWO_PI / 16.0)
+    rho = dealias(grid, 1.0 + 0.1 * np.cos(grid.nodes))
+    assert not np.array_equal(np.fft.irfft(np.fft.rfft(u), n=grid.n), u)
+    state = SolverState.make(0.0, rho, u, PARAMS, grid)
+    assert np.array_equal(state.u, u)
+    assert np.array_equal(state.rho, rho)
+    assert state.max_rho == float(np.max(rho))
+
+
+@pytest.mark.parametrize("op", [dealias, spectral_dx, helmholtz_inverse])
+def test_spectral_operators_reject_wrong_length(op):
+    grid = Grid1D(n=64, length=TWO_PI)
+    with pytest.raises(ValidationError):
+        op(grid, np.zeros(32))
