@@ -171,6 +171,9 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
     for key, value in resolved.items():
         if value is None:
             raise ValidationError(f"missing required parameter: {key}")
+        # nan slips past every ordered comparison (order < nan is false)
+        if schema[key][0] is float and not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value}")
     return resolved
 
 

@@ -212,11 +212,17 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
     a(s) decreases through eps_a = 1e-8 * a0 the event time is refined
     by bisection on the dense output and the fate is TOUCHDOWN.
 
+    When the step size underflows on a falling trajectory (xi < 0,
+    a' < 0) whose remaining fall time a/|a'| is at most
+    TOUCHDOWN_REFINE_RTOL times the last sample's s, the touchdown
+    window is narrower than ulp(s) (S ~ 1e9) and the fate is TOUCHDOWN
+    at that last sample.
+
     Raises
     ------
     StepCollapse
-        If the step size underflows before touchdown or s_max; must not
-        occur for kappa in (0, 1].
+        If the step size underflows in any other state before touchdown
+        or s_max; must not occur for kappa in (0, 1].
     """
     if not (0.0 < tol <= 1e-3):
         raise ValidationError(f"tol must lie in (0, 1e-3], got {tol}")
@@ -243,11 +249,23 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
         events=touchdown_event,
     )
 
-    if sol.status == -1:
-        raise StepCollapse(f"integrator failed before touchdown or s_max: {sol.message}")
-
     touchdown_s: Optional[float] = None
-    if sol.status == 1:
+    if sol.status == -1:
+        s_last = float(sol.t[-1])
+        a_last, a_dot_last = (float(v) for v in sol.y[:, -1])
+        # For xi < 0 the fall only speeds up, so a falling trajectory reaches
+        # a = 0 within a/|a'| of its last sample.  When that is below the
+        # event refinement's resolution, the step collapsed on a touchdown
+        # window narrower than ulp(s): report the touchdown there.
+        if not (
+            problem.xi < 0.0
+            and a_dot_last < 0.0
+            and a_last / -a_dot_last <= TOUCHDOWN_REFINE_RTOL * s_last
+        ):
+            raise StepCollapse(f"integrator failed before touchdown or s_max: {sol.message}")
+        fate = Fate.TOUCHDOWN
+        touchdown_s = s_last
+    elif sol.status == 1:
         fate = Fate.TOUCHDOWN
         s_event = float(sol.t_events[0][0])
         lo = float(sol.t[-2]) if len(sol.t) >= 2 else 0.0

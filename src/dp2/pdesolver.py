@@ -14,10 +14,20 @@ CFL-limited dt that is halved whenever max|u| doubles.
 
 The state is advanced in Fourier space: RK4 combines the (rho, u)
 half-spectra on the band the 2/3 rule keeps (k <= n//3), and each stage
-goes to physical space only to form its products.  A stage costs one
-4-row irfft for the nodal (rho, u, rho_x, u_x) and one 3-row rfft for
-the products, so a step costs 28 transforms in 8 batched scipy.fft
-calls, on one CPU.  The multipliers (i*w, 1 + w**2 and the kept band)
+goes to physical space only to form its products.  On that band the
+2/3 rule leaves no alias (2*(n//3) < n - n//3), so the transport term
+u*u_x is d/dx(u**2)/2 exactly and the momentum tendency is
+
+    du_hat/dt = M_u*FFT(u**2) - k3/2 * i*w/(1 + w**2) * FFT(rho**2),
+    M_u = -i*w*(1/2 + 3/(2*(1 + w**2))).
+
+A stage costs one 4-row irfft for the nodal (rho, u, rho_x, u_x) and one
+3-row rfft for the products, so a step costs 28 transforms in 8 batched
+scipy.fft calls, on one CPU.  rho = 0 is invariant (the rho equation is
+linear and homogeneous in rho), and a state whose rho is all exact zeros
+is stepped on u alone: one 1-row irfft and one rfft of u**2 per stage,
+9 transforms in 8 calls per step, which is what every blowup run from
+rho0 = 0 costs.  The multipliers (i*w, 1 + w**2, M_u and the kept band)
 are built once per grid.  Blowup is
 detected, never resolved: once the minimum slope falls below the
 configured threshold the run stops and reports diagnostics only.
@@ -76,6 +86,7 @@ class _Operators:
     helmholtz: np.ndarray  # 1 + w_k**2, the symbol of (1 - d2/dx2)
     ik_kept: np.ndarray  # i*w_k on the kept band
     ik_helmholtz_kept: np.ndarray  # i*w_k/(1 + w_k**2) on the kept band
+    momentum_u: np.ndarray  # M_u = -i*w_k*(1/2 + 3/(2*(1 + w_k**2))) on the kept band
 
 
 @functools.lru_cache(maxsize=16)
@@ -85,8 +96,10 @@ def _operators(grid: Grid1D) -> _Operators:
     ik = 1j * w
     ik[-1] = 0.0
     helmholtz = 1.0 + w**2
-    ops = _Operators(keep, ik, helmholtz, ik[:keep], ik[:keep] / helmholtz[:keep])
-    for arr in (ops.ik, ops.helmholtz, ops.ik_kept, ops.ik_helmholtz_kept):
+    ik_kept = ik[:keep]
+    momentum_u = -ik_kept * (0.5 + 1.5 / helmholtz[:keep])
+    ops = _Operators(keep, ik, helmholtz, ik_kept, ik_kept / helmholtz[:keep], momentum_u)
+    for arr in (ops.ik, ops.helmholtz, ops.ik_kept, ops.ik_helmholtz_kept, ops.momentum_u):
         arr.flags.writeable = False  # shared by every caller on this grid
     return ops
 
@@ -119,12 +132,28 @@ def helmholtz_inverse(grid: Grid1D, w: np.ndarray) -> np.ndarray:
 
 
 def _nodal_rows(grid: Grid1D, spectrum: np.ndarray) -> np.ndarray:
-    """Nodal (rho, u, rho_x, u_x), shape (4, n), from the kept (rho, u) band by one irfft."""
+    """Nodal fields and their x-derivatives from kept bands, by one irfft.
+
+    A (rho, u) band, shape (2, n//3 + 1), gives (rho, u, rho_x, u_x),
+    shape (4, n); a u band alone, shape (1, n//3 + 1), gives (u, u_x).
+    """
     ops = _operators(grid)
-    stacked = np.empty((4, ops.keep), dtype=complex)
-    stacked[:2] = spectrum
-    np.multiply(spectrum, ops.ik_kept, out=stacked[2:])
+    m = len(spectrum)
+    stacked = np.empty((2 * m, ops.keep), dtype=complex)
+    stacked[:m] = spectrum
+    np.multiply(spectrum, ops.ik_kept, out=stacked[m:])
     return scipy.fft.irfft(stacked, n=grid.n)
+
+
+def _stage_rows(grid: Grid1D, spectrum: np.ndarray) -> np.ndarray:
+    """The nodal rows a stage's tendency reads, from the stage's kept bands.
+
+    A (rho, u) band gives (rho, u, rho_x, u_x); the u band of a rho-free
+    stage gives u alone, shape (1, n), since u**2 needs no u_x.
+    """
+    if len(spectrum) == 1:
+        return scipy.fft.irfft(spectrum, n=grid.n)
+    return _nodal_rows(grid, spectrum)
 
 
 @dataclass(frozen=True)
@@ -137,7 +166,8 @@ class SolverState:
     views of its first two rows.  make keeps the nodal rho and u it is
     given value for value; the first step projects them onto the kept
     band (every dp2 caller passes dealiased data, where that is a no-op
-    to round-off).
+    to round-off).  A state reached by a rho-free step has the same
+    layout, with exact zeros in its rho and rho_x rows and rho band.
     """
 
     t: float
@@ -176,7 +206,12 @@ class SolverState:
     def _advanced(
         cls, t: float, spectrum: np.ndarray, params: SystemParams, grid: Grid1D
     ) -> "SolverState":
+        """State from the kept (rho, u) bands, or from the u band alone of a rho-free step."""
         rows = _nodal_rows(grid, spectrum)
+        if len(spectrum) == 1:
+            zeros = np.zeros(grid.n)
+            rows = np.stack((zeros, rows[0], zeros, rows[1]))
+            spectrum = np.concatenate((np.zeros_like(spectrum), spectrum))
         if not np.all(np.isfinite(rows[:2])):
             raise NonFinite(f"state contains non-finite entries at t={t}")
         return cls._from(t, spectrum, rows, params, grid)
@@ -197,29 +232,34 @@ class SolverState:
 
 
 def _tendency_arrays(grid: Grid1D, params: SystemParams, rows: np.ndarray) -> np.ndarray:
-    """Kept-band spectral tendency (d rho_hat/dt, d u_hat/dt), shape (2, n//3 + 1).
+    """Kept-band spectral tendency of one RK4 stage, on the band k <= n//3.
 
-    rows are one stage's nodal (rho, u, rho_x, u_x).  The three
-    quadratic products -k2*u*rho_x - (k1+k2)*rho*u_x, u*u_x and
-    q = 3/2*u**2 + k3/2*rho**2 go through one batched rfft, and the
-    2/3 rule keeps the band k <= n//3 of each.
+    rows are the stage's nodal (rho, u, rho_x, u_x); the products u**2,
+    rho**2 and -k2*u*rho_x - (k1+k2)*rho*u_x go through one batched
+    rfft, and the result is (d rho_hat/dt, d u_hat/dt), shape
+    (2, n//3 + 1).  A rho-free stage passes u alone, shape (1, n): its
+    rho rows are dropped, only u**2 is transformed, and the result is
+    d u_hat/dt alone, shape (1, n//3 + 1).
     """
     ops = _operators(grid)
-    rho, u, rho_x, u_x = rows
-    products = np.empty((3, grid.n))
-    mass, transport, q = products
-    np.multiply(u, rho_x, out=mass)
-    mass *= -params.k2
-    mass -= (params.k1 + params.k2) * rho * u_x
-    np.multiply(u, u_x, out=transport)
-    np.multiply(1.5 * u, u, out=q)
-    q += 0.5 * params.k3 * rho * rho
-    p_hat = scipy.fft.rfft(products)
-    out = np.empty((2, ops.keep), dtype=complex)
-    out[0] = p_hat[0, : ops.keep]
-    np.multiply(ops.ik_helmholtz_kept, p_hat[2, : ops.keep], out=out[1])
-    out[1] += p_hat[1, : ops.keep]
-    np.negative(out[1], out=out[1])
+    if len(rows) == 1:
+        products = rows * rows
+    else:
+        rho, u, rho_x, u_x = rows
+        products = np.empty((3, grid.n))
+        u_sq, rho_sq, mass = products
+        np.multiply(u, u, out=u_sq)
+        np.multiply(rho, rho, out=rho_sq)
+        np.multiply(u, rho_x, out=mass)
+        mass *= -params.k2
+        mass -= (params.k1 + params.k2) * rho * u_x
+    p_hat = scipy.fft.rfft(products)[:, : ops.keep]
+    du = ops.momentum_u * p_hat[0]
+    if len(p_hat) == 1:
+        out = du[None]
+    else:
+        du -= (0.5 * params.k3) * ops.ik_helmholtz_kept * p_hat[1]
+        out = np.stack((p_hat[2], du))
     if not np.all(np.isfinite(out)):
         raise NonFinite("tendency produced non-finite entries")
     return out
@@ -240,20 +280,27 @@ def step(state: SolverState, dt: float, cfl: float = CFL_DEFAULT) -> SolverState
     """One classical RK4 step on the kept spectrum; dt must respect the CFL bound.
 
     Stage 1 reads the state's own nodal rows; stages 2-4 get theirs
-    from one 4-row irfft each, and the new state's rows come from a
-    fourth: 28 transforms in 8 calls.  Negative dt is accepted for
-    time-reversal consistency checks.
+    from one irfft each, and the new state's rows come from a fourth.
+    With rho != 0 the irffts have 4 rows and the rffts 3: 28 transforms
+    in 8 calls.  When the state's rho is all exact zeros it stays so,
+    and the step advances u alone: 1-row irffts and rffts in the
+    stages and a 2-row irfft for the new (u, u_x), 9 transforms in 8
+    calls.  Negative dt is accepted for time-reversal consistency
+    checks.
     """
     if abs(dt) > cfl_dt(state, cfl) * (1.0 + 1e-12):
         raise ValidationError(
             f"dt={dt} violates the CFL bound {cfl_dt(state, cfl)} at t={state.t}"
         )
     grid, params = state.grid, state.params
-    s = state.spectrum
-    k1 = _tendency_arrays(grid, params, state.rows)
-    k2 = _tendency_arrays(grid, params, _nodal_rows(grid, s + 0.5 * dt * k1))
-    k3 = _tendency_arrays(grid, params, _nodal_rows(grid, s + 0.5 * dt * k2))
-    k4 = _tendency_arrays(grid, params, _nodal_rows(grid, s + dt * k3))
+    if state.rho.any():
+        s, rows = state.spectrum, state.rows
+    else:
+        s, rows = state.spectrum[1:], state.rows[1:2]
+    k1 = _tendency_arrays(grid, params, rows)
+    k2 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k1))
+    k3 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k2))
+    k4 = _tendency_arrays(grid, params, _stage_rows(grid, s + dt * k3))
     spectrum = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return SolverState._advanced(state.t + dt, spectrum, params, grid)
 
@@ -305,6 +352,8 @@ class BlowupExperimentConfig:
             raise ValidationError(f"t_max must be finite and positive, got t_max={self.t_max}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise ValidationError(f"sigma must be finite and >= 0, got sigma={self.sigma}")
+        if not (math.isfinite(self.margin) and self.margin >= 0.0):
+            raise ValidationError(f"margin must be finite and >= 0, got margin={self.margin}")
 
 
 @dataclass(frozen=True)

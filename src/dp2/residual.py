@@ -204,6 +204,10 @@ def convergence_study(
         r2 = momentum_equation_residual(sol_eval, params, t, grid, h, dt)
         rho, _ = sol_eval(t, grid.nodes)
         mask = interior_mask(grid.nodes, rho, delta)
+        if not mask.any():
+            raise ValidationError(
+                f"interior band of the level h={h} has no node (delta={delta})"
+            )
         hs.append(h)
         mass_norms.append(float(np.max(np.abs(r1[mask]))))
         mom_norms.append(float(np.max(np.abs(r2[mask]))))

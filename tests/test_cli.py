@@ -157,6 +157,39 @@ def test_solve_rejects_zero_cfl(tmp_path, capsys):
     assert "cfl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,key", [
+    # order < nan is false, so the verification gate never failed
+    (("verify", "--n-base", "64", "--levels", "3", "--min-order", "nan"), "min_order"),
+    # ended in a raw ValueError traceback from the empty interior band
+    (("verify", "--n-base", "64", "--levels", "3", "--delta-in-h", "nan"), "delta_in_h"),
+    # wrote "margin": NaN, which is not JSON, into solve_summary.json
+    (("solve", "--n", "256", "--margin", "nan"), "margin"),
+])
+def test_non_finite_float_flags_rejected(tmp_path, capsys, args, key):
+    code = run_cli(args[0], "--out", str(tmp_path), *args[1:])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_non_finite_config_value_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_base = 64\nlevels = 3\nmin_order = nan\n")
+    code = run_cli("verify", "--out", str(tmp_path / "run"), "--config", str(cfg))
+    assert code == 2
+    assert "min_order" in capsys.readouterr().err
+
+
+def test_verify_rejects_empty_interior_band(tmp_path, capsys):
+    # np.max of the empty band raised ValueError, which exited 1 like a failed criterion
+    code = run_cli(
+        "verify", "--out", str(tmp_path), "--n-base", "64", "--levels", "3",
+        "--delta-in-h", "1e6",
+    )
+    assert code == 2
+    assert "no node" in capsys.readouterr().err
+
+
 def test_sweep_emits_grid_rows(tmp_path, capsys):
     code = run_cli(
         "sweep", "--out", str(tmp_path),

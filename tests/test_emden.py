@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from dp2 import emden
 from dp2.emden import (
     Classification,
     EmdenProblem,
     Fate,
     NonPositiveA0,
     NoTouchdown,
+    StepCollapse,
     UnsupportedKappa,
     classify,
     integrate,
@@ -184,6 +186,32 @@ def test_oracle_small_kappa_lattice():
                 _assert_oracle_matches_integrate(
                     xi=float(xi), kappa=float(kappa), mu=4.0, a0=2.0, a1=float(a1)
                 )
+
+
+def test_touchdown_narrower_than_ulp_of_s():
+    # S = 1.727e9: the step collapsed 7e-10 relative below S, a/|a'| = 6.6e-6
+    # from a = 0, and integrate raised StepCollapse.
+    s = _assert_oracle_matches_integrate(
+        xi=-0.17229347302922404, kappa=0.88575712942259, mu=4.0,
+        a0=1.202935475732981, a1=2.560212566385392,
+    )
+    assert s == pytest.approx(1.727345e9, rel=1e-6)
+
+
+def test_step_collapse_off_a_falling_trajectory_still_raises(monkeypatch):
+    # A collapse on a rising trajectory is no touchdown.
+    real = emden.solve_ivp
+
+    def collapsing(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.status, sol.message = -1, "Required step size is less than spacing between numbers."
+        return sol
+
+    monkeypatch.setattr(emden, "solve_ivp", collapsing)
+    with pytest.raises(StepCollapse):
+        integrate(EmdenProblem(xi=1.0, kappa=0.5, s_max=2.0))
+    with pytest.raises(StepCollapse):  # falling, but far from a = 0
+        integrate(EmdenProblem(xi=-1.0, kappa=0.5, a1=-1.0, s_max=0.1))
 
 
 @pytest.mark.parametrize("a1", [0.7, -0.7])

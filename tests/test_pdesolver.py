@@ -314,6 +314,7 @@ def _scan_state_at(sampler, t):
     {"cfl": 0.0}, {"cfl": -0.3}, {"cfl": math.nan}, {"cfl": math.inf},
     {"t_max": 0.0}, {"t_max": -1.0}, {"t_max": math.inf}, {"t_max": math.nan},
     {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
+    {"margin": math.nan}, {"margin": math.inf}, {"margin": -0.1},
 ])
 def test_blowup_config_rejects_bad_step_and_horizon(kwargs):
     # cfl = 0 made dt = 0, so the run loop never advanced
@@ -535,3 +536,73 @@ def test_spectral_operators_reject_wrong_length(op):
     grid = Grid1D(n=64, length=TWO_PI)
     with pytest.raises(ValidationError):
         op(grid, np.zeros(32))
+
+
+def count_transform_rows(monkeypatch):
+    """Record the rows of every scipy.fft rfft/irfft call, one list entry per call."""
+    rows = []
+    for name in ("rfft", "irfft"):
+        original = getattr(scipy.fft, name)
+
+        def counted(x, *args, _original=original, **kwargs):
+            rows.append(int(np.prod(np.shape(x)[:-1])))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return rows
+
+
+def test_rho_free_step_costs_9_transforms_in_8_calls(monkeypatch):
+    grid = Grid1D(n=256, length=TWO_PI)
+    state = make_state(grid, np.zeros(grid.n), 0.3 * np.sin(grid.nodes))
+    rows = count_transform_rows(monkeypatch)
+    state = step(state, cfl_dt(state))
+    assert (len(rows), sum(rows)) == (8, 9)
+    # the new state is rho-free too, so the next step costs the same
+    rows.clear()
+    step(state, cfl_dt(state))
+    assert (len(rows), sum(rows)) == (8, 9)
+
+
+@pytest.mark.parametrize("k3", [0.5, -0.7])
+def test_rho_free_steps_match_physical_space_reference(k3):
+    params = SystemParams(k1=0.8, k2=1.2, k3=k3)
+    grid = Grid1D(n=256, length=TWO_PI)
+    x = grid.nodes
+    rho = np.zeros(grid.n)
+    u = dealias(grid, 0.4 * np.sin(x) - 0.15 * np.cos(3.0 * x + 1.1) + 0.05 * np.sin(7.0 * x))
+    state = SolverState.make(0.0, rho, u, params, grid)
+    for _ in range(50):
+        dt = cfl_dt(state)
+        state = step(state, dt)
+        rho, u = reference_step(grid, params, rho, u, dt)
+    assert np.max(np.abs(state.u - u)) <= 1e-12 * np.max(np.abs(u))
+    ux_scale = np.max(np.abs(spectral_dx(grid, u)))
+    assert abs(state.min_ux - reference_min_ux(grid, u)) <= 1e-12 * ux_scale
+    assert not rho.any()
+    assert not state.rho.any() and not state.rows[2].any() and not state.spectrum[0].any()
+    assert state.max_rho == 0.0
+    assert state.rows.shape == (4, grid.n)
+    assert state.spectrum.shape == (2, grid.n // 3 + 1)
+    # the nodal tendency still answers (0, du) on a rho-free state
+    drho, du = tendency(state)
+    assert not drho.any()
+    du_ref = reference_tendency(grid, params, state.rho, state.u)[1]
+    assert np.max(np.abs(du - du_ref)) <= 1e-12 * np.max(np.abs(du_ref))
+
+
+def test_tiny_rho_takes_the_general_path(monkeypatch):
+    grid = Grid1D(n=256, length=TWO_PI)
+    x = grid.nodes
+    rho = 1e-30 * np.cos(x)
+    u = 0.3 * np.sin(x) + 0.1 * np.cos(2.0 * x)
+    state = SolverState.make(0.0, rho, u, PARAMS, grid)
+    rows = count_transform_rows(monkeypatch)
+    for _ in range(10):
+        dt = cfl_dt(state)
+        state = step(state, dt)
+        rho, u = reference_step(grid, PARAMS, rho, u, dt)
+    assert sum(rows) == 10 * 28
+    assert not np.array_equal(state.rho, 1e-30 * np.cos(x))
+    for got, want in ((state.rho, rho), (state.u, u)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

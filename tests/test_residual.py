@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dp2.errors import ValidationError
 from dp2.grid import Grid1D
 from dp2.residual import (
     InsufficientGrids,
@@ -132,6 +133,14 @@ def test_boundary_inclusion_destroys_order():
     report = convergence_study(sol.evaluate, sol.params, 0.1, study_grids(), delta_in_h=0.0)
     assert report.order_estimate_mass < 1.0
     assert report.order_estimate_momentum < 1.0
+
+
+@pytest.mark.parametrize("delta_in_h", [1e6, np.nan])
+def test_empty_interior_band_rejected(delta_in_h):
+    # np.max of the empty band used to raise a bare ValueError
+    sol = branch2_solution()
+    with pytest.raises(ValidationError, match="no node"):
+        convergence_study(sol.evaluate, sol.params, 0.1, study_grids(3, 64), delta_in_h=delta_in_h)
 
 
 def test_constant_state_orders_not_applicable():
