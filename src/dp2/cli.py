@@ -17,6 +17,9 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
+import itertools
 import json
 import math
 import sys
@@ -34,6 +37,8 @@ EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+_signature = functools.cache(inspect.signature)  # uncached it costs ~30 us per sweep cell
 
 
 def _fmt(x) -> str:
@@ -177,27 +182,47 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _echo_config(command: str, params: dict, seed: int) -> dict:
-    return {"command": command, "seed": seed, **params}
+class Run:
+    """One subcommand run: its resolved params and its output directory.
+
+    Artifacts go through :meth:`csv` and :meth:`json`, which honour --format; every
+    JSON summary gets the config echo (command, seed, params) that --config can replay.
+    """
+
+    def __init__(self, args: argparse.Namespace, params: dict, out: Path):
+        self.args, self.params, self.out = args, params, out
+
+    def wants(self, kind: str) -> bool:
+        return self.args.format in (None, kind)
+
+    def csv(self, name: str, header: str, rows) -> None:
+        if self.wants("csv"):
+            write_csv(self.out / name, header, rows)
+
+    def json(self, name: str, summary: dict) -> None:
+        if self.wants("json"):
+            echo = {"command": self.args.command, "seed": self.args.seed, **self.params}
+            write_json(self.out / name, {**summary, "config": echo})
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _make(build, resolved: dict, /, **extra):
+    """Call ``build`` with the resolved params its signature names, plus ``extra``."""
+    names = _signature(build).parameters
+    return build(**{key: value for key, value in resolved.items() if key in names}, **extra)
 
 
-def _want(args, kind: str) -> bool:
-    return args.format in (None, kind)
+def _solution(params: dict):
+    return _make(build_solution, params, params=_make(SystemParams, params))
 
 
 def _parse_times(raw: str) -> list[float]:
-    if not raw.strip():
-        return []
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        times = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"times: {exc}") from exc
+    if not all(math.isfinite(t) for t in times):
+        raise ValidationError(f"times must be finite, got {raw!r}")
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -205,87 +230,42 @@ def _parse_times(raw: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_emden(args) -> int:
-    params = _resolve_params("emden", args)
-    out = _out_dir(args)
-    problem = emden.EmdenProblem(
-        xi=params["xi"],
-        kappa=params["kappa"],
-        mu=params["mu"],
-        a0=params["a0"],
-        a1=params["a1"],
-        s_max=params["s_max"],
-    )
-    traj = emden.integrate(problem, tol=params["tol"])
-    if _want(args, "csv"):
-        traj.to_csv(out / "emden_trajectory.csv")
-    if _want(args, "json"):
-        summary = traj.summary()
-        summary["config"] = _echo_config("emden", params, args.seed)
-        write_json(out / "emden_summary.json", summary)
+def cmd_emden(run: Run) -> int:
+    traj = emden.integrate(_make(emden.EmdenProblem, run.params), tol=run.params["tol"])
+    run.csv("emden_trajectory.csv", "s,a,a_dot", traj.samples.tolist())
+    run.json("emden_summary.json", traj.summary())
     print(f"fate = {traj.fate.value}" + (f", S = {_fmt(traj.touchdown_s)}" if traj.touchdown_s else ""))
     return EXIT_OK
 
 
-def cmd_selfsim(args) -> int:
-    params = _resolve_params("selfsim", args)
-    out = _out_dir(args)
+def cmd_selfsim(run: Run) -> int:
+    params = run.params
     times = _parse_times(params["times"])
     if not times:
         raise ValidationError("times: need at least one sample time")
+    if params["grid_n"] < 2:
+        raise ValidationError(f"grid_n must be >= 2, got {params['grid_n']}")
     if params["k3"] == 0.0:
         raise ValidationError("k3 = 0 (free-profile branch) is library-only; pass k3 != 0")
-    sol = build_solution(
-        SystemParams(k1=params["k1"], k2=params["k2"], k3=params["k3"]),
-        xi=params["xi"],
-        alpha=params["alpha"],
-        a0=params["a0"],
-        a1=params["a1"],
-        s_max=params["s_max"],
-        mu=params["mu"],
-        tol=params["tol"],
-    )
+    sol = _solution(params)
     metadata = []
-    mass_rows = []
     for idx, t in enumerate(times):
         meta = sol.snapshot_metadata(t)
         metadata.append(meta)
-        mass_rows.append((t, meta["mass"]))
-        if _want(args, "csv"):
+        if run.wants("csv"):
             width = 1.2 * meta["support_halfwidth"]
             xs = np.linspace(-width, width, params["grid_n"])
             rho, u = sol.evaluate(t, xs)
-            write_csv(
-                out / f"selfsim_snapshot_{idx}.csv",
-                "x,rho,u",
-                zip(xs.tolist(), rho.tolist(), u.tolist()),
-            )
-    if _want(args, "csv"):
-        write_csv(out / "selfsim_mass.csv", "t,mass", mass_rows)
-    if _want(args, "json"):
-        write_json(
-            out / "selfsim_summary.json",
-            {
-                "snapshots": metadata,
-                "config": _echo_config("selfsim", params, args.seed),
-            },
-        )
+            run.csv(f"selfsim_snapshot_{idx}.csv", "x,rho,u",
+                    zip(xs.tolist(), rho.tolist(), u.tolist()))
+    run.csv("selfsim_mass.csv", "t,mass", [(meta["t"], meta["mass"]) for meta in metadata])
+    run.json("selfsim_summary.json", {"snapshots": metadata})
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    params = _resolve_params("verify", args)
-    out = _out_dir(args)
-    sol = build_solution(
-        SystemParams(k1=params["k1"], k2=params["k2"], k3=params["k3"]),
-        xi=params["xi"],
-        alpha=params["alpha"],
-        a0=params["a0"],
-        a1=params["a1"],
-        s_max=params["s_max"],
-        mu=params["mu"],
-        tol=params["tol"],
-    )
+def cmd_verify(run: Run) -> int:
+    params = run.params
+    sol = _solution(params)
     grids = [
         Grid1D(n=params["n_base"] * 2**i, length=params["length"], x0=-0.5 * params["length"])
         for i in range(params["levels"])
@@ -298,28 +278,14 @@ def cmd_verify(args) -> int:
         dt_over_h=params["dt_over_h"],
         delta_in_h=params["delta_in_h"],
     )
-    if _want(args, "csv"):
-        write_csv(
-            out / "verify_norms.csv",
-            "h,mass_eq_linf,momentum_eq_linf",
-            zip(report.hs, report.mass_norms, report.momentum_norms),
-        )
-        write_csv(
-            out / "verify_residuals.csv",
-            "x,R1,R2",
-            zip(*(column.tolist() for column in report.finest_residuals)),
-        )
-    if _want(args, "json"):
-        payload = json.loads(report.to_json())
-        payload["config"] = _echo_config("verify", params, args.seed)
-        write_json(out / "verify_report.json", payload)
+    run.csv("verify_norms.csv", "h,mass_eq_linf,momentum_eq_linf",
+            zip(report.hs, report.mass_norms, report.momentum_norms))
+    run.csv("verify_residuals.csv", "x,R1,R2",
+            zip(*(column.tolist() for column in report.finest_residuals)))
+    run.json("verify_report.json", json.loads(report.to_json()))
     orders = (report.order_estimate_mass, report.order_estimate_momentum)
-    print(
-        "order_mass = "
-        + (_fmt(orders[0]) if orders[0] is not None else "NotApplicable")
-        + ", order_momentum = "
-        + (_fmt(orders[1]) if orders[1] is not None else "NotApplicable")
-    )
+    mass, momentum = (_fmt(order) if order is not None else "NotApplicable" for order in orders)
+    print(f"order_mass = {mass}, order_momentum = {momentum}")
     for order in orders:
         if order is None or order < params["min_order"]:
             print(f"verification failed: order below {params['min_order']}", file=sys.stderr)
@@ -327,18 +293,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_riccati(args) -> int:
-    params = _resolve_params("riccati", args)
-    out = _out_dir(args)
+def cmd_riccati(run: Run) -> int:
+    params = run.params
     crit = riccati.BlowupCriterion(M=params["m"], v0=params["v0"])
     result = riccati.check(crit)
-    if _want(args, "json"):
-        payload = json.loads(result.to_json(crit))
-        payload["config"] = _echo_config("riccati", params, args.seed)
-        write_json(out / "riccati_summary.json", payload)
-    if _want(args, "csv"):
+    run.json("riccati_summary.json", json.loads(result.to_json(crit)))
+    if run.wants("csv"):
         traj = riccati.comparison_trajectory(crit, params["dt"], t_max=params["t_max"])
-        write_csv(out / "riccati_trajectory.csv", "t,v", traj.tolist())
+        run.csv("riccati_trajectory.csv", "t,v", traj.tolist())
     if result.applies:
         print(f"T = {_fmt(result.t_bound)}")
     else:
@@ -346,51 +308,24 @@ def cmd_riccati(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    params = _resolve_params("solve", args)
-    out = _out_dir(args)
-    config = pdesolver.BlowupExperimentConfig(
-        n=params["n"],
-        length=params["length"],
-        k1=params["k1"],
-        k2=params["k2"],
-        k3=params["k3"],
-        slope=params["slope"],
-        sigma=params["sigma"],
-        cfl=params["cfl"],
-        threshold=params["threshold"],
-        t_max=params["t_max"],
-        m_est=params["m_est"],
-        margin=params["margin"],
-    )
+def cmd_solve(run: Run) -> int:
+    params = run.params
+    config = _make(pdesolver.BlowupExperimentConfig, params)
     snapshot_times = _parse_times(params["snapshot_times"])
     result = pdesolver.run_blowup_experiment(config, snapshot_times=snapshot_times)
-    if _want(args, "csv"):
-        write_csv(
-            out / "solve_diagnostics.csv",
-            "t,min_ux,max_rho",
-            zip(result.times.tolist(), result.min_ux.tolist(), result.max_rho.tolist()),
-        )
-        grid = Grid1D(n=params["n"], length=params["length"])
-        for idx, (t, rho, u) in enumerate(result.snapshots):
-            write_csv(
-                out / f"solve_snapshot_{idx}.csv",
-                "x,rho,u",
-                zip(grid.nodes.tolist(), rho.tolist(), u.tolist()),
-            )
-    if _want(args, "json"):
-        write_json(
-            out / "solve_summary.json",
-            {
-                "blowup_detected": result.blowup_detected,
-                "crossing_time": result.crossing_time,
-                "bound": result.bound,
-                "threshold": result.threshold,
-                "within_margin": result.within_margin,
-                "parity_residual_max": result.parity_residual_max,
-                "config": _echo_config("solve", params, args.seed),
-            },
-        )
+    run.csv("solve_diagnostics.csv", "t,min_ux,max_rho",
+            zip(result.times.tolist(), result.min_ux.tolist(), result.max_rho.tolist()))
+    nodes = Grid1D(n=params["n"], length=params["length"]).nodes.tolist()
+    for idx, (t, rho, u) in enumerate(result.snapshots):
+        run.csv(f"solve_snapshot_{idx}.csv", "x,rho,u", zip(nodes, rho.tolist(), u.tolist()))
+    run.json("solve_summary.json", {
+        "blowup_detected": result.blowup_detected,
+        "crossing_time": result.crossing_time,
+        "bound": result.bound,
+        "threshold": result.threshold,
+        "within_margin": result.within_margin,
+        "parity_residual_max": result.parity_residual_max,
+    })
     if result.blowup_detected:
         print(f"steepening crossed {_fmt(result.threshold)} at t = {_fmt(result.crossing_time)}"
               f" (bound {_fmt(result.bound)})")
@@ -408,6 +343,8 @@ def _parse_grid_axes(axis_args: list[str]) -> dict:
         key = key.strip()
         if key not in SCHEMAS["sweep"]:
             raise ValidationError(f"unknown sweep key: {key}")
+        if key in axes:
+            raise ValidationError(f"grid axis {key} given more than once")
         parts = rng.split(":")
         if len(parts) != 3:
             raise ValidationError(f"grid axis must be key=start:stop:count, got {arg!r}")
@@ -421,36 +358,23 @@ def _parse_grid_axes(axis_args: list[str]) -> dict:
     return axes
 
 
-def cmd_sweep(args) -> int:
-    params = _resolve_params("sweep", args)
-    out = _out_dir(args)
-    axes = _parse_grid_axes(args.grid or [])
+def cmd_sweep(run: Run) -> int:
+    axes = _parse_grid_axes(run.args.grid or [])
     if not axes:
         raise ValidationError("sweep needs at least one --grid axis")
     names = sorted(axes)
     rows = []
     header = ["xi", "kappa", "mu", "a0", "a1", "s_max"]
-    mesh = np.meshgrid(*[axes[name] for name in names], indexing="ij")
-    cells = np.stack([m.ravel() for m in mesh], axis=-1)
-    for cell in cells:
-        cell_params = dict(params)
-        for name, value in zip(names, cell):
-            cell_params[name] = float(value)
-        problem = emden.EmdenProblem(
-            xi=cell_params["xi"],
-            kappa=cell_params["kappa"],
-            mu=cell_params["mu"],
-            a0=cell_params["a0"],
-            a1=cell_params["a1"],
-            s_max=cell_params["s_max"],
-        )
-        traj = emden.integrate(problem, tol=cell_params["tol"])
+    for cell in itertools.product(*(axes[name] for name in names)):
+        cell_params = {**run.params, **dict(zip(names, cell))}
+        traj = emden.integrate(_make(emden.EmdenProblem, cell_params), tol=cell_params["tol"])
         rows.append(
             [cell_params[name] for name in header]
             + [traj.fate.value, traj.touchdown_s if traj.touchdown_s is not None else ""]
         )
-    write_csv(out / "sweep.csv", ",".join(header + ["fate", "S"]), rows)
-    print(f"{len(rows)} rows -> {out / 'sweep.csv'}")
+    # sweep.csv is the sweep's only artifact, so --format does not gate it.
+    write_csv(run.out / "sweep.csv", ",".join(header + ["fate", "S"]), rows)
+    print(f"{len(rows)} rows -> {run.out / 'sweep.csv'}")
     return EXIT_OK
 
 
@@ -477,28 +401,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="dp2")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    handlers = {
-        "emden": cmd_emden,
-        "selfsim": cmd_selfsim,
-        "verify": cmd_verify,
-        "riccati": cmd_riccati,
-        "solve": cmd_solve,
-        "sweep": cmd_sweep,
-    }
-    for name, handler in handlers.items():
+    for name in SCHEMAS:
         p = sub.add_parser(name, parents=[common])
         _add_schema_flags(p, name)
         if name == "sweep":
             p.add_argument("--grid", nargs="+", metavar="KEY=START:STOP:COUNT")
-        p.set_defaults(func=handler)
+        # Looked up when the parser is built, so a handler rebound on this module runs.
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        params = _resolve_params(args.command, args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(Run(args, params, out))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -26,7 +26,6 @@ They share no code path and cross-check each other in the test suite.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -115,9 +114,6 @@ class EmdenProblem:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
 
-    def acceleration(self, a: float) -> float:
-        return self.xi / (self.mu * a**self.kappa)
-
     def energy(self, a, a_dot):
         """Conserved energy; logarithmic potential for kappa = 1."""
         if self.kappa == 1.0:
@@ -162,21 +158,12 @@ class EmdenTrajectory:
         self._check_domain(s)
         return float(self._dense(min(s, self.s_end))[1])
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("s,a,a_dot\n")
-            for s, a, ad in self.samples:
-                fh.write(f"{s:.17g},{a:.17g},{ad:.17g}\n")
-
     def summary(self) -> dict:
         return {
             "fate": self.fate.value,
             "S": self.touchdown_s,
             "energy_drift_max": self.energy_drift_max,
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
 
 
 def _rhs(problem: EmdenProblem, floor: float):

@@ -1,5 +1,7 @@
 """CLI: dispatch, validation exit codes, determinism, round-trip."""
 
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -7,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from dp2.cli import main
+from dp2.cli import SCHEMAS, main
+from dp2.emden import EmdenProblem, integrate
+from dp2.pdesolver import BlowupExperimentConfig
+from dp2.selfsim import SystemParams, build_solution
 
 
 def run_cli(*args):
@@ -35,6 +40,7 @@ def test_emden_touchdown_run(tmp_path, capsys):
     assert summary["S"] == pytest.approx(8.0 / 3.0, rel=1e-4)
     header, rows = read_csv_rows(tmp_path / "emden_trajectory.csv")
     assert header == "s,a,a_dot"
+    assert len(rows) == len(integrate(EmdenProblem(xi=-1.0, kappa=0.5), tol=1e-10).samples)
     assert float(rows[-1][1]) < 1e-7  # touchdown level
     assert "TouchdownAt" in capsys.readouterr().out
 
@@ -85,6 +91,30 @@ def test_selfsim_blowup_branch_reports_collapse_time(tmp_path, capsys):
     )
     assert code == 2
     assert "0.666666" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_n", ["-1", "0"])
+def test_selfsim_rejects_bad_grid_n(tmp_path, capsys, grid_n):
+    # -1 ended in a numpy ValueError traceback (exit 1); 0 wrote header-only snapshots
+    code = run_cli("selfsim", "--out", str(tmp_path), "--k3", "1", "--xi", "1", "--grid-n", grid_n)
+    assert code == 2
+    assert "grid_n" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    # sorted() left nan at the head of the pending list and state.t >= nan is never
+    # true, so not even the t = 0.05 snapshot was written
+    ("solve", "--n", "256", "--t-max", "0.1", "--snapshot-times", "nan,0.05"),
+    ("solve", "--n", "256", "--t-max", "0.1", "--snapshot-times", "0.05,inf"),
+    ("selfsim", "--k3", "1", "--xi", "1", "--times", "0,nan"),
+    ("selfsim", "--k3", "1", "--xi", "1", "--times", "inf"),
+], ids=["solve-nan", "solve-inf", "selfsim-nan", "selfsim-inf"])
+def test_non_finite_times_rejected(tmp_path, capsys, args):
+    code = run_cli(args[0], "--out", str(tmp_path), *args[1:])
+    assert code == 2
+    assert "times" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_selfsim_rejects_mismatched_signs(tmp_path, capsys):
@@ -207,6 +237,28 @@ def test_sweep_rejects_unknown_axis(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_sweep_rejects_repeated_axis(tmp_path, capsys):
+    # the second xi axis silently replaced the first and 3 rows were written
+    code = run_cli("sweep", "--out", str(tmp_path), "--grid", "xi=-1:-0.5:2", "xi=-2:-1:3")
+    assert code == 2
+    assert "xi" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_schema_names_match_constructor_fields():
+    # the CLI passes each constructor the resolved params its signature names,
+    # so a renamed field would silently fall back to its default
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert fields(EmdenProblem) == set(SCHEMAS["emden"]) - {"tol"}
+    assert fields(BlowupExperimentConfig) - {"rho0"} == set(SCHEMAS["solve"]) - {"snapshot_times"}
+    builder = set(inspect.signature(build_solution).parameters) - {"params", "rho0"}
+    solution = fields(SystemParams) | builder
+    for command in ("selfsim", "verify"):
+        assert solution <= set(SCHEMAS[command])
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("xi = -1\nkappa = 0.5\nnonsense = 3\n")
@@ -235,13 +287,40 @@ def test_determinism_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_round_trip_config_reproduces_run(tmp_path):
+# One cheap run per JSON-writing subcommand: (argv, JSON summary, artifacts compared).
+ROUND_TRIPS = {
+    "emden": (
+        ("emden", "--xi", "-1.3", "--kappa", "0.7", "--a1", "0.2", "--s-max", "12"),
+        "emden_summary.json", ("emden_trajectory.csv",),
+    ),
+    "selfsim": (
+        ("selfsim", "--k3", "-1", "--xi", "-1.3", "--alpha", "0.8", "--times", "0,0.05",
+         "--grid-n", "32"),
+        "selfsim_summary.json",
+        ("selfsim_snapshot_1.csv", "selfsim_mass.csv", "selfsim_summary.json"),
+    ),
+    "verify": (
+        ("verify", "--n-base", "64", "--levels", "3"),
+        "verify_report.json", ("verify_norms.csv", "verify_residuals.csv", "verify_report.json"),
+    ),
+    "riccati": (
+        ("riccati", "--M", "1", "--v0", "-3", "--dt", "1e-3"),
+        "riccati_summary.json", ("riccati_trajectory.csv", "riccati_summary.json"),
+    ),
+    "solve": (
+        ("solve", "--n", "256", "--t-max", "0.02", "--snapshot-times", "0.01"),
+        "solve_summary.json",
+        ("solve_diagnostics.csv", "solve_snapshot_0.csv", "solve_summary.json"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(ROUND_TRIPS))
+def test_round_trip_config_reproduces_run(tmp_path, command):
+    argv, summary, compared = ROUND_TRIPS[command]
     out1 = tmp_path / "a"
-    assert run_cli(
-        "emden", "--out", str(out1), "--xi", "-1.3", "--kappa", "0.7",
-        "--a1", "0.2", "--s-max", "12",
-    ) == 0
-    echo = read_json(out1 / "emden_summary.json")["config"]
+    assert run_cli(argv[0], "--out", str(out1), *argv[1:]) == 0
+    echo = read_json(out1 / summary)["config"]
     cfg = tmp_path / "replay.cfg"
     cfg.write_text(
         "".join(
@@ -249,21 +328,39 @@ def test_round_trip_config_reproduces_run(tmp_path):
         ).replace("'", "")
     )
     out2 = tmp_path / "b"
-    assert run_cli("emden", "--out", str(out2), "--config", str(cfg)) == 0
-    assert (out1 / "emden_trajectory.csv").read_bytes() == (
-        out2 / "emden_trajectory.csv"
-    ).read_bytes()
+    assert run_cli(command, "--out", str(out2), "--config", str(cfg)) == 0
+    for name in compared:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_format_flag_selects_artifacts(tmp_path):
+# (argv, one CSV artifact, the JSON summary) per JSON-writing subcommand.
+FORMAT_RUNS = {
+    "emden": (("emden", "--xi", "-1", "--kappa", "0.5"),
+              "emden_trajectory.csv", "emden_summary.json"),
+    "selfsim": (("selfsim", "--k3", "1", "--xi", "1", "--times", "0,0.1", "--grid-n", "16"),
+                "selfsim_snapshot_0.csv", "selfsim_summary.json"),
+    "verify": (("verify", "--n-base", "64", "--levels", "3"),
+               "verify_norms.csv", "verify_report.json"),
+    "riccati": (("riccati", "--M", "0", "--v0", "-2", "--dt", "1e-3"),
+                "riccati_trajectory.csv", "riccati_summary.json"),
+    "solve": (("solve", "--n", "256", "--t-max", "0.02", "--snapshot-times", "0.01"),
+              "solve_snapshot_0.csv", "solve_summary.json"),
+}
+
+
+@pytest.mark.parametrize("command", list(FORMAT_RUNS))
+def test_format_flag_selects_artifacts(tmp_path, command):
+    argv, csv_name, json_name = FORMAT_RUNS[command]
     out = tmp_path / "csv_only"
-    run_cli("emden", "--out", str(out), "--format", "csv", "--xi", "-1", "--kappa", "0.5")
-    assert (out / "emden_trajectory.csv").exists()
-    assert not (out / "emden_summary.json").exists()
+    run_cli(argv[0], "--out", str(out), "--format", "csv", *argv[1:])
+    assert (out / csv_name).exists()
+    assert not (out / json_name).exists()
+    assert not any(out.glob("*.json"))
     out = tmp_path / "json_only"
-    run_cli("emden", "--out", str(out), "--format", "json", "--xi", "-1", "--kappa", "0.5")
-    assert not (out / "emden_trajectory.csv").exists()
-    assert (out / "emden_summary.json").exists()
+    run_cli(argv[0], "--out", str(out), "--format", "json", *argv[1:])
+    assert not (out / csv_name).exists()
+    assert (out / json_name).exists()
+    assert not any(out.glob("*.csv"))
 
 
 def test_console_script_entry_point(tmp_path):

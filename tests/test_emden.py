@@ -257,13 +257,8 @@ def test_global_growth_for_positive_xi():
     assert np.all(np.diff(a) >= 0.0)
 
 
-def test_csv_and_summary_emission(tmp_path):
+def test_summary_emission():
     traj = integrate(EmdenProblem(s_max=10.0, **CANONICAL), tol=1e-10)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "s,a,a_dot"
-    assert len(lines) == len(traj.samples) + 1
     summary = traj.summary()
     assert summary["fate"] == "TouchdownAt"
     assert summary["S"] == pytest.approx(8.0 / 3.0, rel=1e-6)
