@@ -282,7 +282,7 @@ def cmd_verify(run: Run) -> int:
             zip(report.hs, report.mass_norms, report.momentum_norms))
     run.csv("verify_residuals.csv", "x,R1,R2",
             zip(*(column.tolist() for column in report.finest_residuals)))
-    run.json("verify_report.json", json.loads(report.to_json()))
+    run.json("verify_report.json", report.summary())
     orders = (report.order_estimate_mass, report.order_estimate_momentum)
     mass, momentum = (_fmt(order) if order is not None else "NotApplicable" for order in orders)
     print(f"order_mass = {mass}, order_momentum = {momentum}")
@@ -297,10 +297,10 @@ def cmd_riccati(run: Run) -> int:
     params = run.params
     crit = riccati.BlowupCriterion(M=params["m"], v0=params["v0"])
     result = riccati.check(crit)
-    run.json("riccati_summary.json", json.loads(result.to_json(crit)))
-    if run.wants("csv"):
+    if run.wants("csv"):  # first, so a refused trajectory leaves no summary behind
         traj = riccati.comparison_trajectory(crit, params["dt"], t_max=params["t_max"])
         run.csv("riccati_trajectory.csv", "t,v", traj.tolist())
+    run.json("riccati_summary.json", result.summary(crit))
     if result.applies:
         print(f"T = {_fmt(result.t_bound)}")
     else:

@@ -13,7 +13,8 @@ for xi > 0 the motion is convex and a grows without bound.
 Two independent routes to the touchdown time are provided:
 
 * :func:`integrate` - adaptive embedded Runge-Kutta with dense output
-  and event detection at the touchdown threshold;
+  and event detection at the touchdown threshold, S being the event
+  root that ``solve_ivp`` locates on the dense output;
 * :func:`touchdown_time_quadrature` - closed-form energy reduction
   a'^2 = a1^2 + 2*xi*(a^(1-kappa) - a0^(1-kappa))/(mu*(1-kappa)),
   whose time integral ds = -da/|a'(a)| is the regularized incomplete
@@ -41,9 +42,10 @@ from .errors import NumericalError, ValidationError
 # positive level is robust; only a = 0 itself is singular.
 TOUCHDOWN_FRACTION = 1e-8
 
-# Relative precision to which the event time is refined by bisection on
-# the dense output.
-TOUCHDOWN_REFINE_RTOL = 1e-10
+# A step collapse on a falling trajectory counts as touchdown when the
+# remaining fall time a/|a'| is at most this fraction of s: the touchdown
+# window is then narrower than any step the integrator can still take.
+FALL_TIME_RTOL = 1e-10
 
 
 class NonPositiveA0(ValidationError):
@@ -65,7 +67,6 @@ class NoTouchdown(ValidationError):
 class Fate(enum.Enum):
     TOUCHDOWN = "TouchdownAt"
     GLOBAL_ON_HORIZON = "GlobalOnHorizon"
-    SLOPE_BLOWUP = "SlopeBlowup"
 
 
 class Classification(enum.Enum):
@@ -127,8 +128,8 @@ class EmdenTrajectory:
     """Dense-output solution of an :class:`EmdenProblem`.
 
     ``samples`` holds the accepted integrator steps as rows (s, a, a').
-    ``touchdown_s`` is the refined event time S when ``fate`` is
-    TOUCHDOWN, else None.  Queries of a(s), a'(s) between samples use
+    ``touchdown_s`` is the event time S when ``fate`` is TOUCHDOWN,
+    else None.  Queries of a(s), a'(s) between samples use
     the integrator's dense output.
     """
 
@@ -136,7 +137,6 @@ class EmdenTrajectory:
     samples: np.ndarray
     fate: Fate
     touchdown_s: Optional[float]
-    energy0: float
     energy_drift_max: float
     _dense: object = field(repr=False)
 
@@ -178,32 +178,18 @@ def _rhs(problem: EmdenProblem, floor: float):
     return rhs
 
 
-def _refine_touchdown(dense, lo: float, hi: float, eps_a: float) -> float:
-    """Bisect the dense output for a(s) = eps_a to relative precision."""
-    if dense(hi)[0] - eps_a > 0.0:
-        return hi  # event locator already at machine precision
-    while (hi - lo) > TOUCHDOWN_REFINE_RTOL * max(hi, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if dense(mid)[0] - eps_a > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
     """Integrate the scale-factor ODE with touchdown event detection.
 
     Uses an embedded adaptive Runge-Kutta pair (DOP853) with local error
     per step bounded by ``tol`` relative to the solution components.  If
-    a(s) decreases through eps_a = 1e-8 * a0 the event time is refined
-    by bisection on the dense output and the fate is TOUCHDOWN.
+    a(s) decreases through eps_a = 1e-8 * a0 the fate is TOUCHDOWN at
+    the event root that ``solve_ivp`` finds on the dense output.
 
     When the step size underflows on a falling trajectory (xi < 0,
-    a' < 0) whose remaining fall time a/|a'| is at most
-    TOUCHDOWN_REFINE_RTOL times the last sample's s, the touchdown
-    window is narrower than ulp(s) (S ~ 1e9) and the fate is TOUCHDOWN
-    at that last sample.
+    a' < 0) whose remaining fall time a/|a'| is at most FALL_TIME_RTOL
+    times the last sample's s, the touchdown window is narrower than
+    ulp(s) (S ~ 1e9) and the fate is TOUCHDOWN at that last sample.
 
     Raises
     ------
@@ -241,31 +227,24 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
         s_last = float(sol.t[-1])
         a_last, a_dot_last = (float(v) for v in sol.y[:, -1])
         # For xi < 0 the fall only speeds up, so a falling trajectory reaches
-        # a = 0 within a/|a'| of its last sample.  When that is below the
-        # event refinement's resolution, the step collapsed on a touchdown
-        # window narrower than ulp(s): report the touchdown there.
+        # a = 0 within a/|a'| of its last sample.  When that is a negligible
+        # fraction of s, the step collapsed on a touchdown window narrower
+        # than ulp(s): report the touchdown there.
         if not (
             problem.xi < 0.0
             and a_dot_last < 0.0
-            and a_last / -a_dot_last <= TOUCHDOWN_REFINE_RTOL * s_last
+            and a_last / -a_dot_last <= FALL_TIME_RTOL * s_last
         ):
             raise StepCollapse(f"integrator failed before touchdown or s_max: {sol.message}")
         fate = Fate.TOUCHDOWN
         touchdown_s = s_last
     elif sol.status == 1:
         fate = Fate.TOUCHDOWN
-        s_event = float(sol.t_events[0][0])
-        lo = float(sol.t[-2]) if len(sol.t) >= 2 else 0.0
-        touchdown_s = _refine_touchdown(sol.sol, lo, s_event, eps_a)
+        touchdown_s = float(sol.t_events[0][0])
     else:
         fate = Fate.GLOBAL_ON_HORIZON
 
     samples = np.column_stack([sol.t, sol.y[0], sol.y[1]])
-    if not np.all(np.isfinite(samples)):
-        fate = Fate.SLOPE_BLOWUP
-        keep = np.all(np.isfinite(samples), axis=1)
-        samples = samples[keep]
-
     e0 = float(problem.energy(problem.a0, problem.a1))
     energies = problem.energy(samples[:, 1], samples[:, 2])
     drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
@@ -275,7 +254,6 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
         samples=samples,
         fate=fate,
         touchdown_s=touchdown_s,
-        energy0=e0,
         energy_drift_max=drift,
         _dense=sol.sol,
     )

@@ -18,7 +18,6 @@ snapshots can be validated through the same interface.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -53,11 +52,11 @@ class ResidualReport:
     mass_norms: tuple
     momentum_norms: tuple
     # Finest level's (nodes, R1, R2), for callers that emit pointwise
-    # residuals; not part of the JSON report.
+    # residuals; not part of the summary.
     finest_residuals: tuple = field(default=(), repr=False, compare=False)
 
-    def to_json(self) -> str:
-        d = {
+    def summary(self) -> dict:
+        return {
             "grid_h": self.grid_h,
             "dt": self.dt,
             "mass_eq_linf": self.mass_eq_linf,
@@ -69,7 +68,6 @@ class ResidualReport:
             "mass_norms": list(self.mass_norms),
             "momentum_norms": list(self.momentum_norms),
         }
-        return json.dumps(d, sort_keys=True)
 
 
 def mass_equation_residual(

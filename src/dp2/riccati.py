@@ -19,7 +19,6 @@ factor exp(-(k1+k2) * int div u dt).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,6 +31,9 @@ from .selfsim import SystemParams
 # Beyond this magnitude the comparison trajectory counts as escaped:
 # one more RK4 step would be meaningless and the closed form governs.
 ESCAPE_THRESHOLD = 1e6
+
+# Rows of (t, v) tuples a comparison trajectory may keep, about 100 MB.
+MAX_TRAJECTORY_ROWS = 10**6
 
 
 class EmptyHistory(ValidationError):
@@ -66,17 +68,14 @@ class BlowupCheck:
     applies: bool
     t_bound: Optional[float]
 
-    def to_json(self, crit: BlowupCriterion) -> str:
-        return json.dumps(
-            {
-                "M": crit.M,
-                "v0": crit.v0,
-                "c": crit.c,
-                "applies": self.applies,
-                "T_bound": self.t_bound,
-            },
-            sort_keys=True,
-        )
+    def summary(self, crit: BlowupCriterion) -> dict:
+        return {
+            "M": crit.M,
+            "v0": crit.v0,
+            "c": crit.c,
+            "applies": self.applies,
+            "T_bound": self.t_bound,
+        }
 
 
 def check(crit: BlowupCriterion) -> BlowupCheck:
@@ -109,10 +108,15 @@ def comparison_trajectory(
     Runs until |v| exceeds the escape threshold or t passes ten times
     the closed-form bound (``t_max`` when the criterion does not
     apply).  Serves as the oracle for :func:`check` and for plot data.
+    Raises ValidationError when the run would take more than
+    MAX_TRAJECTORY_ROWS steps: the escape near the bound, else ``t_max``.
     """
     if not (dt > 0.0):
         raise ValidationError(f"dt must be > 0, got dt={dt}")
     result = check(crit)
+    rows = (result.t_bound if result.applies else t_max) / dt
+    if rows > MAX_TRAJECTORY_ROWS:
+        raise ValidationError(f"dt={dt} needs ~{rows:.3g} rows, over the cap {MAX_TRAJECTORY_ROWS}")
     horizon = 10.0 * result.t_bound if result.applies else t_max
     c2 = crit.c**2
     t, v = 0.0, crit.v0

@@ -166,6 +166,14 @@ def test_riccati_inconclusive(tmp_path, capsys):
     assert read_json(tmp_path / "riccati_summary.json")["T_bound"] is None
 
 
+def test_riccati_refuses_an_oversized_trajectory(tmp_path, capsys):
+    # 5e6 RK4 rows held as tuples: several hundred MB before the CSV is written
+    code = run_cli("riccati", "--out", str(tmp_path), "--M", "0", "--v0", "-2", "--dt", "1e-7")
+    assert code == 2
+    assert "cap" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_solve_short_run(tmp_path):
     code = run_cli(
         "solve", "--out", str(tmp_path), "--n", "256", "--t-max", "0.02",
@@ -200,6 +208,60 @@ def test_non_finite_float_flags_rejected(tmp_path, capsys, args, key):
     assert code == 2
     assert key in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, config, code, message", [
+    (("emden",), "xi = -1\nkappa 0.5\n", 2, ":2: expected 'key = value', got 'kappa 0.5'"),
+    (("emden",), "xi = -1\nkappa = abc\n", 2,
+     "config key kappa: could not convert string to float: 'abc'"),
+    (("emden",), "# pulled in\n\nxi = -1  # xi < 0\n\n  # indented\nkappa = 0.5\n", 0, ""),
+    (("emden",), None, 2, "missing required parameter: xi"),
+    (("riccati", "--v0", "-2"), None, 2, "missing required parameter: m"),
+    (("selfsim", "--k3", "-1", "--xi", "-1", "--times", "0,abc"), None, 2,
+     "times: could not convert string to float: 'abc'"),
+    (("selfsim", "--k3", "-1", "--xi", "-1", "--times", ","), None, 2,
+     "times: need at least one sample time"),
+    (("selfsim", "--k3", "0", "--xi", "0"), None, 2,
+     "k3 = 0 (free-profile branch) is library-only; pass k3 != 0"),
+    (("sweep", "--grid", "xi"), None, 2, "grid axis must be key=start:stop:count, got 'xi'"),
+    (("sweep", "--grid", "xi=-1:-0.5"), None, 2,
+     "grid axis must be key=start:stop:count, got 'xi=-1:-0.5'"),
+    (("sweep", "--grid", "xi=-1:-0.5:2.5"), None, 2,
+     "grid axis xi: invalid literal for int() with base 10: '2.5'"),
+    (("sweep", "--grid", "xi=-1:-0.5:0"), None, 2, "grid axis xi: count must be >= 1"),
+    (("sweep",), None, 2, "sweep needs at least one --grid axis"),
+])
+def test_validation_messages(tmp_path, capsys, args, config, code, message):
+    argv = [args[0], "--out", str(tmp_path / "run"), *args[1:]]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert read_json(tmp_path / "run" / "emden_summary.json")["config"]["kappa"] == 0.5
+    else:
+        assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    code = run_cli("solve", "--out", str(tmp_path), "--n", "64", "--slope=-1e160", "--t-max", "0.1")
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("numerical failure:") for line in lines)
+
+
+def test_solve_reports_the_crossing(tmp_path, capsys):
+    code = run_cli(
+        "solve", "--out", str(tmp_path), "--n", "1024", "--slope", "-5",
+        "--threshold", "-100", "--t-max", "0.3",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "steepening crossed -100 at t = 0.19475520010145303 (bound 0.20000000000000001)\n"
+    )
 
 
 def test_non_finite_config_value_rejected(tmp_path, capsys):

@@ -47,6 +47,18 @@ def test_canonical_touchdown_event_time():
     assert traj.touchdown_s == pytest.approx(8.0 / 3.0, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "xi, kappa, a0, a1",
+    [(-1.0, 0.5, 1.0, 0.0), (-2.3, 0.35, 1.7, 0.9), (-0.7, 1.0, 1.3, -0.5)],
+)
+def test_touchdown_s_is_the_event_root(xi, kappa, a0, a1):
+    # S is where the dense output meets the event level, not a point before it
+    # (a bisection that stopped short left a(S) 1e-2 relative above the level).
+    traj = integrate(EmdenProblem(xi=xi, kappa=kappa, a0=a0, a1=a1, s_max=10.0))
+    assert traj.fate is Fate.TOUCHDOWN
+    assert traj.a(traj.touchdown_s) == pytest.approx(emden.TOUCHDOWN_FRACTION * a0, rel=1e-5)
+
+
 def test_quadrature_oracle_beta_value():
     problem = EmdenProblem(s_max=10.0, **CANONICAL)
     assert touchdown_time_quadrature(problem) == pytest.approx(S_CANONICAL, abs=1e-8)

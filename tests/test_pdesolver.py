@@ -236,6 +236,21 @@ def test_blowup_experiment_reports_no_crossing():
     assert result.within_margin is None
 
 
+def test_physical_density_passes_the_parity_gate():
+    # A nonnegative density symmetric about L/2 is even; gated on oddness it
+    # read 0.717, about 2*max rho0.
+    grid = Grid1D(n=256, length=TWO_PI)
+    y = (grid.nodes - 0.5 * TWO_PI) / 0.6
+    config = BlowupExperimentConfig(
+        n=256, k3=-1.0, slope=-5.0, t_max=0.02, rho0=y**2 * np.exp(-(y**2))
+    )
+    result = run_blowup_experiment(config)
+    assert np.max(result.max_rho) > 0.3
+    assert result.parity_residual_max < 1e-10  # perfbench's PARITY_TOL
+    assert parity_residual(np.cos(grid.nodes), even=True) < 1e-15
+    assert parity_residual(np.cos(grid.nodes)) > 1.0
+
+
 def test_blowup_experiment_rejects_failed_hypothesis():
     with pytest.raises(ValidationError):
         run_blowup_experiment(

@@ -125,7 +125,7 @@ def test_report_carries_finest_level_residuals():
     assert np.array_equal(x, fine.nodes)
     assert np.array_equal(r1, mass_equation_residual(sol.evaluate, sol.params, 0.1, fine, h, 0.5 * h))
     assert np.array_equal(r2, momentum_equation_residual(sol.evaluate, sol.params, 0.1, fine, h, 0.5 * h))
-    assert "finest_residuals" not in report.to_json()
+    assert "finest_residuals" not in report.summary()
 
 
 def test_boundary_inclusion_destroys_order():

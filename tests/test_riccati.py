@@ -57,6 +57,12 @@ def test_trajectory_escape_window_unbounded_point():
     assert traj[-1, 1] < -1e6
 
 
+def test_trajectory_row_cap_stops_an_endless_run():
+    # settles at v = c, so t < inf kept the loop running forever
+    with pytest.raises(ValidationError, match="cap"):
+        comparison_trajectory(BlowupCriterion(M=1.0, v0=5.0), dt=1e-3, t_max=math.inf)
+
+
 def test_trajectory_stable_equilibrium_above_threshold():
     crit = BlowupCriterion(M=1.0, v0=5.0)
     traj = comparison_trajectory(crit, dt=1e-3, t_max=5.0)
