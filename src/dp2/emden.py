@@ -22,6 +22,11 @@ Two independent routes to the touchdown time are provided:
   function for kappa = 1.
 
 They share no code path and cross-check each other in the test suite.
+
+``scipy.integrate`` (~0.25 s of imports) loads on the first call of
+:func:`integrate`, through the module-level :func:`solve_ivp` shim, not
+when this module is imported: ``dp2 solve`` and ``dp2 riccati`` never
+load it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import special
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ValidationError
 
@@ -164,6 +168,13 @@ class EmdenTrajectory:
             "S": self.touchdown_s,
             "energy_drift_max": self.energy_drift_max,
         }
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first call (~0.25 s); only integrate needs it."""
+    from scipy.integrate import solve_ivp as impl
+
+    return impl(*args, **kwargs)
 
 
 def _rhs(problem: EmdenProblem, floor: float):

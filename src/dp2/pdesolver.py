@@ -297,12 +297,14 @@ def step(state: SolverState, dt: float, cfl: float = CFL_DEFAULT) -> SolverState
         s, rows = state.spectrum, state.rows
     else:
         s, rows = state.spectrum[1:], state.rows[1:2]
-    k1 = _tendency_arrays(grid, params, rows)
-    k2 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k1))
-    k3 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k2))
-    k4 = _tendency_arrays(grid, params, _stage_rows(grid, s + dt * k3))
-    spectrum = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SolverState._advanced(state.t + dt, spectrum, params, grid)
+    # Overflow surfaces as the NonFinite the finiteness checks raise, not as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _tendency_arrays(grid, params, rows)
+        k2 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k1))
+        k3 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k2))
+        k4 = _tendency_arrays(grid, params, _stage_rows(grid, s + dt * k3))
+        spectrum = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return SolverState._advanced(state.t + dt, spectrum, params, grid)
 
 
 def parity_residual(values: np.ndarray, even: bool = False) -> float:

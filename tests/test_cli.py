@@ -3,13 +3,15 @@
 import dataclasses
 import inspect
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from dp2.cli import SCHEMAS, main
+from dp2 import cli
+from dp2.cli import SCHEMAS, main, write_csv
 from dp2.emden import EmdenProblem, integrate
 from dp2.pdesolver import BlowupExperimentConfig
 from dp2.selfsim import SystemParams, build_solution
@@ -251,6 +253,61 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
     lines = capsys.readouterr().err.splitlines()
     assert any(line.startswith("numerical failure:") for line in lines)
+
+
+def test_numerical_failure_is_the_only_stderr_line(tmp_path):
+    # a subprocess, so numpy's RuntimeWarnings would reach stderr as in a shell
+    proc = subprocess.run(
+        [sys.executable, "-m", "dp2.cli", "solve", "--out", str(tmp_path),
+         "--n", "64", "--slope=-1e160", "--t-max", "0.1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical failure: tendency produced non-finite entries\n"
+
+
+def _fmt_reference(x):
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def write_csv_reference(path, header, rows):
+    """The writer one value at a time, as write_csv formatted before blocks."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt_reference(v) for v in row) + "\n")
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300,
+               0.1, 1.0 / 3.0, 2.0**53 + 1.0, 1e16, 123456789.0, 2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[v, -v, 2.0 * v] for v in EDGE_FLOATS],
+    [(v,) for v in EDGE_FLOATS],
+    [[1.0, 2, "TouchdownAt", 2.5], [-0.0, -3, "GlobalOnHorizon", ""], [math.nan, 10**20, "", math.inf]],
+    [[0.5, 1.5], [0.25], [], [1.0, 2.0, 3.0]],  # ragged rows
+    [[np.float64(0.1), 7.0], [np.float64(-0.0), np.float64(5e-324)]],
+    [[True, 1.0], [None, "x"]],
+], ids=["empty", "edge-floats", "one-column", "mixed", "ragged", "numpy-floats", "other-types"])
+def test_write_csv_matches_the_per_value_writer(tmp_path, rows):
+    write_csv(tmp_path / "new.csv", "a,b", iter(rows))
+    write_csv_reference(tmp_path / "ref.csv", "a,b", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_blocks_match_the_per_value_writer(tmp_path, monkeypatch):
+    # several blocks, one of them mixed, plus a short last block
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**63, size=(300, 3), dtype=np.uint64) | (
+        rng.integers(0, 2, size=(300, 3), dtype=np.uint64) << np.uint64(63)
+    )
+    rows = bits.view(np.float64).tolist() + [[1.0, "", 2]] + rng.normal(size=(130, 3)).tolist()
+    write_csv(tmp_path / "new.csv", "x,y,z", zip(*zip(*rows)))
+    write_csv_reference(tmp_path / "ref.csv", "x,y,z", rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_solve_reports_the_crossing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Spectral solver: multipliers, oracles, parity, stepping, experiment."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -529,6 +530,19 @@ def test_step_raises_nonfinite_when_tendency_overflows():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFinite):
             tendency(state)
+        with pytest.raises(NonFinite):
+            step(state, cfl_dt(state))
+
+
+@pytest.mark.parametrize("rho_scale", [0.0, 1.0])
+def test_step_overflow_is_nonfinite_not_a_warning(rho_scale):
+    # step silences numpy's overflow warnings itself; the NonFinite is the only report
+    grid = Grid1D(n=64, length=TWO_PI)
+    state = SolverState.make(
+        0.0, rho_scale * np.cos(grid.nodes), 1e160 * np.sin(grid.nodes), PARAMS, grid
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NonFinite):
             step(state, cfl_dt(state))
 
