@@ -260,14 +260,12 @@ def cmd_selfsim(run: Run) -> int:
     if params["k3"] == 0.0:
         raise ValidationError("k3 = 0 (free-profile branch) is library-only; pass k3 != 0")
     sol = _solution(params)
-    metadata = []
-    for idx, t in enumerate(times):
-        meta = sol.snapshot_metadata(t)
-        metadata.append(meta)
+    metadata = [sol.snapshot_metadata(t) for t in times]  # validates every t before a write
+    for idx, meta in enumerate(metadata):
         if run.wants("csv"):
             width = 1.2 * meta["support_halfwidth"]
             xs = np.linspace(-width, width, params["grid_n"])
-            rho, u = sol.evaluate(t, xs)
+            rho, u = sol.evaluate(meta["t"], xs)
             run.csv(f"selfsim_snapshot_{idx}.csv", "x,rho,u",
                     zip(xs.tolist(), rho.tolist(), u.tolist()))
     run.csv("selfsim_mass.csv", "t,mass", [(meta["t"], meta["mass"]) for meta in metadata])

@@ -2,7 +2,8 @@
 
 Plugs any field sampler -- a callable (t, x_array) -> (rho, u) -- into
 the two governing equations with central finite differences and reports
-pointwise residuals:
+pointwise residuals, both formed from one pass over 11 stencil samples
+per level:
 
     R1 = rho_t + k2*u*rho_x + (k1+k2)*rho*u_x
     R2 = u_t - u_xxt + 4*u*u_x - 3*u_x*u_xx - u*u_xxx + k3*rho*rho_x
@@ -70,56 +71,38 @@ class ResidualReport:
         }
 
 
-def mass_equation_residual(
+def equation_residuals(
     sol_eval: Sampler,
     params: SystemParams,
     t: float,
     grid: Grid1D,
     h: float,
     dt: float,
-) -> np.ndarray:
-    """Pointwise mass-equation residual on the grid nodes."""
-    x = grid.nodes
-    rho_p, _ = sol_eval(t + dt, x)
-    rho_m, _ = sol_eval(t - dt, x)
-    rho, u = sol_eval(t, x)
-    rho_r, u_r = sol_eval(t, x + h)
-    rho_l, u_l = sol_eval(t, x - h)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise (R1, R2) on the grid nodes from one pass of 11 samples.
 
-    rho_t = (rho_p - rho_m) / (2.0 * dt)
-    rho_x = (rho_r - rho_l) / (2.0 * h)
-    u_x = (u_r - u_l) / (2.0 * h)
-    return rho_t + params.k2 * u * rho_x + (params.k1 + params.k2) * rho * u_x
-
-
-def momentum_equation_residual(
-    sol_eval: Sampler,
-    params: SystemParams,
-    t: float,
-    grid: Grid1D,
-    h: float,
-    dt: float,
-) -> np.ndarray:
-    """Pointwise momentum-equation residual on the grid nodes.
-
-    All derivatives are central; u_xxt uses the cross stencil and u_xxx
-    the 5-point third-derivative stencil, so evaluations span x +- 2h
-    and t +- dt.
+    All derivatives are central: (t, x), (t, x +- h), (t, x +- 2h),
+    (t +- dt, x) and (t +- dt, x +- h); u_xxt uses the cross stencil and
+    u_xxx the 5-point third-derivative stencil.  Times are first visited
+    in the order t + dt, t - dt, t and that order must stay: a sampler
+    that steps from its latest cached state (``pdesolver.RunSampler``)
+    returns bits that depend on which states it stepped through.
     """
     x = grid.nodes
+    rho_p, up = sol_eval(t + dt, x)
+    rho_m, um = sol_eval(t - dt, x)
     rho, u = sol_eval(t, x)
     rho_r, u_r = sol_eval(t, x + h)
     rho_l, u_l = sol_eval(t, x - h)
     _, u_rr = sol_eval(t, x + 2.0 * h)
     _, u_ll = sol_eval(t, x - 2.0 * h)
-
-    _, up = sol_eval(t + dt, x)
     _, up_r = sol_eval(t + dt, x + h)
     _, up_l = sol_eval(t + dt, x - h)
-    _, um = sol_eval(t - dt, x)
     _, um_r = sol_eval(t - dt, x + h)
     _, um_l = sol_eval(t - dt, x - h)
 
+    rho_t = (rho_p - rho_m) / (2.0 * dt)
+    rho_x = (rho_r - rho_l) / (2.0 * h)
     u_t = (up - um) / (2.0 * dt)
     u_x = (u_r - u_l) / (2.0 * h)
     u_xx = (u_r - 2.0 * u + u_l) / h**2
@@ -127,9 +110,9 @@ def momentum_equation_residual(
     uxx_p = (up_r - 2.0 * up + up_l) / h**2
     uxx_m = (um_r - 2.0 * um + um_l) / h**2
     u_xxt = (uxx_p - uxx_m) / (2.0 * dt)
-    rho_x = (rho_r - rho_l) / (2.0 * h)
 
-    return (
+    r1 = rho_t + params.k2 * u * rho_x + (params.k1 + params.k2) * rho * u_x
+    r2 = (
         u_t
         - u_xxt
         + 4.0 * u * u_x
@@ -137,6 +120,7 @@ def momentum_equation_residual(
         - u * u_xxx
         + params.k3 * rho * rho_x
     )
+    return r1, r2
 
 
 def interior_mask(x: np.ndarray, rho: np.ndarray, delta: float) -> np.ndarray:
@@ -191,15 +175,15 @@ def convergence_study(
     """
     if len(grids) < 3:
         raise InsufficientGrids(f"need >= 3 grids, got {len(grids)}")
+    # dt = 0 divides by zero, and the nan orders that follow pass `order < min_order`
+    if not 0.0 < dt_over_h < np.inf:
+        raise ValidationError(f"dt_over_h must be finite and > 0, got {dt_over_h}")
 
     delta = delta_in_h * max(grid.dx for grid in grids)
     hs, mass_norms, mom_norms = [], [], []
-    finest = None
     for grid in sorted(grids, key=lambda g: g.dx, reverse=True):
         h = grid.dx
-        dt = dt_over_h * h
-        r1 = mass_equation_residual(sol_eval, params, t, grid, h, dt)
-        r2 = momentum_equation_residual(sol_eval, params, t, grid, h, dt)
+        r1, r2 = equation_residuals(sol_eval, params, t, grid, h, dt_over_h * h)
         rho, _ = sol_eval(t, grid.nodes)
         mask = interior_mask(grid.nodes, rho, delta)
         if not mask.any():
@@ -209,19 +193,17 @@ def convergence_study(
         hs.append(h)
         mass_norms.append(float(np.max(np.abs(r1[mask]))))
         mom_norms.append(float(np.max(np.abs(r2[mask]))))
-        finest = (h, dt, mass_norms[-1], mom_norms[-1], delta)
-        finest_residuals = (grid.nodes, r1, r2)
 
     return ResidualReport(
-        grid_h=finest[0],
-        dt=finest[1],
-        mass_eq_linf=finest[2],
-        momentum_eq_linf=finest[3],
-        interior_band=finest[4],
+        grid_h=hs[-1],
+        dt=dt_over_h * hs[-1],
+        mass_eq_linf=mass_norms[-1],
+        momentum_eq_linf=mom_norms[-1],
+        interior_band=delta,
         order_estimate_mass=_fit_order(hs, mass_norms),
         order_estimate_momentum=_fit_order(hs, mom_norms),
         hs=tuple(hs),
         mass_norms=tuple(mass_norms),
         momentum_norms=tuple(mom_norms),
-        finest_residuals=finest_residuals,
+        finest_residuals=(grid.nodes, r1, r2),  # the loop ends on the finest level
     )

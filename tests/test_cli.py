@@ -95,6 +95,17 @@ def test_selfsim_blowup_branch_reports_collapse_time(tmp_path, capsys):
     assert "0.666666" in capsys.readouterr().err
 
 
+def test_selfsim_time_past_collapse_leaves_out_empty(tmp_path, capsys):
+    # snapshots 0 and 1 used to be written before t = 0.7 was refused
+    code = run_cli(
+        "selfsim", "--out", str(tmp_path), "--k3", "-1", "--xi", "-1",
+        "--times", "0,0.5,0.7", "--grid-n", "32",
+    )
+    assert code == 2
+    assert "collapse time" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("grid_n", ["-1", "0"])
 def test_selfsim_rejects_bad_grid_n(tmp_path, capsys, grid_n):
     # -1 ended in a numpy ValueError traceback (exit 1); 0 wrote header-only snapshots
@@ -327,6 +338,18 @@ def test_non_finite_config_value_rejected(tmp_path, capsys):
     code = run_cli("verify", "--out", str(tmp_path / "run"), "--config", str(cfg))
     assert code == 2
     assert "min_order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt_over_h", ["0", "-0.5"])
+def test_verify_rejects_non_positive_dt_over_h(tmp_path, capsys, dt_over_h):
+    # dt = 0 printed numpy warnings, wrote bare NaN into verify_report.json and exited 0
+    code = run_cli(
+        "verify", "--out", str(tmp_path), "--n-base", "64", "--levels", "3",
+        f"--dt-over-h={dt_over_h}",
+    )
+    assert code == 2
+    assert "dt_over_h" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_rejects_empty_interior_band(tmp_path, capsys):

@@ -26,7 +26,7 @@ from dp2.pdesolver import (
     tendency,
     trig_interp,
 )
-from dp2.residual import mass_equation_residual
+from dp2.residual import equation_residuals
 from dp2.riccati import density_positivity_factor
 from dp2.selfsim import SystemParams
 
@@ -281,7 +281,7 @@ def test_run_sampler_matches_states_and_feeds_residual_lab():
     xq = x[:32] + 0.37 * grid.dx
     rho_q, _ = sampler(0.0, xq)
     assert np.max(np.abs(rho_q - (0.8 + 0.1 * np.cos(xq)))) < 1e-10
-    r1 = mass_equation_residual(sampler, PARAMS, 0.05, grid, 1e-3, 1e-3)
+    r1, _ = equation_residuals(sampler, PARAMS, 0.05, grid, 1e-3, 1e-3)
     assert np.max(np.abs(r1)) < 5e-3
 
 
