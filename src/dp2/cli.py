@@ -335,6 +335,8 @@ def cmd_solve(run: Run) -> int:
         "threshold": result.threshold,
         "within_margin": result.within_margin,
         "parity_residual_max": result.parity_residual_max,
+        "refinements": result.refinements,
+        "resolved_until": result.resolved_until,
     })
     if result.blowup_detected:
         print(f"steepening crossed {_fmt(result.threshold)} at t = {_fmt(result.crossing_time)}"

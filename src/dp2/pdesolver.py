@@ -32,6 +32,18 @@ are built once per grid.  Blowup is
 detected, never resolved: once the minimum slope falls below the
 configured threshold the run stops and reports diagnostics only.
 
+A blowup run's ``n`` is its finest grid.  It starts on the coarsest
+grid n/2**j that is at least START_N_MIN = 1024 points and whose kept
+band holds the start state to START_BAND_RTOL, and it doubles the grid
+when the step it has just taken started from a state whose centre
+defect D exceeded DEFECT_TOL = 1e-6.  D tests the paper's Riccati
+identity for v = u_x(L/2), v' = -v**2 - G*P(L/2) + P(L/2), on the sums
+the first RK4 stage already holds (see ``_centre_defect``): no extra
+transform.  A doubling zero-pads the kept (rho, u) band, which is exact,
+and dt scales with dx, so the run keeps the time lattice of a run on
+grid n alone.  On grid n, D > DEFECT_TOL marks the first time the grid
+no longer resolves the run: ``resolved_until``.
+
 An odd u with an even rho stays so under this discretisation (the
 equations are parity-equivariant, transforms and multipliers preserve
 it), which pins u = 0 at the symmetry point and makes the M = 0
@@ -62,6 +74,10 @@ CFL_VELOCITY_FLOOR = 1e-12
 # per block, 8.4 MB at n=4096).
 UNIFORM_RTOL = 64 * np.finfo(float).eps
 DENSE_BLOCK_ROWS = 256
+# Grid growth in run_blowup_experiment (see the module docstring).
+START_N_MIN = 1024
+START_BAND_RTOL = 1e-13
+DEFECT_TOL = 1e-6
 
 
 class NonFinite(NumericalError):
@@ -231,7 +247,12 @@ class SolverState:
         )
 
 
-def _tendency_arrays(grid: Grid1D, params: SystemParams, rows: np.ndarray) -> np.ndarray:
+def _tendency_arrays(
+    grid: Grid1D,
+    params: SystemParams,
+    rows: np.ndarray,
+    spectra_out: Optional[list] = None,
+) -> np.ndarray:
     """Kept-band spectral tendency of one RK4 stage, on the band k <= n//3.
 
     rows are the stage's nodal (rho, u, rho_x, u_x); the products u**2,
@@ -239,7 +260,8 @@ def _tendency_arrays(grid: Grid1D, params: SystemParams, rows: np.ndarray) -> np
     rfft, and the result is (d rho_hat/dt, d u_hat/dt), shape
     (2, n//3 + 1).  A rho-free stage passes u alone, shape (1, n): its
     rho rows are dropped, only u**2 is transformed, and the result is
-    d u_hat/dt alone, shape (1, n//3 + 1).
+    d u_hat/dt alone, shape (1, n//3 + 1).  ``spectra_out``, if given,
+    is extended by the kept-band product spectra and the result.
     """
     ops = _operators(grid)
     if len(rows) == 1:
@@ -262,6 +284,8 @@ def _tendency_arrays(grid: Grid1D, params: SystemParams, rows: np.ndarray) -> np
         out = np.stack((p_hat[2], du))
     if not np.all(np.isfinite(out)):
         raise NonFinite("tendency produced non-finite entries")
+    if spectra_out is not None:
+        spectra_out += (p_hat, out)
     return out
 
 
@@ -276,7 +300,12 @@ def cfl_dt(state: SolverState, cfl: float = CFL_DEFAULT) -> float:
     return cfl * state.grid.dx / max(float(np.max(np.abs(state.u))), CFL_VELOCITY_FLOOR)
 
 
-def step(state: SolverState, dt: float, cfl: float = CFL_DEFAULT) -> SolverState:
+def step(
+    state: SolverState,
+    dt: float,
+    cfl: float = CFL_DEFAULT,
+    spectra_out: Optional[list] = None,
+) -> SolverState:
     """One classical RK4 step on the kept spectrum; dt must respect the CFL bound.
 
     Stage 1 reads the state's own nodal rows; stages 2-4 get theirs
@@ -286,7 +315,9 @@ def step(state: SolverState, dt: float, cfl: float = CFL_DEFAULT) -> SolverState
     and the step advances u alone: 1-row irffts and rffts in the
     stages and a 2-row irfft for the new (u, u_x), 9 transforms in 8
     calls.  Negative dt is accepted for time-reversal consistency
-    checks.
+    checks.  ``spectra_out``, if given, is extended by the first
+    stage's product spectra and tendency, which belong to ``state``
+    itself (see ``_tendency_arrays``).
     """
     if abs(dt) > cfl_dt(state, cfl) * (1.0 + 1e-12):
         raise ValidationError(
@@ -299,7 +330,7 @@ def step(state: SolverState, dt: float, cfl: float = CFL_DEFAULT) -> SolverState
         s, rows = state.spectrum[1:], state.rows[1:2]
     # Overflow surfaces as the NonFinite the finiteness checks raise, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _tendency_arrays(grid, params, rows)
+        k1 = _tendency_arrays(grid, params, rows, spectra_out)
         k2 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k1))
         k3 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k2))
         k4 = _tendency_arrays(grid, params, _stage_rows(grid, s + dt * k3))
@@ -369,6 +400,8 @@ class BlowupExperimentResult:
     margin: float
     parity_residual_max: float
     snapshots: tuple
+    refinements: tuple  # (t, n): the start grid at t = 0, then each doubling
+    resolved_until: Optional[float]  # first step time with D > DEFECT_TOL on grid n
 
     @property
     def blowup_detected(self) -> bool:
@@ -379,6 +412,68 @@ class BlowupExperimentResult:
         if self.crossing_time is None:
             return None
         return self.crossing_time <= self.bound * (1.0 + self.margin)
+
+
+def _start_grid(fine: Grid1D, rho0: np.ndarray, u0: np.ndarray) -> Grid1D:
+    """Coarsest grid fine.n/2**j >= START_N_MIN whose kept band carries (rho0, u0).
+
+    Each field's modes above that band must be at most START_BAND_RTOL
+    of its largest, so the coarse nodes hold the same field to round-off.
+    """
+    n = fine.n
+    if n // 2 >= START_N_MIN:
+        spectra = np.abs(scipy.fft.rfft(np.stack((rho0, u0))))
+        limit = START_BAND_RTOL * spectra.max(axis=1, keepdims=True)
+        while n // 2 >= START_N_MIN and np.all(spectra[:, n // 2 // 3 + 1 :] <= limit):
+            n //= 2
+    return fine if n == fine.n else Grid1D(n=n, length=fine.length)
+
+
+def _padded(state: SolverState, grid: Grid1D) -> SolverState:
+    """The state on a finer grid, its kept band zero-padded, which is exact."""
+    s = state.spectrum if state.rho.any() else state.spectrum[1:]
+    band = np.zeros((len(s), _operators(grid).keep), dtype=complex)
+    band[:, : s.shape[1]] = s * (grid.n // state.grid.n)
+    return SolverState._advanced(state.t, band, state.params, grid)
+
+
+@functools.lru_cache(maxsize=16)
+def _centre_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """Weights that sum a kept band at the centre node x = L/2.
+
+    There exp(i*w_k*L/2) = (-1)**k, so a band c of f gives
+    f(L/2) = sum_k a_k*Re(c_k), with a_k = 2*(-1)**k/n and a_0 = 1/n.
+    Returns the weights of Im(c) that give f_x(L/2) and those of Re(c)
+    that give G*f(L/2).
+    """
+    ops = _operators(grid)
+    a = np.where(np.arange(ops.keep) % 2 == 0, 2.0, -2.0) / grid.n
+    a[0] = 1.0 / grid.n
+    weights = (-grid.wavenumbers[: ops.keep] * a, a / ops.helmholtz[: ops.keep])
+    for arr in weights:
+        arr.flags.writeable = False  # shared by every caller on this grid
+    return weights
+
+
+def _centre_defect(state: SolverState, p_hat: np.ndarray, tendency_hat: np.ndarray) -> float:
+    """Relative defect D of the centre Riccati identity, from a step's first stage.
+
+    At x = L/2, where odd data keep u = 0, v = u_x obeys
+    v' = -v**2 - G*P + P with P = 3/2*u**2 + k3/2*rho**2.  v' and
+    G*P(L/2) are sums over the stage's kept bands (tendency and product
+    spectra), v and P are nodal, so D = |v' + v**2 + G*P - P|/v**2 is
+    the part of the identity the 2/3-rule band drops: round-off while
+    the band resolves the products, and O(1) once they reach its edge.
+    """
+    dx_weights, green_weights = _centre_weights(state.grid)
+    k3 = state.params.k3
+    rho, u, _, v = (float(x) for x in state.rows[:, state.grid.n // 2])
+    v_dot = float(np.dot(tendency_hat[-1].imag, dx_weights))
+    green_p = 1.5 * float(np.dot(p_hat[0].real, green_weights))
+    if len(p_hat) > 1:
+        green_p += 0.5 * k3 * float(np.dot(p_hat[1].real, green_weights))
+    p = 1.5 * u * u + 0.5 * k3 * rho * rho
+    return abs(v_dot + v * v + green_p - p) / (v * v) if v else math.inf
 
 
 def run_blowup_experiment(
@@ -394,15 +489,24 @@ def run_blowup_experiment(
     at the first step with min u_x < threshold, or at t_max, in which
     case no blowup is reported (the bound is one-sided, so this is a
     reported outcome, not a failure).
+
+    ``config.n`` is the finest grid.  The run starts on the coarsest
+    grid n/2**j >= START_N_MIN that carries the start state (see
+    ``_start_grid``) and doubles it, by zero-padding the kept band,
+    after each step whose start state had a centre defect D above
+    DEFECT_TOL (see ``_centre_defect``).  dt0 and max|u0| are taken on
+    grid n and dt scales with dx, so a step on n/2**j points spans 2**j
+    steps of a run on grid n alone; a run with n <= START_N_MIN is that
+    run.  Snapshots are returned on grid n.
     """
-    grid = Grid1D(n=config.n, length=config.length)
+    fine = Grid1D(n=config.n, length=config.length)
     params = SystemParams(k1=config.k1, k2=config.k2, k3=config.k3)
     sigma = config.sigma if config.sigma > 0.0 else config.length / 16.0
-    u0 = odd_gaussian_derivative(grid, config.slope, sigma)
+    u0 = odd_gaussian_derivative(fine, config.slope, sigma)
     rho0 = (
-        np.zeros(grid.n)
+        np.zeros(fine.n)
         if config.rho0 is None
-        else dealias(grid, np.asarray(config.rho0, dtype=float))
+        else dealias(fine, np.asarray(config.rho0, dtype=float))
     )
     if parity_residual(u0) > 1e-12 * max(1.0, float(np.max(np.abs(u0)))):
         raise ValidationError("initial velocity is not odd")
@@ -414,30 +518,43 @@ def run_blowup_experiment(
         )
     bound = check(crit).t_bound
 
-    state = SolverState.make(0.0, rho0, u0, params, grid)
+    grid = _start_grid(fine, rho0, u0)
+    stride = fine.n // grid.n  # the coarse nodes are every stride-th fine node
+    state = SolverState.make(0.0, rho0[::stride], u0[::stride], params, grid)
     u0_max = max(float(np.max(np.abs(u0))), CFL_VELOCITY_FLOOR)
-    dt0 = cfl_dt(state, config.cfl)
+    dt0 = config.cfl * fine.dx / u0_max
 
     times, min_ux, max_rho = [state.t], [state.min_ux], [state.max_rho]
     parity_max = max(parity_residual(state.u), parity_residual(state.rho, even=True))
     snapshots = []
     pending = sorted(snapshot_times)
     crossing: Optional[float] = None
+    refinements = [(0.0, grid.n)]
+    resolved_until: Optional[float] = None
 
     while state.t < config.t_max:
         # Halve dt each time max|u| doubles relative to the start.
         u_max = max(float(np.max(np.abs(state.u))), CFL_VELOCITY_FLOOR)
         doublings = max(0, math.ceil(math.log2(u_max / u0_max))) if u_max > u0_max else 0
-        # dt0 / 2**doublings <= dt0 * u0_max / u_max, the CFL dt; step checks it.
-        dt = min(dt0 / 2**doublings, config.t_max - state.t)
-        state = step(state, dt, cfl=config.cfl)
+        # dt0 * dx/dx_n / 2**doublings <= this grid's CFL dt; step checks it.
+        dt = min(dt0 * (fine.n // state.grid.n) / 2**doublings, config.t_max - state.t)
+        spectra: list = []
+        advanced = step(state, dt, cfl=config.cfl, spectra_out=spectra)
+        if _centre_defect(state, *spectra) > DEFECT_TOL:
+            if state.grid.n < fine.n:
+                advanced = _padded(advanced, Grid1D(n=2 * state.grid.n, length=fine.length))
+                refinements.append((advanced.t, advanced.grid.n))
+            elif resolved_until is None:
+                resolved_until = state.t
+        state = advanced
         times.append(state.t)
         min_ux.append(state.min_ux)
         max_rho.append(state.max_rho)
         parity_max = max(parity_max, parity_residual(state.u),
                          parity_residual(state.rho, even=True))
         while pending and state.t >= pending[0]:
-            snapshots.append((state.t, state.rho.copy(), state.u.copy()))
+            shot = state if state.grid.n == fine.n else _padded(state, fine)
+            snapshots.append((state.t, shot.rho.copy(), shot.u.copy()))
             pending.pop(0)
         if state.min_ux < config.threshold:
             crossing = state.t
@@ -453,6 +570,8 @@ def run_blowup_experiment(
         margin=config.margin,
         parity_residual_max=parity_max,
         snapshots=tuple(snapshots),
+        refinements=tuple(refinements),
+        resolved_until=resolved_until,
     )
 
 

@@ -1,12 +1,13 @@
 """Compact-support density shape in the self-similar coordinate.
 
 The stored form is f(eta) = beta**-0.5 * sqrt(beta*alpha**2 - eta**2)
-on |eta| <= sqrt(beta)*alpha and exactly 0 outside, with beta = xi/k3.
-This is the canonical rewrite of the (k3/xi)-prefixed closed form; it
-avoids the removable 0/0 when only the ratio beta is stored.  Note the
-shape ODE beta*eta + f*f' = 0 is satisfied by this family exactly on
-the unit-ratio profiles beta = 1, which are the ones the assembled
-solutions are verified against at the PDE level.
+on |eta| <= sqrt(beta)*alpha and exactly 0 outside, so
+f**2 = alpha**2 - eta**2/beta and every member solves the shape ODE
+eta/beta + f*f' = 0.  Since u = (a'/a)*x has u_xx = 0, the momentum
+equation reduces in eta to (4*xi/mu)*eta + k3*f*f' = 0 for every k1
+and k2, which fixes beta = mu*k3/(4*xi).  The printed closed form
+f**2 = alpha**2 - (k3/xi)*eta**2, i.e. beta = xi/k3, agrees with it
+only when mu*k3**2 = 4*xi**2 (xi = k3 at mu = 4).
 """
 
 from __future__ import annotations
@@ -37,21 +38,21 @@ class Profile:
             raise ValidationError(f"beta must be > 0, got beta={self.beta}")
 
     @classmethod
-    def from_params(cls, k3: float, xi: float, alpha: float) -> "Profile":
-        """Build the shape for given system constants.
+    def from_params(cls, k3: float, xi: float, alpha: float, mu: float = 4.0) -> "Profile":
+        """Build the shape that solves the momentum equation: beta = mu*k3/(4*xi).
 
         Only the sign-matched combinations (k3 > 0, xi > 0) and
-        (k3 < 0, xi < 0) give beta = xi/k3 > 0 and hence a real
-        compact-support shape; anything else is rejected.
+        (k3 < 0, xi < 0) give beta > 0 and hence a real compact-support
+        shape; anything else is rejected.
         """
         if k3 == 0.0:
             raise ValidationError("k3=0 has no fixed shape; use FreeProfile")
-        beta = xi / k3
-        if beta <= 0.0:
+        if not (k3 * xi > 0.0 and mu > 0.0):
             raise ValidationError(
-                f"beta = xi/k3 = {beta} must be > 0 (xi and k3 of matching sign)"
+                f"beta = mu*k3/(4*xi) must be > 0 (xi and k3 of matching sign, mu > 0), "
+                f"got k3={k3}, xi={xi}, mu={mu}"
             )
-        return cls(alpha=alpha, beta=beta)
+        return cls(alpha=alpha, beta=mu * k3 / (4.0 * xi))
 
     @property
     def half_width(self) -> float:
@@ -75,7 +76,7 @@ class Profile:
     def ode_residual_f(self, eta: float, h: float) -> float:
         """Central-difference residual of the shape ODE at an interior point.
 
-        Returns beta*eta + f(eta)*(f(eta+h) - f(eta-h))/(2h).  The
+        Returns eta/beta + f(eta)*(f(eta+h) - f(eta-h))/(2h).  The
         stencil must stay strictly inside the support: the shape is
         only C0 at the boundary, where f' diverges.
         """
@@ -87,4 +88,4 @@ class Profile:
                 f"boundary {self.half_width}"
             )
         df = (self.eval_f(eta + h) - self.eval_f(eta - h)) / (2.0 * h)
-        return self.beta * eta + self.eval_f(eta) * df
+        return eta / self.beta + self.eval_f(eta) * df

@@ -209,7 +209,7 @@ def build_solution(
     tol: float = 1e-10,
     rho0: Optional[Callable] = None,
 ) -> SelfSimilarSolution:
-    """Assemble a solution: shape from (k3, xi, alpha), trajectory from kappa.
+    """Assemble a solution: shape from (k3, xi, alpha, mu), trajectory from kappa.
 
     For k3 = 0 (and xi = 0) pass ``rho0``, the arbitrary nonnegative C1
     shape of the decoupled branch.
@@ -221,5 +221,5 @@ def build_solution(
             raise ValidationError("k3 = 0 requires an explicit rho0 shape")
         prof: Union[Profile, FreeProfile] = FreeProfile(rho0=rho0)
     else:
-        prof = Profile.from_params(params.k3, xi, alpha)
+        prof = Profile.from_params(params.k3, xi, alpha, mu)
     return SelfSimilarSolution(params=params, profile=prof, traj=traj, xi=xi)

@@ -201,6 +201,21 @@ def test_solve_short_run(tmp_path):
     assert (tmp_path / "solve_snapshot_0.csv").exists()
 
 
+def test_solve_summary_reports_grids_and_resolution(tmp_path):
+    code = run_cli(
+        "solve", "--out", str(tmp_path), "--n", "2048", "--t-max", "0.2",
+        "--snapshot-times", "0.05",
+    )
+    assert code == 0
+    summary = read_json(tmp_path / "solve_summary.json")
+    assert [n for _, n in summary["refinements"]] == [1024, 2048]
+    assert summary["refinements"][0][0] == 0.0
+    assert 0.15 < summary["resolved_until"] < 0.2
+    # taken on 1024 points, written on 2048
+    _, rows = read_csv_rows(tmp_path / "solve_snapshot_0.csv")
+    assert len(rows) == 2048
+
+
 def test_solve_rejects_zero_cfl(tmp_path, capsys):
     # cfl = 0 gives dt = 0, which used to loop forever
     code = run_cli("solve", "--out", str(tmp_path), "--cfl", "0", "--n", "256")

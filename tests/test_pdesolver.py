@@ -11,6 +11,8 @@ from dp2 import pdesolver
 from dp2.errors import ValidationError
 from dp2.grid import Grid1D
 from dp2.pdesolver import (
+    DEFECT_TOL,
+    START_N_MIN,
     BlowupExperimentConfig,
     NonFinite,
     RunSampler,
@@ -635,3 +637,87 @@ def test_tiny_rho_takes_the_general_path(monkeypatch):
     assert not np.array_equal(state.rho, 1e-30 * np.cos(x))
     for got, want in ((state.rho, rho), (state.u, u)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# Resolution-adaptive blowup runs: start coarse, double n while the centre
+# Riccati defect D exceeds DEFECT_TOL.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n,crossing,fixed_steps",
+    [
+        # crossings and step counts of the runs that stepped on grid n throughout
+        (2048, 0.3288426096951083, 577),
+        (4096, 0.22103169535323317, 581),
+        (8192, 0.2026767905817653, 1049),
+        (16384, 0.19890920486551597, 2059),
+    ],
+)
+def test_adaptive_run_keeps_the_fixed_grid_crossing(n, crossing, fixed_steps):
+    result = run_blowup_experiment(BlowupExperimentConfig(n=n, slope=-5.0))
+    assert abs(result.crossing_time - crossing) <= 1e-12 * crossing
+    assert len(result.times) - 1 < fixed_steps  # coarse steps scale with dx
+    assert result.parity_residual_max < 1e-10
+    ts, ns = zip(*result.refinements)
+    assert ns == tuple(START_N_MIN * 2**j for j in range(len(ns))) and ns[-1] == n
+    assert ts[0] == 0.0 and np.all(np.diff(ts) > 0.0)
+    assert set(ts[1:]) <= set(result.times.tolist())
+
+
+def test_resolved_until_marks_where_grid_n_stops_resolving():
+    # D on grid n alone at slope -5: 3.3e-4 by t = 0.15 at n = 1024;
+    # 2.3e-7 at t = 0.18 and 1.5e-2 at t = 0.19 at n = 8192
+    assert run_blowup_experiment(BlowupExperimentConfig(n=1024)).resolved_until < 0.15
+    assert 0.18 < run_blowup_experiment(BlowupExperimentConfig(n=8192)).resolved_until < 0.19
+    short = run_blowup_experiment(BlowupExperimentConfig(n=256, t_max=0.02))
+    assert short.resolved_until is None
+    assert short.refinements == ((0.0, 256),)
+
+
+@pytest.mark.parametrize("rho_scale", [0.0, 1.0])
+def test_centre_defect_is_round_off_only_while_resolved(rho_scale):
+    def defect(n):
+        grid = Grid1D(n=n, length=TWO_PI)
+        y = (grid.nodes - math.pi) / 0.6
+        rho = dealias(grid, rho_scale * y**2 * np.exp(-(y**2)))
+        u = odd_gaussian_derivative(grid, -5.0, TWO_PI / 16.0)
+        state = SolverState.make(0.0, rho, u, PARAMS, grid)
+        spectra = []
+        step(state, cfl_dt(state), spectra_out=spectra)
+        return pdesolver._centre_defect(state, *spectra)
+
+    assert defect(1024) < 1e-12
+    assert defect(32) > DEFECT_TOL
+
+
+def test_adaptive_run_transforms_9_rows_per_step(monkeypatch):
+    rows = count_transform_rows(monkeypatch)
+    result = run_blowup_experiment(BlowupExperimentConfig(n=2048))
+    steps, doublings = len(result.times) - 1, len(result.refinements) - 1
+    assert doublings == 1
+    # start: dealias u0 (2 rows), the start-grid rfft of (rho0, u0) (2) and
+    # the n = 1024 state (4); each doubling: one irfft of (u, u_x) (2)
+    assert sum(rows) == 8 + 9 * steps + 2 * doublings
+
+
+def test_start_grid_keeps_every_mode_of_the_start_state():
+    grid = Grid1D(n=2048, length=TWO_PI)
+    y = grid.nodes - math.pi
+    smooth = (y / 0.6) ** 2 * np.exp(-((y / 0.6) ** 2))
+    # mode 400 lies above the n = 1024 band (k <= 341), inside n = 2048's
+    for rho0, n_start in ((smooth, 1024), (smooth + 1e-3 * np.cos(400.0 * y), 2048)):
+        result = run_blowup_experiment(BlowupExperimentConfig(n=2048, rho0=rho0, t_max=0.002))
+        assert result.refinements[0] == (0.0, n_start)
+
+
+def test_coarse_snapshots_are_zero_padded_to_grid_n():
+    result = run_blowup_experiment(BlowupExperimentConfig(n=2048, t_max=0.06), [0.05])
+    assert result.refinements == ((0.0, 1024),)  # the snapshot was taken on 1024 points
+    ((t, rho, u),) = result.snapshots
+    assert t >= 0.05 and rho.shape == u.shape == (2048,)
+    assert not rho.any()
+    spectrum = np.abs(np.fft.rfft(u))
+    assert np.max(spectrum[1024 // 3 + 1 :]) <= 1e-13 * np.max(spectrum)
+    assert parity_residual(u) < 1e-12 * np.max(np.abs(u))

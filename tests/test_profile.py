@@ -12,10 +12,10 @@ from dp2.profile import OutsideInterior, Profile
 
 
 def rk4_shape_ode(beta: float, f0: float, eta_end: float, n_steps: int = 20000) -> float:
-    """Independent oracle: integrate f' = -beta*eta/f from f(0) = f0."""
+    """Independent oracle: integrate f' = -eta/(beta*f) from f(0) = f0."""
     h = eta_end / n_steps
     eta, f = 0.0, f0
-    rhs = lambda e, f: -beta * e / f
+    rhs = lambda e, f: -e / (beta * f)
     for _ in range(n_steps):
         k1 = rhs(eta, f)
         k2 = rhs(eta + 0.5 * h, f + 0.5 * h * k1)
@@ -35,6 +35,9 @@ def test_interior_value_against_ode_oracle():
     oracle = rk4_shape_ode(beta=1.0, f0=2.0, eta_end=1.0)
     assert p.eval_f(1.0) == pytest.approx(oracle, abs=1e-10)
     assert p.eval_f(1.0) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    for beta in (0.5, 2.5):  # every member solves eta/beta + f*f' = 0
+        p = Profile(alpha=2.0, beta=beta)
+        assert p.eval_f(1.0) == pytest.approx(rk4_shape_ode(beta, 2.0, 1.0), abs=1e-10)
 
 
 def test_support_endpoint_and_outside():
@@ -98,12 +101,10 @@ def test_ode_residual_stencil_leaving_support():
 
 
 def test_ode_residual_second_order_convergence():
-    # Measured on unit-ratio profiles, where the stored closed form
-    # satisfies the shape ODE identically.
     rng = np.random.default_rng(55)
     for _ in range(10):
         alpha = rng.uniform(0.8, 2.5)
-        p = Profile(alpha=alpha, beta=1.0)
+        p = Profile(alpha=alpha, beta=rng.uniform(0.2, 5.0))
         eta = rng.uniform(0.1, 0.7) * p.half_width
         h = 1e-3 * p.half_width
         r1 = abs(p.ode_residual_f(eta, h))
@@ -113,14 +114,19 @@ def test_ode_residual_second_order_convergence():
 
 
 def test_sign_factory_branches():
-    assert Profile.from_params(k3=1.0, xi=2.0, alpha=1.0).beta == pytest.approx(2.0)
-    assert Profile.from_params(k3=-1.0, xi=-0.5, alpha=1.0).beta == pytest.approx(0.5)
+    # beta = mu*k3/(4*xi), the shape the momentum equation fixes
+    assert Profile.from_params(k3=1.0, xi=2.0, alpha=1.0).beta == pytest.approx(0.5)
+    assert Profile.from_params(k3=-1.0, xi=-0.5, alpha=1.0).beta == pytest.approx(2.0)
+    assert Profile.from_params(k3=1.0, xi=0.5, alpha=1.0, mu=1.0).beta == pytest.approx(0.5)
+    assert Profile.from_params(k3=2.0, xi=2.0, alpha=1.0).beta == 1.0
     with pytest.raises(ValidationError):
         Profile.from_params(k3=1.0, xi=-1.0, alpha=1.0)
     with pytest.raises(ValidationError):
         Profile.from_params(k3=-1.0, xi=1.0, alpha=1.0)
     with pytest.raises(ValidationError):
         Profile.from_params(k3=0.0, xi=0.0, alpha=1.0)
+    with pytest.raises(ValidationError):
+        Profile.from_params(k3=1.0, xi=0.0, alpha=1.0)
 
 
 def test_rejects_bad_shape_parameters():

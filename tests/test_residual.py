@@ -115,6 +115,24 @@ def test_convergence_orders_on_interior_band(k3, xi, s_max):
     assert report.momentum_eq_linf < 1e-3
 
 
+# (k3, xi, mu) off the diagonal mu*k3**2 = 4*xi**2 (all but the first)
+# failed with the printed shape beta = xi/k3: order_momentum near 0.
+SHAPE_LATTICE = [(1.0, 1.0, 4.0), (1.0, 2.0, 4.0), (1.0, 0.5, 4.0), (-1.0, -3.0, 4.0),
+                 (2.0, 0.3, 4.0), (1.0, 1.0, 1.0), (-1.0, -1.0, 1.0)]
+
+
+@pytest.mark.parametrize("k3,xi,mu", SHAPE_LATTICE)
+def test_shape_solves_the_equations_for_every_xi_and_mu(k3, xi, mu):
+    # the criterion-5 bounds; alpha = 0.5 keeps every support inside the grid
+    sol = build_solution(SystemParams(k1=1.0, k2=1.0, k3=k3), xi=xi, alpha=0.5, mu=mu)
+    report = convergence_study(sol.evaluate, sol.params, 0.1, study_grids())
+    assert 1.7 <= report.order_estimate_mass <= 2.3
+    assert 1.7 <= report.order_estimate_momentum <= 2.3
+    edge = convergence_study(sol.evaluate, sol.params, 0.1, study_grids(), delta_in_h=0.0)
+    assert edge.order_estimate_mass < 1.0
+    assert edge.order_estimate_momentum < 1.0
+
+
 def test_report_carries_finest_level_residuals():
     sol = branch2_solution()
     grids = study_grids(3, 128)
