@@ -136,7 +136,6 @@ SCHEMAS = {
         "cfl": (float, 0.3),
         "threshold": (float, -1e3),
         "t_max": (float, 0.5),
-        "m_est": (float, 0.0),
         "margin": (float, 0.2),
         "snapshot_times": (str, ""),
     },

@@ -28,9 +28,10 @@ linear and homogeneous in rho), and a state whose rho is all exact zeros
 is stepped on u alone: one 1-row irfft and one rfft of u**2 per stage,
 9 transforms in 8 calls per step, which is what every blowup run from
 rho0 = 0 costs.  The multipliers (i*w, 1 + w**2, M_u and the kept band)
-are built once per grid.  Blowup is
-detected, never resolved: once the minimum slope falls below the
-configured threshold the run stops and reports diagnostics only.
+and the centre-node weights of the defect D below are built once per
+grid, in one cached table.  Blowup is detected, never resolved: once
+the minimum slope falls below the configured threshold the run stops
+and reports diagnostics only.
 
 A blowup run's ``n`` is its finest grid.  It starts on the coarsest
 grid n/2**j that is at least START_N_MIN = 1024 points and whose kept
@@ -94,29 +95,41 @@ class _Operators:
     """Fourier multipliers of one grid over the half-spectrum, built once.
 
     keep is the length of the band the 2/3 rule keeps (modes k <= n//3);
-    the solver state and every tendency live on that band.
+    the solver state and every tendency live on that band.  The centre
+    weights sum a kept band c of f at x = L/2, where
+    exp(i*w_k*L/2) = (-1)**k: f(L/2) = sum_k a_k*Re(c_k), with
+    a_k = 2*(-1)**k/n and a_0 = 1/n (see ``_centre_defect``).
     """
 
     keep: int
-    ik: np.ndarray  # i*w_k, Nyquist mode zeroed (not representable for an odd derivative)
     helmholtz: np.ndarray  # 1 + w_k**2, the symbol of (1 - d2/dx2)
     ik_kept: np.ndarray  # i*w_k on the kept band
     ik_helmholtz_kept: np.ndarray  # i*w_k/(1 + w_k**2) on the kept band
     momentum_u: np.ndarray  # M_u = -i*w_k*(1/2 + 3/(2*(1 + w_k**2))) on the kept band
+    centre_dx: np.ndarray  # -w_k*a_k: weights of Im(c) that give f_x(L/2)
+    centre_green: np.ndarray  # a_k/(1 + w_k**2): weights of Re(c) that give G*f(L/2)
 
 
 @functools.lru_cache(maxsize=16)
 def _operators(grid: Grid1D) -> _Operators:
-    w = grid.wavenumbers
     keep = grid.n // 3 + 1
-    ik = 1j * w
-    ik[-1] = 0.0
+    w = grid.wavenumbers
     helmholtz = 1.0 + w**2
-    ik_kept = ik[:keep]
-    momentum_u = -ik_kept * (0.5 + 1.5 / helmholtz[:keep])
-    ops = _Operators(keep, ik, helmholtz, ik_kept, ik_kept / helmholtz[:keep], momentum_u)
-    for arr in (ops.ik, ops.helmholtz, ops.ik_kept, ops.ik_helmholtz_kept, ops.momentum_u):
-        arr.flags.writeable = False  # shared by every caller on this grid
+    ik_kept = 1j * w[:keep]
+    a = np.where(np.arange(keep) % 2 == 0, 2.0, -2.0) / grid.n
+    a[0] = 1.0 / grid.n
+    ops = _Operators(
+        keep,
+        helmholtz,
+        ik_kept,
+        ik_kept / helmholtz[:keep],
+        -ik_kept * (0.5 + 1.5 / helmholtz[:keep]),
+        -w[:keep] * a,
+        a / helmholtz[:keep],
+    )
+    for arr in vars(ops).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False  # shared by every caller on this grid
     return ops
 
 
@@ -131,10 +144,6 @@ def dealias(grid: Grid1D, w: np.ndarray) -> np.ndarray:
     """Zero the top third of the spectrum (2/3-rule product filter)."""
     w_hat = scipy.fft.rfft(_field(grid, w))[: _operators(grid).keep]
     return scipy.fft.irfft(w_hat, n=grid.n)
-
-
-def spectral_dx(grid: Grid1D, w: np.ndarray) -> np.ndarray:
-    return scipy.fft.irfft(scipy.fft.rfft(_field(grid, w)) * _operators(grid).ik, n=grid.n)
 
 
 def helmholtz_inverse(grid: Grid1D, w: np.ndarray) -> np.ndarray:
@@ -178,23 +187,35 @@ class SolverState:
 
     spectrum holds the (rho, u) half-spectra on the band the 2/3 rule
     keeps, shape (2, n//3 + 1); it is what step advances.  rows holds
-    the nodal (rho, u, rho_x, u_x), shape (4, n), and rho and u are
-    views of its first two rows.  make keeps the nodal rho and u it is
-    given value for value; the first step projects them onto the kept
-    band (every dp2 caller passes dealiased data, where that is a no-op
-    to round-off).  A state reached by a rho-free step has the same
+    the nodal (rho, u, rho_x, u_x), shape (4, n); rho and u are views
+    of its first two rows, and min_ux and max_rho are read from it on
+    demand.  make keeps the nodal rho and u it is given value for value;
+    the first step projects them onto the kept band (every dp2 caller
+    passes dealiased data, where that is a no-op to round-off).  A state reached by a rho-free step has the same
     layout, with exact zeros in its rho and rho_x rows and rho band.
     """
 
     t: float
-    rho: np.ndarray
-    u: np.ndarray
     params: SystemParams
     grid: Grid1D
-    min_ux: float
-    max_rho: float
     spectrum: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.rows[1]
+
+    @property
+    def min_ux(self) -> float:
+        return float(np.min(self.rows[3]))
+
+    @property
+    def max_rho(self) -> float:
+        return float(np.max(self.rows[0]))
 
     @classmethod
     def make(
@@ -216,7 +237,7 @@ class SolverState:
         ops = _operators(grid)
         spectrum = scipy.fft.rfft(rows[:2])[:, : ops.keep]
         rows[2:] = scipy.fft.irfft(spectrum * ops.ik_kept, n=grid.n)
-        return cls._from(t, spectrum, rows, params, grid)
+        return cls(t, params, grid, spectrum, rows)
 
     @classmethod
     def _advanced(
@@ -230,21 +251,7 @@ class SolverState:
             spectrum = np.concatenate((np.zeros_like(spectrum), spectrum))
         if not np.all(np.isfinite(rows[:2])):
             raise NonFinite(f"state contains non-finite entries at t={t}")
-        return cls._from(t, spectrum, rows, params, grid)
-
-    @classmethod
-    def _from(cls, t, spectrum, rows, params, grid) -> "SolverState":
-        return cls(
-            t=t,
-            rho=rows[0],
-            u=rows[1],
-            params=params,
-            grid=grid,
-            min_ux=float(np.min(rows[3])),
-            max_rho=float(np.max(rows[0])),
-            spectrum=spectrum,
-            rows=rows,
-        )
+        return cls(t, params, grid, spectrum, rows)
 
 
 def _tendency_arrays(
@@ -287,13 +294,6 @@ def _tendency_arrays(
     if spectra_out is not None:
         spectra_out += (p_hat, out)
     return out
-
-
-def tendency(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides (d rho/dt, d u/dt) of the nonlocal form, nodal."""
-    spectral = _tendency_arrays(state.grid, state.params, state.rows)
-    drho, du = scipy.fft.irfft(spectral, n=state.grid.n)
-    return drho, du
 
 
 def cfl_dt(state: SolverState, cfl: float = CFL_DEFAULT) -> float:
@@ -371,15 +371,16 @@ class BlowupExperimentConfig:
     cfl: float = CFL_DEFAULT
     threshold: float = -1e3
     t_max: float = 0.5
-    m_est: float = 0.0
     margin: float = 0.2
     rho0: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.slope >= 0.0:
-            raise ValidationError(f"slope must be negative, got slope={self.slope}")
-        if not (self.threshold < 0.0):
-            raise ValidationError("threshold must be negative")
+        if not (math.isfinite(self.slope) and self.slope < 0.0):
+            raise ValidationError(f"slope must be finite and negative, got slope={self.slope}")
+        if not (math.isfinite(self.threshold) and self.threshold < 0.0):
+            raise ValidationError(
+                f"threshold must be finite and negative, got threshold={self.threshold}"
+            )
         _check_cfl(self.cfl)
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValidationError(f"t_max must be finite and positive, got t_max={self.t_max}")
@@ -437,24 +438,6 @@ def _padded(state: SolverState, grid: Grid1D) -> SolverState:
     return SolverState._advanced(state.t, band, state.params, grid)
 
 
-@functools.lru_cache(maxsize=16)
-def _centre_weights(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """Weights that sum a kept band at the centre node x = L/2.
-
-    There exp(i*w_k*L/2) = (-1)**k, so a band c of f gives
-    f(L/2) = sum_k a_k*Re(c_k), with a_k = 2*(-1)**k/n and a_0 = 1/n.
-    Returns the weights of Im(c) that give f_x(L/2) and those of Re(c)
-    that give G*f(L/2).
-    """
-    ops = _operators(grid)
-    a = np.where(np.arange(ops.keep) % 2 == 0, 2.0, -2.0) / grid.n
-    a[0] = 1.0 / grid.n
-    weights = (-grid.wavenumbers[: ops.keep] * a, a / ops.helmholtz[: ops.keep])
-    for arr in weights:
-        arr.flags.writeable = False  # shared by every caller on this grid
-    return weights
-
-
 def _centre_defect(state: SolverState, p_hat: np.ndarray, tendency_hat: np.ndarray) -> float:
     """Relative defect D of the centre Riccati identity, from a step's first stage.
 
@@ -465,13 +448,13 @@ def _centre_defect(state: SolverState, p_hat: np.ndarray, tendency_hat: np.ndarr
     the part of the identity the 2/3-rule band drops: round-off while
     the band resolves the products, and O(1) once they reach its edge.
     """
-    dx_weights, green_weights = _centre_weights(state.grid)
+    ops = _operators(state.grid)
     k3 = state.params.k3
     rho, u, _, v = (float(x) for x in state.rows[:, state.grid.n // 2])
-    v_dot = float(np.dot(tendency_hat[-1].imag, dx_weights))
-    green_p = 1.5 * float(np.dot(p_hat[0].real, green_weights))
+    v_dot = float(np.dot(tendency_hat[-1].imag, ops.centre_dx))
+    green_p = 1.5 * float(np.dot(p_hat[0].real, ops.centre_green))
     if len(p_hat) > 1:
-        green_p += 0.5 * k3 * float(np.dot(p_hat[1].real, green_weights))
+        green_p += 0.5 * k3 * float(np.dot(p_hat[1].real, ops.centre_green))
     p = 1.5 * u * u + 0.5 * k3 * rho * rho
     return abs(v_dot + v * v + green_p - p) / (v * v) if v else math.inf
 
@@ -482,10 +465,10 @@ def run_blowup_experiment(
 ) -> BlowupExperimentResult:
     """Drive odd data toward slope blowup and compare with the bound.
 
-    Preconditions: the initial velocity is odd and ``rho0`` even (so
-    u = 0 at the symmetry point and M = 0 there honestly; the gated
-    ``parity_residual_max`` measures both) and the initial slope at
-    the symmetry point is below the criterion threshold.  The run stops
+    Preconditions: the initial velocity is odd and ``rho0`` even, so
+    u = 0 at the symmetry point and the bound is the M = 0 criterion's
+    T = -1/slope (the gated ``parity_residual_max`` measures both
+    parities; a negative slope is all M = 0 asks).  The run stops
     at the first step with min u_x < threshold, or at t_max, in which
     case no blowup is reported (the bound is one-sided, so this is a
     reported outcome, not a failure).
@@ -511,12 +494,7 @@ def run_blowup_experiment(
     if parity_residual(u0) > 1e-12 * max(1.0, float(np.max(np.abs(u0)))):
         raise ValidationError("initial velocity is not odd")
 
-    crit = BlowupCriterion(M=config.m_est, v0=config.slope)
-    if not crit.applies:
-        raise ValidationError(
-            f"criterion hypothesis fails: v0={config.slope} >= -sqrt(3/2)*M={-crit.c}"
-        )
-    bound = check(crit).t_bound
+    bound = check(BlowupCriterion(M=0.0, v0=config.slope)).t_bound
 
     grid = _start_grid(fine, rho0, u0)
     stride = fine.n // grid.n  # the coarse nodes are every stride-th fine node
@@ -535,7 +513,7 @@ def run_blowup_experiment(
     while state.t < config.t_max:
         # Halve dt each time max|u| doubles relative to the start.
         u_max = max(float(np.max(np.abs(state.u))), CFL_VELOCITY_FLOOR)
-        doublings = max(0, math.ceil(math.log2(u_max / u0_max))) if u_max > u0_max else 0
+        doublings = math.ceil(math.log2(u_max / u0_max)) if u_max > u0_max else 0
         # dt0 * dx/dx_n / 2**doublings <= this grid's CFL dt; step checks it.
         dt = min(dt0 * (fine.n // state.grid.n) / 2**doublings, config.t_max - state.t)
         spectra: list = []
@@ -547,8 +525,9 @@ def run_blowup_experiment(
             elif resolved_until is None:
                 resolved_until = state.t
         state = advanced
+        slope_min = state.min_ux
         times.append(state.t)
-        min_ux.append(state.min_ux)
+        min_ux.append(slope_min)
         max_rho.append(state.max_rho)
         parity_max = max(parity_max, parity_residual(state.u),
                          parity_residual(state.rho, even=True))
@@ -556,7 +535,7 @@ def run_blowup_experiment(
             shot = state if state.grid.n == fine.n else _padded(state, fine)
             snapshots.append((state.t, shot.rho.copy(), shot.u.copy()))
             pending.pop(0)
-        if state.min_ux < config.threshold:
+        if slope_min < config.threshold:
             crossing = state.t
             break
 

@@ -78,8 +78,11 @@ def equation_residuals(
     grid: Grid1D,
     h: float,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pointwise (R1, R2) on the grid nodes from one pass of 11 samples.
+
+    Also returns the sampled rho(t, nodes), from which a caller can
+    take the interior band without sampling again.
 
     All derivatives are central: (t, x), (t, x +- h), (t, x +- 2h),
     (t +- dt, x) and (t +- dt, x +- h); u_xxt uses the cross stencil and
@@ -120,7 +123,7 @@ def equation_residuals(
         - u * u_xxx
         + params.k3 * rho * rho_x
     )
-    return r1, r2
+    return r1, r2, rho
 
 
 def interior_mask(x: np.ndarray, rho: np.ndarray, delta: float) -> np.ndarray:
@@ -183,8 +186,7 @@ def convergence_study(
     hs, mass_norms, mom_norms = [], [], []
     for grid in sorted(grids, key=lambda g: g.dx, reverse=True):
         h = grid.dx
-        r1, r2 = equation_residuals(sol_eval, params, t, grid, h, dt_over_h * h)
-        rho, _ = sol_eval(t, grid.nodes)
+        r1, r2, rho = equation_residuals(sol_eval, params, t, grid, h, dt_over_h * h)
         mask = interior_mask(grid.nodes, rho, delta)
         if not mask.any():
             raise ValidationError(

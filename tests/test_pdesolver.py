@@ -23,9 +23,7 @@ from dp2.pdesolver import (
     odd_gaussian_derivative,
     parity_residual,
     run_blowup_experiment,
-    spectral_dx,
     step,
-    tendency,
     trig_interp,
 )
 from dp2.residual import equation_residuals
@@ -38,6 +36,12 @@ TWO_PI = 2.0 * math.pi
 
 def make_state(grid, rho, u, params=PARAMS):
     return SolverState.make(0.0, dealias(grid, rho), dealias(grid, u), params, grid)
+
+
+def tendency(state):
+    """Nodal (d rho/dt, d u/dt) of the state: its kept-band tendency through one irfft."""
+    spectral = pdesolver._tendency_arrays(state.grid, state.params, state.rows)
+    return scipy.fft.irfft(spectral, n=state.grid.n)
 
 
 def dense_interp(grid, values, xs):
@@ -254,13 +258,6 @@ def test_physical_density_passes_the_parity_gate():
     assert parity_residual(np.cos(grid.nodes)) > 1.0
 
 
-def test_blowup_experiment_rejects_failed_hypothesis():
-    with pytest.raises(ValidationError):
-        run_blowup_experiment(
-            BlowupExperimentConfig(n=256, slope=-0.5, m_est=1.0, t_max=0.1)
-        )
-
-
 def test_snapshot_capture():
     config = BlowupExperimentConfig(n=256, slope=-5.0, threshold=-1e3, t_max=0.05)
     result = run_blowup_experiment(config, snapshot_times=[0.01, 0.03])
@@ -283,7 +280,7 @@ def test_run_sampler_matches_states_and_feeds_residual_lab():
     xq = x[:32] + 0.37 * grid.dx
     rho_q, _ = sampler(0.0, xq)
     assert np.max(np.abs(rho_q - (0.8 + 0.1 * np.cos(xq)))) < 1e-10
-    r1, _ = equation_residuals(sampler, PARAMS, 0.05, grid, 1e-3, 1e-3)
+    r1, _, _ = equation_residuals(sampler, PARAMS, 0.05, grid, 1e-3, 1e-3)
     assert np.max(np.abs(r1)) < 5e-3
 
 
@@ -296,7 +293,7 @@ def test_characteristic_density_factor_matches_pointwise_density():
     state = make_state(grid, rho0, 0.3 * np.sin(x))
     q = math.pi + 0.5
     rho_start = float(trig_interp(grid, state.rho, np.array([q]))[0])
-    history = [(0.0, float(trig_interp(grid, spectral_dx(grid, state.u), np.array([q]))[0]))]
+    history = [(0.0, float(trig_interp(grid, state.rows[3], np.array([q]))[0]))]
     while state.t < 0.5:
         dt = cfl_dt(state)
         u_here = float(trig_interp(grid, state.u, np.array([q]))[0])
@@ -305,7 +302,7 @@ def test_characteristic_density_factor_matches_pointwise_density():
         u_pred = float(trig_interp(grid, new_state.u, np.array([q_pred]))[0])
         q = q + 0.5 * dt * PARAMS.k2 * (u_here + u_pred)
         state = new_state
-        ux_here = float(trig_interp(grid, spectral_dx(grid, state.u), np.array([q]))[0])
+        ux_here = float(trig_interp(grid, state.rows[3], np.array([q]))[0])
         history.append((state.t, ux_here))
     factor = density_positivity_factor(history, PARAMS)
     rho_end = float(trig_interp(grid, state.rho, np.array([q]))[0])
@@ -333,6 +330,8 @@ def _scan_state_at(sampler, t):
     {"t_max": 0.0}, {"t_max": -1.0}, {"t_max": math.inf}, {"t_max": math.nan},
     {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
     {"margin": math.nan}, {"margin": math.inf}, {"margin": -0.1},
+    # slope = -inf passed, then the start state warned before the bound raised
+    {"slope": -math.inf}, {"slope": math.nan}, {"threshold": -math.inf},
 ])
 def test_blowup_config_rejects_bad_step_and_horizon(kwargs):
     # cfl = 0 made dt = 0, so the run loop never advanced
@@ -492,10 +491,10 @@ def test_steps_match_physical_space_reference():
         rho, u = reference_step(grid, params, rho, u, dt)
     for got, want in ((state.rho, rho), (state.u, u)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    ux_scale = np.max(np.abs(spectral_dx(grid, u)))
+    ux_scale = np.max(np.abs(state.rows[3]))
     assert abs(state.min_ux - reference_min_ux(grid, u)) <= 1e-12 * ux_scale
     assert abs(state.max_rho - float(np.max(rho))) <= 1e-12 * np.max(np.abs(rho))
-    # the tendency wrapper still answers in physical space
+    # the kept-band tendency matches the reference in physical space
     for got, want in zip(tendency(state), reference_tendency(grid, params, state.rho, state.u)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -562,11 +561,25 @@ def test_make_keeps_the_given_nodal_values():
     assert state.max_rho == float(np.max(rho))
 
 
-@pytest.mark.parametrize("op", [dealias, spectral_dx, helmholtz_inverse])
+@pytest.mark.parametrize("op", [dealias, helmholtz_inverse])
 def test_spectral_operators_reject_wrong_length(op):
     grid = Grid1D(n=64, length=TWO_PI)
     with pytest.raises(ValidationError):
         op(grid, np.zeros(32))
+
+
+def test_operators_are_read_only_and_cached_per_grid():
+    grid = Grid1D(n=128, length=3.0)
+    ops = pdesolver._operators(grid)
+    arrays = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6  # centre weights included
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    hits = pdesolver._operators.cache_info().hits
+    assert pdesolver._operators(Grid1D(n=128, length=3.0)) is ops
+    assert pdesolver._operators.cache_info().hits == hits + 1
 
 
 def count_transform_rows(monkeypatch):
@@ -608,14 +621,14 @@ def test_rho_free_steps_match_physical_space_reference(k3):
         state = step(state, dt)
         rho, u = reference_step(grid, params, rho, u, dt)
     assert np.max(np.abs(state.u - u)) <= 1e-12 * np.max(np.abs(u))
-    ux_scale = np.max(np.abs(spectral_dx(grid, u)))
+    ux_scale = np.max(np.abs(state.rows[3]))
     assert abs(state.min_ux - reference_min_ux(grid, u)) <= 1e-12 * ux_scale
     assert not rho.any()
     assert not state.rho.any() and not state.rows[2].any() and not state.spectrum[0].any()
     assert state.max_rho == 0.0
     assert state.rows.shape == (4, grid.n)
     assert state.spectrum.shape == (2, grid.n // 3 + 1)
-    # the nodal tendency still answers (0, du) on a rho-free state
+    # the kept-band tendency of a rho-free state is (0, du)
     drho, du = tendency(state)
     assert not drho.any()
     du_ref = reference_tendency(grid, params, state.rho, state.u)[1]

@@ -35,7 +35,7 @@ def white_noise(x):
 def test_constant_state_residuals_vanish():
     sampler = lambda t, x: (np.full_like(x, 1.7), np.zeros_like(x))
     grid = Grid1D(n=64, length=4.0, x0=-2.0)
-    r1, r2 = equation_residuals(sampler, PARAMS, 0.3, grid, 1e-3, 1e-4)
+    r1, r2, _ = equation_residuals(sampler, PARAMS, 0.3, grid, 1e-3, 1e-4)
     assert np.max(np.abs(r1)) < 1e-12
     assert np.max(np.abs(r2)) < 1e-8  # third-derivative stencil noise ~ eps/h**3
 
@@ -43,7 +43,7 @@ def test_constant_state_residuals_vanish():
 def test_selfsim_mass_residual_small_on_interior():
     sol = branch2_solution()
     grid = Grid1D(n=4096, length=4.096, x0=-2.048)
-    r1, _ = equation_residuals(sol.evaluate, sol.params, 0.1, grid, 1e-3, 1e-4)
+    r1, _, _ = equation_residuals(sol.evaluate, sol.params, 0.1, grid, 1e-3, 1e-4)
     rho, _ = sol.evaluate(0.1, grid.nodes)
     mask = interior_mask(grid.nodes, rho, 0.04)
     assert np.max(np.abs(r1[mask])) < 1e-4
@@ -52,7 +52,7 @@ def test_selfsim_mass_residual_small_on_interior():
 def test_selfsim_momentum_residual_small_on_interior():
     sol = branch2_solution()
     grid = Grid1D(n=4096, length=4.096, x0=-2.048)
-    _, r2 = equation_residuals(sol.evaluate, sol.params, 0.1, grid, 1e-3, 1e-3)
+    _, r2, _ = equation_residuals(sol.evaluate, sol.params, 0.1, grid, 1e-3, 1e-3)
     rho, _ = sol.evaluate(0.1, grid.nodes)
     mask = interior_mask(grid.nodes, rho, 0.04)
     assert np.max(np.abs(r2[mask])) < 1e-3
@@ -64,7 +64,7 @@ def test_refinement_shrinks_mass_residual_second_order():
     for n in (512, 1024):
         grid = Grid1D(n=n, length=4.096, x0=-2.048)
         h = grid.dx
-        r1, _ = equation_residuals(sol.evaluate, sol.params, 0.1, grid, h, h)
+        r1, _, _ = equation_residuals(sol.evaluate, sol.params, 0.1, grid, h, h)
         rho, _ = sol.evaluate(0.1, grid.nodes)
         mask = interior_mask(grid.nodes, rho, 0.04)
         norms.append(np.max(np.abs(r1[mask])))
@@ -78,14 +78,14 @@ def test_momentum_monomial_case_exact():
     c = 0.7
     sampler = lambda t, x: (np.zeros_like(x), c * x)
     grid = Grid1D(n=64, length=4.0, x0=-2.0)
-    _, r2 = equation_residuals(sampler, PARAMS, 0.0, grid, 1e-3, 1e-3)
+    _, r2, _ = equation_residuals(sampler, PARAMS, 0.0, grid, 1e-3, 1e-3)
     assert np.allclose(r2, 4.0 * c**2 * grid.nodes, atol=1e-8)
 
 
 def test_momentum_even_density_antisymmetric_residual():
     sampler = lambda t, x: (np.exp(-(x**2)), np.zeros_like(x))
     grid = Grid1D(n=128, length=6.0, x0=-3.0)
-    _, r2 = equation_residuals(sampler, PARAMS, 0.0, grid, 1e-3, 1e-3)
+    _, r2, _ = equation_residuals(sampler, PARAMS, 0.0, grid, 1e-3, 1e-3)
     # R2 = k3*rho*rho_x is odd; check antisymmetry node-by-node
     defect = r2[1:] + r2[:0:-1]
     assert np.max(np.abs(defect)) < 1e-12
@@ -96,7 +96,7 @@ def test_parity_even_rho_odd_u():
     # odd (the monomial case R2 = 4c^2 x shows the same parity).
     sampler = lambda t, x: (np.exp(-(x**2)), x * np.exp(-(x**2)))
     grid = Grid1D(n=128, length=6.0, x0=-3.0)
-    r1, r2 = equation_residuals(sampler, PARAMS, 0.0, grid, 1e-3, 1e-3)
+    r1, r2, _ = equation_residuals(sampler, PARAMS, 0.0, grid, 1e-3, 1e-3)
     even_defect = r1[1:] - r1[:0:-1]
     odd_defect = r2[1:] + r2[:0:-1]
     assert np.max(np.abs(even_defect)) < 1e-10
@@ -141,7 +141,7 @@ def test_report_carries_finest_level_residuals():
     x, r1, r2 = report.finest_residuals
     h = fine.dx
     assert np.array_equal(x, fine.nodes)
-    r1_fine, r2_fine = equation_residuals(sol.evaluate, sol.params, 0.1, fine, h, 0.5 * h)
+    r1_fine, r2_fine, _ = equation_residuals(sol.evaluate, sol.params, 0.1, fine, h, 0.5 * h)
     assert np.array_equal(r1, r1_fine)
     assert np.array_equal(r2, r2_fine)
     assert "finest_residuals" not in report.summary()
@@ -187,8 +187,8 @@ def test_perturbation_response_scales_like_eps_over_h():
         return sampler
 
     def response(eps, h):
-        base, _ = equation_residuals(sol.evaluate, sol.params, 0.1, grid, h, h)
-        r, _ = equation_residuals(perturbed(eps), sol.params, 0.1, grid, h, h)
+        base, _, _ = equation_residuals(sol.evaluate, sol.params, 0.1, grid, h, h)
+        r, _, _ = equation_residuals(perturbed(eps), sol.params, 0.1, grid, h, h)
         return np.max(np.abs((r - base)[mask]))
 
     # linear in eps at fixed h
@@ -226,11 +226,11 @@ def test_convergence_study_samples_each_level_once_in_stencil_order():
     sampler = RecordingSampler(sol.evaluate)
     grids = study_grids(3, 64)
     convergence_study(sampler, sol.params, 0.1, grids, dt_over_h=0.5)
-    # 11 stencil samples plus the interior mask's
-    assert len(sampler.times) == 3 * 12
+    # 11 stencil samples; the interior mask reuses the stencil's rho(t)
+    assert len(sampler.times) == 3 * 11
     for level, grid in enumerate(grids):  # coarsest first
         dt = 0.5 * grid.dx
-        calls = sampler.times[12 * level:12 * (level + 1)]
+        calls = sampler.times[11 * level:11 * (level + 1)]
         assert first_visits(calls) == [0.1 + dt, 0.1 - dt, 0.1]
 
 
