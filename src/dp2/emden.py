@@ -23,10 +23,11 @@ Two independent routes to the touchdown time are provided:
 
 They share no code path and cross-check each other in the test suite.
 
-``scipy.integrate`` (~0.25 s of imports) loads on the first call of
-:func:`integrate`, through the module-level :func:`solve_ivp` shim, not
-when this module is imported: ``dp2 solve`` and ``dp2 riccati`` never
-load it.
+Importing this module loads no scipy.  ``scipy.integrate`` (~0.25 s of
+imports) loads on the first call of :func:`integrate`, through the
+module-level :func:`solve_ivp` shim, and ``scipy.special`` on the first
+call of :func:`touchdown_time_quadrature`: ``dp2 solve`` and
+``dp2 riccati``, which call neither, load no scipy at all.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError, ValidationError
 
@@ -327,6 +327,8 @@ def touchdown_time_quadrature(problem: EmdenProblem) -> float:
         raise ValidationError(
             f"quadrature oracle supports kappa in (0, 1], got {problem.kappa}"
         )
+
+    from scipy import special  # ~0.3 s of imports, paid by the oracle's first call only
 
     a0, a1 = problem.a0, problem.a1
     if problem.kappa == 1.0:

@@ -23,11 +23,15 @@ u*u_x is d/dx(u**2)/2 exactly and the momentum tendency is
 
 A stage costs one 4-row irfft for the nodal (rho, u, rho_x, u_x) and one
 3-row rfft for the products, so a step costs 28 transforms in 8 batched
-scipy.fft calls, on one CPU.  rho = 0 is invariant (the rho equation is
+numpy.fft calls, on one CPU.  rho = 0 is invariant (the rho equation is
 linear and homogeneous in rho), and a state whose rho is all exact zeros
 is stepped on u alone: one 1-row irfft and one rfft of u**2 per stage,
 9 transforms in 8 calls per step, which is what every blowup run from
-rho0 = 0 costs.  The multipliers (i*w, 1 + w**2, M_u and the kept band)
+rho0 = 0 costs; the step's last irfft writes the new (u, u_x) straight
+into the new state's rows.  The transforms are numpy.fft's, called as
+module attributes so that a patched numpy.fft (perfbench's tracer, the
+transform-count tests) sees every one; numpy is the only third-party
+library this module imports.  The multipliers (i*w, 1 + w**2, M_u and the kept band)
 and the centre-node weights of the defect D below are built once per
 grid, in one cached table.  Blowup is detected, never resolved: once
 the minimum slope falls below the configured threshold the run stops
@@ -60,7 +64,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .errors import NumericalError, ValidationError
 from .grid import Grid1D
@@ -142,8 +145,8 @@ def _field(grid: Grid1D, w: np.ndarray) -> np.ndarray:
 
 def dealias(grid: Grid1D, w: np.ndarray) -> np.ndarray:
     """Zero the top third of the spectrum (2/3-rule product filter)."""
-    w_hat = scipy.fft.rfft(_field(grid, w))[: _operators(grid).keep]
-    return scipy.fft.irfft(w_hat, n=grid.n)
+    w_hat = np.fft.rfft(_field(grid, w))[: _operators(grid).keep]
+    return np.fft.irfft(w_hat, n=grid.n)
 
 
 def helmholtz_inverse(grid: Grid1D, w: np.ndarray) -> np.ndarray:
@@ -152,22 +155,25 @@ def helmholtz_inverse(grid: Grid1D, w: np.ndarray) -> np.ndarray:
     Acts as the multiplier 1/(1 + w_k**2) with w_k = 2*pi*k/L; exact for
     band-limited input.
     """
-    w_hat = scipy.fft.rfft(_field(grid, w)) / _operators(grid).helmholtz
-    return scipy.fft.irfft(w_hat, n=grid.n)
+    w_hat = np.fft.rfft(_field(grid, w)) / _operators(grid).helmholtz
+    return np.fft.irfft(w_hat, n=grid.n)
 
 
-def _nodal_rows(grid: Grid1D, spectrum: np.ndarray) -> np.ndarray:
+def _nodal_rows(
+    grid: Grid1D, spectrum: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Nodal fields and their x-derivatives from kept bands, by one irfft.
 
     A (rho, u) band, shape (2, n//3 + 1), gives (rho, u, rho_x, u_x),
     shape (4, n); a u band alone, shape (1, n//3 + 1), gives (u, u_x).
+    ``out``, if given, receives the rows.
     """
     ops = _operators(grid)
     m = len(spectrum)
     stacked = np.empty((2 * m, ops.keep), dtype=complex)
     stacked[:m] = spectrum
     np.multiply(spectrum, ops.ik_kept, out=stacked[m:])
-    return scipy.fft.irfft(stacked, n=grid.n)
+    return np.fft.irfft(stacked, n=grid.n, out=out)
 
 
 def _stage_rows(grid: Grid1D, spectrum: np.ndarray) -> np.ndarray:
@@ -177,7 +183,7 @@ def _stage_rows(grid: Grid1D, spectrum: np.ndarray) -> np.ndarray:
     stage gives u alone, shape (1, n), since u**2 needs no u_x.
     """
     if len(spectrum) == 1:
-        return scipy.fft.irfft(spectrum, n=grid.n)
+        return np.fft.irfft(spectrum, n=grid.n)
     return _nodal_rows(grid, spectrum)
 
 
@@ -211,11 +217,11 @@ class SolverState:
 
     @property
     def min_ux(self) -> float:
-        return float(np.min(self.rows[3]))
+        return float(self.rows[3].min())
 
     @property
     def max_rho(self) -> float:
-        return float(np.max(self.rows[0]))
+        return float(self.rows[0].max())
 
     @classmethod
     def make(
@@ -235,8 +241,8 @@ class SolverState:
                 raise NonFinite(f"{name} contains non-finite entries at t={t}")
             row[:] = arr
         ops = _operators(grid)
-        spectrum = scipy.fft.rfft(rows[:2])[:, : ops.keep]
-        rows[2:] = scipy.fft.irfft(spectrum * ops.ik_kept, n=grid.n)
+        spectrum = np.fft.rfft(rows[:2])[:, : ops.keep]
+        np.fft.irfft(spectrum * ops.ik_kept, n=grid.n, out=rows[2:])
         return cls(t, params, grid, spectrum, rows)
 
     @classmethod
@@ -244,12 +250,13 @@ class SolverState:
         cls, t: float, spectrum: np.ndarray, params: SystemParams, grid: Grid1D
     ) -> "SolverState":
         """State from the kept (rho, u) bands, or from the u band alone of a rho-free step."""
-        rows = _nodal_rows(grid, spectrum)
         if len(spectrum) == 1:
-            zeros = np.zeros(grid.n)
-            rows = np.stack((zeros, rows[0], zeros, rows[1]))
+            rows = np.zeros((4, grid.n))
+            _nodal_rows(grid, spectrum, out=rows[1::2])
             spectrum = np.concatenate((np.zeros_like(spectrum), spectrum))
-        if not np.all(np.isfinite(rows[:2])):
+        else:
+            rows = _nodal_rows(grid, spectrum)
+        if not np.isfinite(rows[:2]).all():
             raise NonFinite(f"state contains non-finite entries at t={t}")
         return cls(t, params, grid, spectrum, rows)
 
@@ -282,14 +289,14 @@ def _tendency_arrays(
         np.multiply(u, rho_x, out=mass)
         mass *= -params.k2
         mass -= (params.k1 + params.k2) * rho * u_x
-    p_hat = scipy.fft.rfft(products)[:, : ops.keep]
+    p_hat = np.fft.rfft(products)[:, : ops.keep]
     du = ops.momentum_u * p_hat[0]
     if len(p_hat) == 1:
         out = du[None]
     else:
         du -= (0.5 * params.k3) * ops.ik_helmholtz_kept * p_hat[1]
         out = np.stack((p_hat[2], du))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite("tendency produced non-finite entries")
     if spectra_out is not None:
         spectra_out += (p_hat, out)
@@ -297,7 +304,7 @@ def _tendency_arrays(
 
 
 def cfl_dt(state: SolverState, cfl: float = CFL_DEFAULT) -> float:
-    return cfl * state.grid.dx / max(float(np.max(np.abs(state.u))), CFL_VELOCITY_FLOOR)
+    return cfl * state.grid.dx / max(float(np.abs(state.u).max()), CFL_VELOCITY_FLOOR)
 
 
 def step(
@@ -334,14 +341,27 @@ def step(
         k2 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k1))
         k3 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k2))
         k4 = _tendency_arrays(grid, params, _stage_rows(grid, s + dt * k3))
-        spectrum = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # s + dt/6*(k1 + 2*k2 + 2*k3 + k4) with the same operations, so the
+        # same bits, summed in k2's array; k1 may be held by spectra_out.
+        spectrum = k2
+        spectrum *= 2.0
+        spectrum += k1
+        k3 *= 2.0
+        spectrum += k3
+        spectrum += k4
+        spectrum *= dt / 6.0
+        spectrum += s
         return SolverState._advanced(state.t + dt, spectrum, params, grid)
 
 
 def parity_residual(values: np.ndarray, even: bool = False) -> float:
-    """Oddness defect max_j |w(x_j) + w(L - x_j)| on the periodic grid (``-`` if ``even``)."""
-    reflected = np.concatenate(([values[0]], values[:0:-1]))
-    return float(np.max(np.abs(values - reflected if even else values + reflected)))
+    """Oddness defect max_j |w(x_j) + w(L - x_j)| on the periodic grid (``-`` if ``even``).
+
+    Node 0 is its own mirror; node j pairs with node n - j.
+    """
+    head, body, mirror = values[0], values[1:], values[:0:-1]
+    pairs = body - mirror if even else body + mirror
+    return float(np.abs(pairs).max(initial=abs(head - head if even else head + head)))
 
 
 def odd_gaussian_derivative(
@@ -423,7 +443,7 @@ def _start_grid(fine: Grid1D, rho0: np.ndarray, u0: np.ndarray) -> Grid1D:
     """
     n = fine.n
     if n // 2 >= START_N_MIN:
-        spectra = np.abs(scipy.fft.rfft(np.stack((rho0, u0))))
+        spectra = np.abs(np.fft.rfft(np.stack((rho0, u0))))
         limit = START_BAND_RTOL * spectra.max(axis=1, keepdims=True)
         while n // 2 >= START_N_MIN and np.all(spectra[:, n // 2 // 3 + 1 :] <= limit):
             n //= 2
@@ -512,7 +532,7 @@ def run_blowup_experiment(
 
     while state.t < config.t_max:
         # Halve dt each time max|u| doubles relative to the start.
-        u_max = max(float(np.max(np.abs(state.u))), CFL_VELOCITY_FLOOR)
+        u_max = max(float(np.abs(state.u).max()), CFL_VELOCITY_FLOOR)
         doublings = math.ceil(math.log2(u_max / u0_max)) if u_max > u0_max else 0
         # dt0 * dx/dx_n / 2**doublings <= this grid's CFL dt; step checks it.
         dt = min(dt0 * (fine.n // state.grid.n) / 2**doublings, config.t_max - state.t)
@@ -590,7 +610,7 @@ def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float).ravel()
-    coeffs = scipy.fft.rfft(values) / grid.n
+    coeffs = np.fft.rfft(values) / grid.n
     coeffs[..., 1:-1] *= 2.0  # n is even: the mean and Nyquist modes count once
     m = xs.size
     if _is_one_period(grid, xs):
@@ -599,7 +619,7 @@ def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
         padded = np.zeros(coeffs.shape[:-1] + (folds * m,), dtype=complex)
         padded[..., : coeffs.shape[-1]] = coeffs
         folded = padded.reshape(coeffs.shape[:-1] + (folds, m)).sum(axis=-2)
-        return scipy.fft.ifft(folded, norm="forward").real
+        return np.fft.ifft(folded, norm="forward").real
     out = np.empty(coeffs.shape[:-1] + (m,))
     for start in range(0, m, DENSE_BLOCK_ROWS):
         block = xs[start : start + DENSE_BLOCK_ROWS]

@@ -1,7 +1,9 @@
-"""Import graph: scipy.integrate loads only when the Emden ODE is integrated.
+"""Import graph: the solver path imports no scipy.
 
-The suite's own process has imported everything already, so each check
-runs in a fresh interpreter.
+``import dp2``, ``dp2 solve`` and ``dp2 riccati`` load numpy and nothing
+from scipy; ``scipy.special`` loads with the touchdown oracle's first call
+and ``scipy.integrate`` with the Emden ODE's.  The suite's own process has
+imported everything already, so each check runs in a fresh interpreter.
 """
 
 import importlib
@@ -22,22 +24,27 @@ SRC = str(Path(dp2.__file__).resolve().parents[1])
 PROBE = """
 import json, sys
 
-def integrate_loaded():
-    return any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
-               for name in sys.modules)
+def loaded(package):
+    return any(name == package or name.startswith(package + ".") for name in sys.modules)
+
+def scipy_loaded():
+    return {p: loaded(p) for p in ("scipy", "scipy.special", "scipy.integrate")}
 
 stages = {}
 import dp2, dp2.cli, dp2.pdesolver, dp2.riccati
-stages["import"] = integrate_loaded()
+stages["import"] = scipy_loaded()
 from dp2.cli import main
 main(["solve", "--n", "64", "--t-max", "0.01", "--format", "json", "--out", OUT])
-stages["solve"] = integrate_loaded()
+stages["solve"] = scipy_loaded()
 main(["riccati", "--M", "0", "--v0", "-2", "--out", OUT])
-stages["riccati"] = integrate_loaded()
+stages["riccati"] = scipy_loaded()
 from dp2 import emden
-traj = emden.integrate(emden.EmdenProblem(xi=-1.0, kappa=0.5, a0=1.0, a1=0.0))
-stages["integrate"] = integrate_loaded()
-print(json.dumps({"stages": stages, "S": traj.touchdown_s}))
+problem = emden.EmdenProblem(xi=-1.0, kappa=0.5, a0=1.0, a1=0.0)
+quadrature_s = emden.touchdown_time_quadrature(problem)
+stages["quadrature"] = scipy_loaded()
+traj = emden.integrate(problem)
+stages["integrate"] = scipy_loaded()
+print(json.dumps({"stages": stages, "quadrature_S": quadrature_s, "S": traj.touchdown_s}))
 """
 
 
@@ -54,12 +61,18 @@ def probe(tmp_path_factory):
 
 
 @pytest.mark.parametrize("stage", ["import", "solve", "riccati"])
-def test_scipy_integrate_not_loaded(probe, stage):
-    assert probe["stages"][stage] is False
+def test_solver_path_loads_no_scipy(probe, stage):
+    assert probe["stages"][stage] == {"scipy": False, "scipy.special": False,
+                                      "scipy.integrate": False}
+
+
+def test_quadrature_loads_scipy_special(probe):
+    assert probe["stages"]["quadrature"]["scipy.special"] is True
+    assert probe["quadrature_S"] == pytest.approx(8.0 / 3.0, rel=1e-15)
 
 
 def test_integrate_loads_scipy_integrate(probe):
-    assert probe["stages"]["integrate"] is True
+    assert probe["stages"]["integrate"]["scipy.integrate"] is True
     assert probe["S"] == pytest.approx(8.0 / 3.0, rel=1e-4)
 
 

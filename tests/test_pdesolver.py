@@ -1,11 +1,11 @@
 """Spectral solver: multipliers, oracles, parity, stepping, experiment."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from dp2 import pdesolver
 from dp2.errors import ValidationError
@@ -41,7 +41,7 @@ def make_state(grid, rho, u, params=PARAMS):
 def tendency(state):
     """Nodal (d rho/dt, d u/dt) of the state: its kept-band tendency through one irfft."""
     spectral = pdesolver._tendency_arrays(state.grid, state.params, state.rows)
-    return scipy.fft.irfft(spectral, n=state.grid.n)
+    return np.fft.irfft(spectral, n=state.grid.n)
 
 
 def dense_interp(grid, values, xs):
@@ -256,6 +256,36 @@ def test_physical_density_passes_the_parity_gate():
     assert result.parity_residual_max < 1e-10  # perfbench's PARITY_TOL
     assert parity_residual(np.cos(grid.nodes), even=True) < 1e-15
     assert parity_residual(np.cos(grid.nodes)) > 1.0
+
+
+def former_parity_residual(values, even=False):
+    """parity_residual as it was, through a reflected copy of the values."""
+    reflected = np.concatenate(([values[0]], values[:0:-1]))
+    return float(np.max(np.abs(values - reflected if even else values + reflected)))
+
+
+def float_bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@pytest.mark.parametrize("even", [False, True])
+def test_parity_residual_matches_the_reflected_copy_bit_for_bit(even):
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 16, 257, 1024):
+        w = rng.standard_normal(n)
+        odd = 0.5 * (w - np.concatenate(([w[0]], w[:0:-1])))
+        sym = 0.5 * (w + np.concatenate(([w[0]], w[:0:-1])))
+        cases = [w, odd, sym, odd + 1e-13 * w, sym + 1e-13 * w]
+        for at in {0, n // 2, n - 1}:
+            for bad in (np.nan, np.inf, -np.inf):
+                hit = w.copy()
+                hit[at] = bad
+                cases.append(hit)
+        for values in cases:
+            with np.errstate(invalid="ignore"):  # inf - inf, in both formulas
+                got = parity_residual(values, even=even)
+                want = former_parity_residual(values, even=even)
+            assert float_bits(got) == float_bits(want)
 
 
 def test_snapshot_capture():
@@ -507,21 +537,28 @@ def test_blowup_run_matches_physical_space_driver():
     assert result.crossing_time == crossing
 
 
+def count_transform_rows(monkeypatch):
+    """Record the rows of every numpy.fft rfft/irfft call that dp2.pdesolver
+    makes, one list entry per call; this file's own references are not counted."""
+    rows = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(x, *args, _original=original, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == pdesolver.__name__:
+                rows.append(int(np.prod(np.shape(x)[:-1])))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return rows
+
+
 def test_step_costs_28_transforms_in_8_calls(monkeypatch):
     grid = Grid1D(n=256, length=TWO_PI)
     state = make_state(grid, 1.0 + 0.1 * np.cos(grid.nodes), 0.3 * np.sin(grid.nodes))
-    calls, rows = [], []
-    for name in ("rfft", "irfft"):
-        original = getattr(scipy.fft, name)
-
-        def counted(x, *args, _original=original, **kwargs):
-            calls.append(1)
-            rows.append(int(np.prod(np.shape(x)[:-1])))
-            return _original(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted)
+    rows = count_transform_rows(monkeypatch)
     step(state, cfl_dt(state))
-    assert (len(calls), sum(rows)) == (8, 28)
+    assert (len(rows), sum(rows)) == (8, 28)
 
 
 def test_step_raises_nonfinite_when_tendency_overflows():
@@ -582,20 +619,6 @@ def test_operators_are_read_only_and_cached_per_grid():
     assert pdesolver._operators.cache_info().hits == hits + 1
 
 
-def count_transform_rows(monkeypatch):
-    """Record the rows of every scipy.fft rfft/irfft call, one list entry per call."""
-    rows = []
-    for name in ("rfft", "irfft"):
-        original = getattr(scipy.fft, name)
-
-        def counted(x, *args, _original=original, **kwargs):
-            rows.append(int(np.prod(np.shape(x)[:-1])))
-            return _original(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted)
-    return rows
-
-
 def test_rho_free_step_costs_9_transforms_in_8_calls(monkeypatch):
     grid = Grid1D(n=256, length=TWO_PI)
     state = make_state(grid, np.zeros(grid.n), 0.3 * np.sin(grid.nodes))
@@ -650,6 +673,65 @@ def test_tiny_rho_takes_the_general_path(monkeypatch):
     assert not np.array_equal(state.rho, 1e-30 * np.cos(x))
     for got, want in ((state.rho, rho), (state.u, u)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def former_advanced(cls, t, spectrum, params, grid):
+    """SolverState._advanced as it was: a rho-free state's rows stacked from its (u, u_x)."""
+    rows = pdesolver._nodal_rows(grid, spectrum)
+    if len(spectrum) == 1:
+        zeros = np.zeros(grid.n)
+        rows = np.stack((zeros, rows[0], zeros, rows[1]))
+        spectrum = np.concatenate((np.zeros_like(spectrum), spectrum))
+    if not np.all(np.isfinite(rows[:2])):
+        raise NonFinite(f"state contains non-finite entries at t={t}")
+    return cls(t, params, grid, spectrum, rows)
+
+
+def test_rho_free_rows_written_in_place_match_the_stacked_layout(monkeypatch):
+    grid = Grid1D(n=256, length=TWO_PI)
+    u = odd_gaussian_derivative(grid, -5.0, TWO_PI / 16.0)
+
+    def run():
+        state = SolverState.make(0.0, np.zeros(grid.n), u, PARAMS, grid)
+        for _ in range(50):
+            state = step(state, cfl_dt(state))
+        return state
+
+    got = run()
+    monkeypatch.setattr(SolverState, "_advanced", classmethod(former_advanced))
+    want = run()
+    assert got.t == want.t
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.spectrum, want.spectrum)
+    assert float_bits(got.min_ux) == float_bits(want.min_ux)
+    assert float_bits(got.max_rho) == float_bits(want.max_rho)
+    assert not got.rows[::2].any() and got.rows.flags.c_contiguous
+
+
+def former_step_spectrum(state, dt):
+    """step's new kept bands, combined as before: s + dt/6*(k1 + 2*k2 + 2*k3 + k4)."""
+    grid, params = state.grid, state.params
+    if state.rho.any():
+        s, rows = state.spectrum, state.rows
+    else:
+        s, rows = state.spectrum[1:], state.rows[1:2]
+    k1 = pdesolver._tendency_arrays(grid, params, rows)
+    k2 = pdesolver._tendency_arrays(grid, params, pdesolver._stage_rows(grid, s + 0.5 * dt * k1))
+    k3 = pdesolver._tendency_arrays(grid, params, pdesolver._stage_rows(grid, s + 0.5 * dt * k2))
+    k4 = pdesolver._tendency_arrays(grid, params, pdesolver._stage_rows(grid, s + dt * k3))
+    return s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("rho_scale", [0.0, 1.0])
+def test_in_place_rk4_sum_matches_the_former_expression(rho_scale):
+    grid = Grid1D(n=256, length=TWO_PI)
+    x = grid.nodes
+    state = make_state(grid, rho_scale * (1.0 + 0.1 * np.cos(x)), 0.3 * np.sin(x) + 0.1 * np.cos(2 * x))
+    for dt in (cfl_dt(state), -0.5 * cfl_dt(state)):
+        got = step(state, dt).spectrum
+        want = former_step_spectrum(state, dt)
+        assert np.array_equal(got[-len(want):], want)
+        assert not got[: len(got) - len(want)].any()  # a rho-free step's rho band
 
 
 # ---------------------------------------------------------------------------
