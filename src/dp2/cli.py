@@ -342,6 +342,9 @@ def cmd_solve(run: Run) -> int:
               f" (bound {_fmt(result.bound)})")
     else:
         print("no blowup detected before t_max (bound is one-sided)")
+    if result.resolved_until is not None:
+        print(f"unresolved on n = {config.n} from t = {_fmt(result.resolved_until)}:"
+              " what follows does not test the bound")
     return EXIT_OK
 
 

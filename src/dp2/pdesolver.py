@@ -57,7 +57,6 @@ slope-blowup criterion applicable there.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -88,11 +87,6 @@ class NonFinite(NumericalError):
     """A tendency or state entry is not finite (blowup in progress)."""
 
 
-def _check_cfl(cfl: float) -> None:
-    if not (math.isfinite(cfl) and cfl > 0.0):
-        raise ValidationError(f"cfl must be finite and positive, got cfl={cfl}")
-
-
 @dataclass(frozen=True)
 class _Operators:
     """Fourier multipliers of one grid over the half-spectrum, built once.
@@ -113,9 +107,14 @@ class _Operators:
     centre_green: np.ndarray  # a_k/(1 + w_k**2): weights of Re(c) that give G*f(L/2)
 
 
+def _kept(n: int) -> int:
+    """Length of the band the 2/3 rule keeps on n points: modes k <= n//3."""
+    return n // 3 + 1
+
+
 @functools.lru_cache(maxsize=16)
 def _operators(grid: Grid1D) -> _Operators:
-    keep = grid.n // 3 + 1
+    keep = _kept(grid.n)
     w = grid.wavenumbers
     helmholtz = 1.0 + w**2
     ik_kept = 1j * w[:keep]
@@ -401,7 +400,8 @@ class BlowupExperimentConfig:
             raise ValidationError(
                 f"threshold must be finite and negative, got threshold={self.threshold}"
             )
-        _check_cfl(self.cfl)
+        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
+            raise ValidationError(f"cfl must be finite and positive, got cfl={self.cfl}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValidationError(f"t_max must be finite and positive, got t_max={self.t_max}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
@@ -445,7 +445,7 @@ def _start_grid(fine: Grid1D, rho0: np.ndarray, u0: np.ndarray) -> Grid1D:
     if n // 2 >= START_N_MIN:
         spectra = np.abs(np.fft.rfft(np.stack((rho0, u0))))
         limit = START_BAND_RTOL * spectra.max(axis=1, keepdims=True)
-        while n // 2 >= START_N_MIN and np.all(spectra[:, n // 2 // 3 + 1 :] <= limit):
+        while n // 2 >= START_N_MIN and np.all(spectra[:, _kept(n // 2) :] <= limit):
             n //= 2
     return fine if n == fine.n else Grid1D(n=n, length=fine.length)
 
@@ -630,31 +630,33 @@ def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 class RunSampler:
-    """(t, x) sampler over a solver run, stepping and caching on demand.
+    """(t, x) sampler over one solver run, stepping on demand.
 
-    Advances from the latest cached state at or before the requested
-    time with CFL-limited steps, landing exactly on t with one final
-    short step; the cached states are kept in time order, so finding
-    the start state is a bisection.  rho and u are evaluated together
-    by one trig_interp call: a query over one full period of uniform
-    points (the residual lab's grid nodes shifted by c*h) costs
-    O(n log n + m log m), any other query O(m n).
+    The run is CFL-limited steps from state0, extended only until its
+    next step would pass the latest query.  The state at t is the run's
+    last state at or before t advanced by one step of length t - base.t
+    (shorter than that state's CFL dt), cached per t, so a sample depends
+    on t alone, not on the times asked before; a non-finite t raises.
+    rho and u are evaluated together by one trig_interp call: a query
+    over one full period of uniform points (the residual lab's grid
+    nodes shifted by c*h) costs O(n log n + m log m), any other O(m n).
     """
 
-    def __init__(self, state0: SolverState, cfl: float = CFL_DEFAULT):
-        _check_cfl(cfl)
-        self._states = [state0]
-        self._cfl = cfl
+    def __init__(self, state0: SolverState):
+        self._run = [state0]
+        self._landed: dict = {}  # t -> the state that t's query landed on
 
     def _state_at(self, t: float) -> SolverState:
-        if t < self._states[0].t - 1e-15:
-            raise ValidationError(f"t={t} precedes the run start {self._states[0].t}")
-        idx = bisect.bisect_right(self._states, t + 1e-15, key=lambda st: st.t) - 1
-        state = self._states[idx]
-        while state.t < t - 1e-15:
-            dt = min(cfl_dt(state, self._cfl), t - state.t)
-            state = step(state, dt, cfl=self._cfl)
-            bisect.insort_right(self._states, state, key=lambda st: st.t)
+        if (state := self._landed.get(t)) is not None:
+            return state
+        run = self._run
+        if not (math.isfinite(t) and t >= run[0].t - 1e-15):
+            raise ValidationError(f"t={t} is not finite or precedes the run start {run[0].t}")
+        while run[-1].t + (dt := cfl_dt(run[-1])) <= t + 1e-15:
+            run.append(step(run[-1], dt))
+        base = next(st for st in reversed(run) if st.t <= t + 1e-15)  # the run is in time order
+        state = base if base.t >= t - 1e-15 else step(base, t - base.t)
+        self._landed[t] = state
         return state
 
     def __call__(self, t: float, xs):

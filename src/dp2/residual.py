@@ -86,10 +86,7 @@ def equation_residuals(
 
     All derivatives are central: (t, x), (t, x +- h), (t, x +- 2h),
     (t +- dt, x) and (t +- dt, x +- h); u_xxt uses the cross stencil and
-    u_xxx the 5-point third-derivative stencil.  Times are first visited
-    in the order t + dt, t - dt, t and that order must stay: a sampler
-    that steps from its latest cached state (``pdesolver.RunSampler``)
-    returns bits that depend on which states it stepped through.
+    u_xxx the 5-point third-derivative stencil.
     """
     x = grid.nodes
     rho_p, up = sol_eval(t + dt, x)

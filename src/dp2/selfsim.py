@@ -26,6 +26,9 @@ from .emden import EmdenProblem, EmdenTrajectory, Fate, integrate
 from .errors import ValidationError
 from .profile import Profile
 
+# rho(t, 0) samples that origin_density_limit takes along t -> T- or the horizon.
+ORIGIN_SAMPLES = 12
+
 
 class WrongBranch(ValidationError):
     """Operation not defined for this branch of the solution family."""
@@ -157,7 +160,7 @@ class SelfSimilarSolution:
 
     # -- diagnostics -------------------------------------------------------
 
-    def origin_density_limit(self, n_samples: int = 12) -> OriginDensityResult:
+    def origin_density_limit(self) -> OriginDensityResult:
         """Fate of rho(t, 0): collapse for xi < 0, decay for xi > 0.
 
         For a touchdown trajectory, samples rho(t, 0) along a geometric
@@ -169,7 +172,7 @@ class SelfSimilarSolution:
 
         if self.traj.fate is Fate.TOUCHDOWN:
             S = self.traj.touchdown_s
-            ts = (S / 4.0) * (1.0 - 4.0 ** (-np.arange(1, n_samples + 1, dtype=float)))
+            ts = (S / 4.0) * (1.0 - 4.0 ** (-np.arange(1, ORIGIN_SAMPLES + 1, dtype=float)))
             vals = [self.evaluate(t, 0.0)[0] for t in ts]
             if not all(b > a for a, b in zip(vals, vals[1:])):
                 raise ValidationError("rho(t,0) failed to grow monotonically toward T")
@@ -177,7 +180,7 @@ class SelfSimilarSolution:
                 raise ValidationError("rho(t,0) growth toward T looks bounded")
             return OriginDensityResult(OriginFate.DIVERGES_AT_T, S / 4.0)
 
-        ts = np.linspace(0.0, self.traj.s_end / 4.0, n_samples)
+        ts = np.linspace(0.0, self.traj.s_end / 4.0, ORIGIN_SAMPLES)
         vals = [self.evaluate(t, 0.0)[0] for t in ts]
         if not all(b < a for a, b in zip(vals, vals[1:])):
             raise ValidationError("rho(t,0) failed to decay over the horizon")

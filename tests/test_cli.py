@@ -14,6 +14,8 @@ from dp2 import cli
 from dp2.cli import SCHEMAS, main, write_csv
 from dp2.emden import EmdenProblem, integrate
 from dp2.pdesolver import BlowupExperimentConfig
+from dp2.residual import convergence_study
+from dp2.riccati import comparison_trajectory
 from dp2.selfsim import SystemParams, build_solution
 
 
@@ -187,13 +189,16 @@ def test_riccati_refuses_an_oversized_trajectory(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def test_solve_short_run(tmp_path):
+def test_solve_short_run(tmp_path, capsys):
     code = run_cli(
         "solve", "--out", str(tmp_path), "--n", "256", "--t-max", "0.02",
         "--snapshot-times", "0.01",
     )
     assert code == 0
+    # a resolved run prints its outcome line alone
+    assert capsys.readouterr().out == "no blowup detected before t_max (bound is one-sided)\n"
     summary = read_json(tmp_path / "solve_summary.json")
+    assert summary["resolved_until"] is None
     assert summary["blowup_detected"] is False
     assert summary["bound"] == pytest.approx(0.2)
     header, _ = read_csv_rows(tmp_path / "solve_diagnostics.csv")
@@ -344,7 +349,28 @@ def test_solve_reports_the_crossing(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == (
         "steepening crossed -100 at t = 0.19475520010145303 (bound 0.20000000000000001)\n"
+        "unresolved on n = 1024 from t = 0.13447382864147939:"
+        " what follows does not test the bound\n"
     )
+
+
+@pytest.mark.parametrize("n,crossing,within,resolved_until", [
+    # "no blowup" and a crossing past the margin, both after the grid stopped
+    # resolving the run, used to read as plain outcomes
+    (1024, None, None, 0.1344738286414794),
+    (2048, 0.32884260969510815, False, 0.15688613341505933),
+])
+def test_solve_says_when_the_run_is_unresolved(tmp_path, capsys, n, crossing, within,
+                                               resolved_until):
+    assert run_cli("solve", "--out", str(tmp_path), "--n", str(n)) == 0
+    summary = read_json(tmp_path / "solve_summary.json")
+    assert summary["crossing_time"] == crossing
+    assert summary["within_margin"] is within
+    assert summary["resolved_until"] == resolved_until
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1] == (f"unresolved on n = {n} from t = {resolved_until:.17g}:"
+                        " what follows does not test the bound")
 
 
 def test_non_finite_config_value_rejected(tmp_path, capsys):
@@ -414,6 +440,29 @@ def test_schema_names_match_constructor_fields():
     solution = fields(SystemParams) | builder
     for command in ("selfsim", "verify"):
         assert solution <= set(SCHEMAS[command])
+
+    # a default is stated in the schema and in the constructor, so they must agree
+    def defaults(build):
+        params = inspect.signature(build).parameters.values()
+        return {p.name: p.default for p in params if p.default is not p.empty}
+
+    feeds = [
+        ("emden", EmdenProblem), ("emden", integrate), ("sweep", EmdenProblem),
+        ("sweep", integrate), ("solve", BlowupExperimentConfig), ("selfsim", build_solution),
+        ("verify", build_solution), ("verify", convergence_study),
+        ("riccati", comparison_trajectory),
+    ]
+    # the sweep's own horizon and tolerance; the single-run commands share the library's
+    exempt = {("sweep", "s_max"): 20.0, ("sweep", "tol"): 1e-8}
+    shared = 0
+    for command, build in feeds:
+        for key, default in defaults(build).items():
+            if key not in SCHEMAS[command]:
+                continue
+            schema_default = SCHEMAS[command][key][1]
+            assert schema_default == exempt.get((command, key), default), (command, key)
+            shared += 1
+    assert shared == 34  # every shared default was compared, none skipped by a rename
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

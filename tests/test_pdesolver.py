@@ -340,21 +340,6 @@ def test_characteristic_density_factor_matches_pointwise_density():
     assert rho_end / rho_start == pytest.approx(factor, rel=1e-2)
 
 
-def _scan_state_at(sampler, t):
-    """The sampler's former bookkeeping: rescan all states, re-sort after each step."""
-    states = sampler._states
-    if t < states[0].t - 1e-15:
-        raise ValidationError(f"t={t} precedes the run start {states[0].t}")
-    idx = max(i for i, st in enumerate(states) if st.t <= t + 1e-15)
-    state = states[idx]
-    while state.t < t - 1e-15:
-        dt = min(cfl_dt(state, sampler._cfl), t - state.t)
-        state = step(state, dt, cfl=sampler._cfl)
-        states.append(state)
-        states.sort(key=lambda st: st.t)
-    return state
-
-
 @pytest.mark.parametrize("kwargs", [
     {"cfl": 0.0}, {"cfl": -0.3}, {"cfl": math.nan}, {"cfl": math.inf},
     {"t_max": 0.0}, {"t_max": -1.0}, {"t_max": math.inf}, {"t_max": math.nan},
@@ -369,31 +354,58 @@ def test_blowup_config_rejects_bad_step_and_horizon(kwargs):
         BlowupExperimentConfig(n=256, **kwargs)
 
 
-@pytest.mark.parametrize("cfl", [0.0, -0.1, math.nan, math.inf])
-def test_run_sampler_rejects_bad_cfl(cfl):
+def lab_queries(t, grids):
+    """The (t, xs) pairs equation_residuals asks for, level by level, with dt = h."""
+    queries = []
+    for grid in grids:
+        x, h = grid.nodes, grid.dx
+        queries += [
+            (t + h, x), (t - h, x), (t, x), (t, x + h), (t, x - h), (t, x + 2.0 * h),
+            (t, x - 2.0 * h), (t + h, x + h), (t + h, x - h), (t - h, x + h), (t - h, x - h),
+        ]
+    return queries
+
+
+def test_run_sampler_sample_depends_on_t_alone():
+    # The former sampler stepped from its latest cached state, so asking the
+    # same times in reverse order moved the samples by up to 1.1e-10.
+    grid = Grid1D(n=256, length=TWO_PI)
+    x = grid.nodes
+    state0 = make_state(grid, 1.0 + 0.1 * np.cos(x) + 0.05 * np.sin(2.0 * x), -0.6 * np.sin(x))
+    t = 0.12
+    queries = lab_queries(t, [Grid1D(n=m, length=TWO_PI) for m in (64, 128, 256)])
+
+    run = [state0]  # CFL steps up to the latest query
+    while run[-1].t + cfl_dt(run[-1]) <= max(tq for tq, _ in queries) + 1e-15:
+        run.append(step(run[-1], cfl_dt(run[-1])))
+
+    def sample_all(order):
+        sampler = RunSampler(state0)
+        return {i: sampler(*queries[i]) for i in order}
+
+    forward = sample_all(range(len(queries)))
+    shuffled = np.random.default_rng(15).permutation(len(queries))
+    for order in (reversed(range(len(queries))), shuffled):
+        got = sample_all(order)
+        for i, want in forward.items():
+            assert all(np.array_equal(g, w) for g, w in zip(got[i], want))
+    for i, (tq, xs) in enumerate(queries):
+        base = [st for st in run if st.t <= tq + 1e-15][-1]
+        assert tq - base.t < cfl_dt(base)
+        landed = base if base.t >= tq - 1e-15 else step(base, tq - base.t)
+        want = trig_interp(grid, landed.rows[:2], xs)
+        assert all(np.array_equal(g, w) for g, w in zip(forward[i], want))
+
+
+def test_run_sampler_rejects_non_finite_and_early_times_before_stepping():
+    # +inf used to step forever and nan returned the start state
     grid = Grid1D(n=64, length=TWO_PI)
     state0 = make_state(grid, np.ones(grid.n), 0.2 * np.sin(grid.nodes))
-    with pytest.raises(ValidationError):
-        RunSampler(state0, cfl=cfl)(0.1, grid.nodes)  # cfl = 0 never returned
-
-
-def test_run_sampler_bookkeeping_matches_rescan():
-    grid = Grid1D(n=128, length=TWO_PI)
-    x = grid.nodes
-    state0 = make_state(grid, 0.8 + 0.1 * np.cos(x), 0.3 * np.sin(x))
-    fine, coarse = Grid1D(n=64, length=TWO_PI), Grid1D(n=32, length=TWO_PI)
-    t, queries = 0.25, []
-    for level in (fine, coarse):
-        dt = level.dx
-        queries += [(t + dt, level.nodes), (t - dt, level.nodes), (t, level.nodes + dt)]
-    new = RunSampler(state0)
-    old = RunSampler(state0)
-    old._state_at = lambda tq: _scan_state_at(old, tq)
-    for tq, xs in queries:
-        got, want = new(tq, xs), old(tq, xs)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert len(new._states) == len(old._states)
-        assert [st.t for st in new._states] == [st.t for st in old._states]
+    sampler = RunSampler(state0)
+    for t in (math.nan, math.inf, -math.inf, state0.t - 1e-3):
+        with pytest.raises(ValidationError):
+            sampler(t, grid.nodes)
+    assert len(sampler._run) == 1 and sampler._run[0] is state0
 
 
 @pytest.mark.parametrize("m", [64, 256, 1024])  # m < n, m = n, m > n

@@ -271,8 +271,8 @@ def parent_residuals(sol_eval, params, t, grid, h, dt):
 
 
 def test_convergence_study_on_solver_run_matches_two_stencil_reference():
-    # RunSampler steps from its latest cached state, so its bits depend on
-    # the order in which times are first visited.
+    # A RunSampler sample depends on t alone, so the reference may visit the
+    # times in its own order and still match the lab bit for bit.
     run_grid = Grid1D(n=256, length=2.0 * math.pi)
     x = run_grid.nodes
     state0 = SolverState.make(
