@@ -133,7 +133,6 @@ SCHEMAS = {
         "k3": (float, 1.0),
         "slope": (float, -5.0),
         "sigma": (float, 0.0),
-        "cfl": (float, 0.3),
         "threshold": (float, -1e3),
         "t_max": (float, 0.5),
         "margin": (float, 0.2),

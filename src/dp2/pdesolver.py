@@ -69,7 +69,7 @@ from .grid import Grid1D
 from .riccati import BlowupCriterion, check
 from .selfsim import SystemParams
 
-CFL_DEFAULT = 0.3
+CFL = 0.3
 CFL_VELOCITY_FLOOR = 1e-12
 # trig_interp: points within UNIFORM_RTOL*(L + |xs[0]|) of one uniform
 # period take the FFT route; the dense route builds its phase matrix
@@ -81,6 +81,9 @@ DENSE_BLOCK_ROWS = 256
 START_N_MIN = 1024
 START_BAND_RTOL = 1e-13
 DEFECT_TOL = 1e-6
+# States one RunSampler run may hold: a state is 43.7 KB at n = 1024, so
+# 44.8 MB at the cap; the residual lab's queries hold 8-25.
+RUN_STATES_MAX = 1024
 
 
 class NonFinite(NumericalError):
@@ -302,16 +305,11 @@ def _tendency_arrays(
     return out
 
 
-def cfl_dt(state: SolverState, cfl: float = CFL_DEFAULT) -> float:
-    return cfl * state.grid.dx / max(float(np.abs(state.u).max()), CFL_VELOCITY_FLOOR)
+def cfl_dt(state: SolverState) -> float:
+    return CFL * state.grid.dx / max(float(np.abs(state.u).max()), CFL_VELOCITY_FLOOR)
 
 
-def step(
-    state: SolverState,
-    dt: float,
-    cfl: float = CFL_DEFAULT,
-    spectra_out: Optional[list] = None,
-) -> SolverState:
+def step(state: SolverState, dt: float, spectra_out: Optional[list] = None) -> SolverState:
     """One classical RK4 step on the kept spectrum; dt must respect the CFL bound.
 
     Stage 1 reads the state's own nodal rows; stages 2-4 get theirs
@@ -325,10 +323,8 @@ def step(
     stage's product spectra and tendency, which belong to ``state``
     itself (see ``_tendency_arrays``).
     """
-    if abs(dt) > cfl_dt(state, cfl) * (1.0 + 1e-12):
-        raise ValidationError(
-            f"dt={dt} violates the CFL bound {cfl_dt(state, cfl)} at t={state.t}"
-        )
+    if abs(dt) > cfl_dt(state) * (1.0 + 1e-12):
+        raise ValidationError(f"dt={dt} violates the CFL bound {cfl_dt(state)} at t={state.t}")
     grid, params = state.grid, state.params
     if state.rho.any():
         s, rows = state.spectrum, state.rows
@@ -387,7 +383,6 @@ class BlowupExperimentConfig:
     k3: float = 1.0
     slope: float = -5.0
     sigma: float = 0.0  # 0 -> length/16
-    cfl: float = CFL_DEFAULT
     threshold: float = -1e3
     t_max: float = 0.5
     margin: float = 0.2
@@ -400,8 +395,6 @@ class BlowupExperimentConfig:
             raise ValidationError(
                 f"threshold must be finite and negative, got threshold={self.threshold}"
             )
-        if not (math.isfinite(self.cfl) and self.cfl > 0.0):
-            raise ValidationError(f"cfl must be finite and positive, got cfl={self.cfl}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValidationError(f"t_max must be finite and positive, got t_max={self.t_max}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
@@ -479,6 +472,12 @@ def _centre_defect(state: SolverState, p_hat: np.ndarray, tendency_hat: np.ndarr
     return abs(v_dot + v * v + green_p - p) / (v * v) if v else math.inf
 
 
+def _record_row(state: SolverState, defect: float) -> tuple:
+    """(t, n, min_ux, max_rho, parity, D) of one state of a blowup run."""
+    parity = max(parity_residual(state.u), parity_residual(state.rho, even=True))
+    return (state.t, state.grid.n, state.min_ux, state.max_rho, parity, defect)
+
+
 def run_blowup_experiment(
     config: BlowupExperimentConfig,
     snapshot_times: Sequence[float] = (),
@@ -501,6 +500,13 @@ def run_blowup_experiment(
     grid n and dt scales with dx, so a step on n/2**j points spans 2**j
     steps of a run on grid n alone; a run with n <= START_N_MIN is that
     run.  Snapshots are returned on grid n.
+
+    The loop keeps one record row per state, (t, n, min_ux, max_rho,
+    parity, D), with D that of the step taken from the state (nan on
+    the last row), and every result field is derived from it: the
+    crossing is the last row's t if its min_ux is below the threshold,
+    ``refinements`` the rows where n changes, the first included, and
+    ``resolved_until`` the first row on grid n with D > DEFECT_TOL.
     """
     fine = Grid1D(n=config.n, length=config.length)
     params = SystemParams(k1=config.k1, k2=config.k2, k3=config.k3)
@@ -520,57 +526,47 @@ def run_blowup_experiment(
     stride = fine.n // grid.n  # the coarse nodes are every stride-th fine node
     state = SolverState.make(0.0, rho0[::stride], u0[::stride], params, grid)
     u0_max = max(float(np.max(np.abs(u0))), CFL_VELOCITY_FLOOR)
-    dt0 = config.cfl * fine.dx / u0_max
+    dt0 = CFL * fine.dx / u0_max
 
-    times, min_ux, max_rho = [state.t], [state.min_ux], [state.max_rho]
-    parity_max = max(parity_residual(state.u), parity_residual(state.rho, even=True))
     snapshots = []
     pending = sorted(snapshot_times)
-    crossing: Optional[float] = None
-    refinements = [(0.0, grid.n)]
-    resolved_until: Optional[float] = None
+    record = []  # one _record_row per state
 
-    while state.t < config.t_max:
+    while True:  # t_max > 0, so the run takes at least one step
         # Halve dt each time max|u| doubles relative to the start.
         u_max = max(float(np.abs(state.u).max()), CFL_VELOCITY_FLOOR)
         doublings = math.ceil(math.log2(u_max / u0_max)) if u_max > u0_max else 0
         # dt0 * dx/dx_n / 2**doublings <= this grid's CFL dt; step checks it.
         dt = min(dt0 * (fine.n // state.grid.n) / 2**doublings, config.t_max - state.t)
         spectra: list = []
-        advanced = step(state, dt, cfl=config.cfl, spectra_out=spectra)
-        if _centre_defect(state, *spectra) > DEFECT_TOL:
-            if state.grid.n < fine.n:
-                advanced = _padded(advanced, Grid1D(n=2 * state.grid.n, length=fine.length))
-                refinements.append((advanced.t, advanced.grid.n))
-            elif resolved_until is None:
-                resolved_until = state.t
+        advanced = step(state, dt, spectra_out=spectra)
+        record.append(_record_row(state, _centre_defect(state, *spectra)))
+        if record[-1][-1] > DEFECT_TOL and state.grid.n < fine.n:  # the D just recorded
+            advanced = _padded(advanced, Grid1D(n=2 * state.grid.n, length=fine.length))
         state = advanced
-        slope_min = state.min_ux
-        times.append(state.t)
-        min_ux.append(slope_min)
-        max_rho.append(state.max_rho)
-        parity_max = max(parity_max, parity_residual(state.u),
-                         parity_residual(state.rho, even=True))
         while pending and state.t >= pending[0]:
             shot = state if state.grid.n == fine.n else _padded(state, fine)
             snapshots.append((state.t, shot.rho.copy(), shot.u.copy()))
             pending.pop(0)
-        if slope_min < config.threshold:
-            crossing = state.t
+        if state.min_ux < config.threshold or state.t >= config.t_max:
             break
+    record.append(_record_row(state, math.nan))
 
+    times, grid_n, min_ux, max_rho, parity, defect = zip(*record)
     return BlowupExperimentResult(
         times=np.asarray(times),
         min_ux=np.asarray(min_ux),
         max_rho=np.asarray(max_rho),
-        crossing_time=crossing,
+        crossing_time=times[-1] if min_ux[-1] < config.threshold else None,
         bound=bound,
         threshold=config.threshold,
         margin=config.margin,
-        parity_residual_max=parity_max,
+        parity_residual_max=max(parity),
         snapshots=tuple(snapshots),
-        refinements=tuple(refinements),
-        resolved_until=resolved_until,
+        refinements=tuple((t, n) for t, n, m in zip(times, grid_n, (0,) + grid_n) if n != m),
+        resolved_until=next(
+            (t for t, n, d in zip(times, grid_n, defect) if d > DEFECT_TOL and n == fine.n), None
+        ),
     )
 
 
@@ -636,7 +632,8 @@ class RunSampler:
     next step would pass the latest query.  The state at t is the run's
     last state at or before t advanced by one step of length t - base.t
     (shorter than that state's CFL dt), cached per t, so a sample depends
-    on t alone, not on the times asked before; a non-finite t raises.
+    on t alone, not on the times asked before; a non-finite t raises, and
+    so does a t the run cannot reach within RUN_STATES_MAX states.
     rho and u are evaluated together by one trig_interp call: a query
     over one full period of uniform points (the residual lab's grid
     nodes shifted by c*h) costs O(n log n + m log m), any other O(m n).
@@ -653,6 +650,9 @@ class RunSampler:
         if not (math.isfinite(t) and t >= run[0].t - 1e-15):
             raise ValidationError(f"t={t} is not finite or precedes the run start {run[0].t}")
         while run[-1].t + (dt := cfl_dt(run[-1])) <= t + 1e-15:
+            # (t - t_last)/dt steps at least are left, as dt shrinks while max|u| grows
+            if len(run) + (t - run[-1].t) / dt > RUN_STATES_MAX:
+                raise ValidationError(f"t={t} needs more than the {RUN_STATES_MAX} states a run holds")
             run.append(step(run[-1], dt))
         base = next(st for st in reversed(run) if st.t <= t + 1e-15)  # the run is in time order
         state = base if base.t >= t - 1e-15 else step(base, t - base.t)

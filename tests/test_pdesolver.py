@@ -243,6 +243,19 @@ def test_blowup_experiment_reports_no_crossing():
     assert result.within_margin is None
 
 
+def test_blowup_run_takes_a_step_before_its_crossing():
+    # min u_x(0) = -5 is below the threshold -4: the start state is never the
+    # crossing, and a step clipped to t_max can be
+    result = run_blowup_experiment(BlowupExperimentConfig(n=256, slope=-5.0, threshold=-4.0))
+    assert result.min_ux[0] < -4.0
+    assert len(result.times) == 2 and result.crossing_time == result.times[1] > 0.0
+    clipped = run_blowup_experiment(
+        BlowupExperimentConfig(n=256, slope=-5.0, threshold=-4.0, t_max=1e-4)
+    )
+    assert clipped.times.tolist() == [0.0, 1e-4] and clipped.crossing_time == 1e-4
+    assert clipped.refinements == ((0.0, 256),) and clipped.resolved_until is None
+
+
 def test_physical_density_passes_the_parity_gate():
     # A nonnegative density symmetric about L/2 is even; gated on oddness it
     # read 0.717, about 2*max rho0.
@@ -341,7 +354,6 @@ def test_characteristic_density_factor_matches_pointwise_density():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"cfl": 0.0}, {"cfl": -0.3}, {"cfl": math.nan}, {"cfl": math.inf},
     {"t_max": 0.0}, {"t_max": -1.0}, {"t_max": math.inf}, {"t_max": math.nan},
     {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
     {"margin": math.nan}, {"margin": math.inf}, {"margin": -0.1},
@@ -349,7 +361,6 @@ def test_characteristic_density_factor_matches_pointwise_density():
     {"slope": -math.inf}, {"slope": math.nan}, {"threshold": -math.inf},
 ])
 def test_blowup_config_rejects_bad_step_and_horizon(kwargs):
-    # cfl = 0 made dt = 0, so the run loop never advanced
     with pytest.raises(ValidationError):
         BlowupExperimentConfig(n=256, **kwargs)
 
@@ -398,14 +409,28 @@ def test_run_sampler_sample_depends_on_t_alone():
 
 
 def test_run_sampler_rejects_non_finite_and_early_times_before_stepping():
-    # +inf used to step forever and nan returned the start state
+    # +inf and 1e300 used to step forever, nan returned the start state, and
+    # 1e3 needs about 6,800 steps, more than a run may hold
     grid = Grid1D(n=64, length=TWO_PI)
     state0 = make_state(grid, np.ones(grid.n), 0.2 * np.sin(grid.nodes))
     sampler = RunSampler(state0)
-    for t in (math.nan, math.inf, -math.inf, state0.t - 1e-3):
+    for t in (math.nan, math.inf, -math.inf, state0.t - 1e-3, 1e300, 1e3):
         with pytest.raises(ValidationError):
             sampler(t, grid.nodes)
     assert len(sampler._run) == 1 and sampler._run[0] is state0
+
+
+def test_run_sampler_stops_at_its_cap_while_stepping(monkeypatch):
+    # u grows from 0.01 under the density's pressure, so dt falls from 2.9 to
+    # 0.015 after one step: t = 3.2 looks like one step from state0 and takes 21
+    grid = Grid1D(n=64, length=TWO_PI)
+    state0 = make_state(grid, 1.0 + 0.5 * np.cos(grid.nodes), 0.01 * np.sin(grid.nodes))
+    monkeypatch.setattr(pdesolver, "RUN_STATES_MAX", 4)
+    sampler = RunSampler(state0)
+    assert 3.2 / cfl_dt(state0) < 2.0
+    with pytest.raises(ValidationError):
+        sampler(3.2, grid.nodes)
+    assert 1 < len(sampler._run) <= 4
 
 
 @pytest.mark.parametrize("m", [64, 256, 1024])  # m < n, m = n, m > n
@@ -507,12 +532,12 @@ def reference_blowup_run(config):
     u = odd_gaussian_derivative(grid, config.slope, config.length / 16.0)
     rho = np.zeros(grid.n)
     u0_max = float(np.max(np.abs(u)))
-    dt0 = config.cfl * grid.dx / u0_max
+    dt0 = pdesolver.CFL * grid.dx / u0_max
     t, steps = 0.0, 0
     while t < config.t_max:
         u_max = float(np.max(np.abs(u)))
         doublings = max(0, math.ceil(math.log2(u_max / u0_max))) if u_max > u0_max else 0
-        dt = min(dt0 / 2**doublings, config.cfl * grid.dx / u_max, config.t_max - t)
+        dt = min(dt0 / 2**doublings, pdesolver.CFL * grid.dx / u_max, config.t_max - t)
         rho, u = reference_step(grid, params, rho, u, dt)
         t, steps = t + dt, steps + 1
         if reference_min_ux(grid, u) < config.threshold:
