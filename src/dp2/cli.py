@@ -8,7 +8,10 @@ artifacts into --out.  Reals are written with 17 significant digits
 ('.' decimal separator, no locale) so outputs are byte-identical across
 repeated runs and round-trip safely; every JSON summary embeds the
 resolved config, which can be fed back via --config to reproduce the
-run.
+run.  ``verify`` has no s_max: it integrates the scale factor up to s =
+4*(t + dt_over_h*h), h the coarsest level's spacing, which is the last
+time its stencils read, and refuses a t whose stencils reach below
+t = 0 or to the collapse time.
 
 Exit codes: 0 success, 1 verification criterion failed, 2 validation
 error, 3 numerical failure.
@@ -111,7 +114,6 @@ SCHEMAS = {
         "mu": (float, 4.0),
         "tol": (float, 1e-10),
         "t": (float, 0.1),
-        "s_max": (float, 10.0),
         "n_base": (int, 512),
         "levels": (int, 4),
         "length": (float, 4.096),
@@ -221,8 +223,8 @@ def _make(build, resolved: dict, /, **extra):
     return build(**{key: value for key, value in resolved.items() if key in names}, **extra)
 
 
-def _solution(params: dict):
-    return _make(build_solution, params, params=_make(SystemParams, params))
+def _solution(params: dict, /, **extra):
+    return _make(build_solution, params, params=_make(SystemParams, params), **extra)
 
 
 def _parse_times(raw: str) -> list[float]:
@@ -273,15 +275,25 @@ def cmd_selfsim(run: Run) -> int:
 
 def cmd_verify(run: Run) -> int:
     params = run.params
-    sol = _solution(params)
+    t = params["t"]
     grids = [
         Grid1D(n=params["n_base"] * 2**i, length=params["length"], x0=-0.5 * params["length"])
         for i in range(params["levels"])
     ]
+    # The study samples t - reach .. t + reach, reach = dt_over_h * (coarsest h), and
+    # a(s) is integrated up to s = 4*(t + reach), the study's latest sample, exactly.
+    reach = residual.stencil_reach(grids, params["dt_over_h"])
+    if t - reach < 0.0:
+        raise ValidationError(f"--t {t} is below the stencil reach dt_over_h*h = {reach}"
+                              " of the coarsest level: the study would sample t < 0")
+    sol = _solution(params, s_max=4.0 * (t + reach))
+    if sol.traj.touchdown_s is not None:
+        raise ValidationError(f"--t {t} plus the stencil reach {reach} is at or past the"
+                              f" collapse time T={sol.traj.touchdown_s / 4.0}")
     report = residual.convergence_study(
         sol.evaluate,
         sol.params,
-        params["t"],
+        t,
         grids,
         dt_over_h=params["dt_over_h"],
         delta_in_h=params["delta_in_h"],
@@ -404,6 +416,7 @@ def _add_schema_flags(parser: argparse.ArgumentParser, command: str) -> None:
         parser.add_argument(*flags, dest=key, type=typ, default=None)
 
 
+@functools.cache  # built on the first main(), once per process (~2 ms)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
@@ -419,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_schema_flags(p, name)
         if name == "sweep":
             p.add_argument("--grid", nargs="+", metavar="KEY=START:STOP:COUNT")
-        # Looked up when the parser is built, so a handler rebound on this module runs.
-        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -430,7 +441,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         params = _resolve_params(args.command, args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(Run(args, params, out))
+        # Looked up at dispatch, so a handler rebound on this module runs.
+        return globals()[f"cmd_{args.command}"](Run(args, params, out))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -134,7 +134,7 @@ class EmdenTrajectory:
     ``samples`` holds the accepted integrator steps as rows (s, a, a').
     ``touchdown_s`` is the event time S when ``fate`` is TOUCHDOWN,
     else None.  Queries of a(s), a'(s) between samples use
-    the integrator's dense output.
+    the integrator's dense output; :meth:`state` reads both at once.
     """
 
     problem: EmdenProblem
@@ -154,13 +154,17 @@ class EmdenTrajectory:
                 f"s={s} outside trajectory domain [0, {self.s_end}]"
             )
 
-    def a(self, s: float) -> float:
+    def state(self, s: float) -> tuple[float, float]:
+        """(a, a') at s from one evaluation of the dense output."""
         self._check_domain(s)
-        return float(self._dense(min(s, self.s_end))[0])
+        a, a_dot = self._dense(min(s, self.s_end))
+        return float(a), float(a_dot)
+
+    def a(self, s: float) -> float:
+        return self.state(s)[0]
 
     def a_dot(self, s: float) -> float:
-        self._check_domain(s)
-        return float(self._dense(min(s, self.s_end))[1])
+        return self.state(s)[1]
 
     def summary(self) -> dict:
         return {

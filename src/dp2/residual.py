@@ -153,6 +153,20 @@ def _fit_order(hs: Sequence[float], norms: Sequence[float]) -> Optional[float]:
     return float(slope)
 
 
+def stencil_reach(grids: Sequence[Grid1D], dt_over_h: float) -> float:
+    """The widest time offset of a study, dt_over_h * (coarsest h).
+
+    :func:`convergence_study` samples no time outside t -+ this reach,
+    and its latest sample is t + reach in exactly this float.
+    """
+    if len(grids) < 3:
+        raise InsufficientGrids(f"need >= 3 grids, got {len(grids)}")
+    # dt = 0 divides by zero, and the nan orders that follow pass `order < min_order`
+    if not 0.0 < dt_over_h < np.inf:
+        raise ValidationError(f"dt_over_h must be finite and > 0, got {dt_over_h}")
+    return dt_over_h * max(grid.dx for grid in grids)
+
+
 def convergence_study(
     sol_eval: Sampler,
     params: SystemParams,
@@ -173,12 +187,7 @@ def convergence_study(
     edge, which is expected to destroy the order (a regression handle
     on the C0 boundary behaviour).
     """
-    if len(grids) < 3:
-        raise InsufficientGrids(f"need >= 3 grids, got {len(grids)}")
-    # dt = 0 divides by zero, and the nan orders that follow pass `order < min_order`
-    if not 0.0 < dt_over_h < np.inf:
-        raise ValidationError(f"dt_over_h must be finite and > 0, got {dt_over_h}")
-
+    stencil_reach(grids, dt_over_h)  # validates the level count and dt_over_h
     delta = delta_in_h * max(grid.dx for grid in grids)
     hs, mass_norms, mom_norms = [], [], []
     for grid in sorted(grids, key=lambda g: g.dx, reverse=True):

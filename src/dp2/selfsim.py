@@ -129,7 +129,7 @@ class SelfSimilarSolution:
             raise HorizonExceeded(
                 f"t={t} exceeds the integrated horizon t_max={self.traj.s_end / 4.0}"
             )
-        return self.traj.a(s), self.traj.a_dot(s)
+        return self.traj.state(s)
 
     # -- evaluation -------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """CLI: dispatch, validation exit codes, determinism, round-trip."""
 
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -10,13 +11,13 @@ import sys
 import numpy as np
 import pytest
 
-from dp2 import cli
+from dp2 import cli, selfsim
 from dp2.cli import SCHEMAS, main, write_csv
 from dp2.emden import EmdenProblem, integrate
 from dp2.pdesolver import BlowupExperimentConfig
 from dp2.residual import convergence_study
 from dp2.riccati import comparison_trajectory
-from dp2.selfsim import SystemParams, build_solution
+from dp2.selfsim import HorizonExceeded, SystemParams, build_solution
 
 
 def run_cli(*args):
@@ -397,6 +398,115 @@ def test_verify_rejects_empty_interior_band(tmp_path, capsys):
     assert "no node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    # once s_max was derived from t, this named s_max=-0.144, a flag verify no longer has
+    (("--t", "-0.1"), "--t -0.1 is below the stencil reach dt_over_h*h = 0.064"
+                      " of the coarsest level: the study would sample t < 0"),
+    # named the stencil's t - dt: "t must be >= 0, got t=-0.063"
+    (("--t", "0.001"), "--t 0.001 is below the stencil reach dt_over_h*h = 0.064"
+                       " of the coarsest level: the study would sample t < 0"),
+    # named the stencil's t + dt: "t=0.704 is at or past the collapse time"
+    (("--t", "0.64", "--xi", "-1", "--k3", "-1"),
+     "--t 0.64 plus the stencil reach 0.064 is at or past the collapse time"
+     " T=0.6666666641679245"),
+])
+def test_verify_rejects_a_t_whose_stencil_leaves_the_solution(tmp_path, capsys, args, message):
+    code = run_cli("verify", "--out", str(tmp_path), "--n-base", "64", "--levels", "3", *args)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def _record_verify_builds(monkeypatch):
+    """Record every solution cmd_verify builds, and every integrate call."""
+    built, integrated = [], []
+
+    @functools.wraps(build_solution)  # cmd_verify passes the params its signature names
+    def recording_build(*args, **kwargs):
+        built.append(build_solution(*args, **kwargs))
+        return built[-1]
+
+    def recording_integrate(*args, **kwargs):
+        integrated.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_solution", recording_build)
+    monkeypatch.setattr(selfsim, "integrate", recording_integrate)
+    return built, integrated
+
+
+def _seeded_verify_cases(count, seed=17):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        sign = 1.0 if i % 2 == 0 else -1.0
+        cases.append({
+            "k1": rng.uniform(0.5, 1.5), "k2": rng.uniform(0.75, 1.25),
+            "k3": sign * rng.uniform(0.5, 1.5), "xi": sign * rng.uniform(0.5, 1.5),
+            "mu": 4.0, "alpha": rng.uniform(0.5, 1.0), "t": rng.uniform(0.02, 0.15),
+            "dt_over_h": rng.uniform(0.25, 1.0),
+        })
+    return cases
+
+
+# the residual lab's shape lattice (k3, xi, mu), at its alpha = 0.5, t = 0.1 and grids
+VERIFY_LATTICE = [
+    {"k1": 1.0, "k2": 1.0, "k3": k3, "xi": xi, "mu": mu, "alpha": 0.5, "t": 0.1,
+     "dt_over_h": 1.0}
+    for k3, xi, mu in [(1.0, 1.0, 4.0), (1.0, 2.0, 4.0), (1.0, 0.5, 4.0), (-1.0, -3.0, 4.0),
+                       (2.0, 0.3, 4.0), (1.0, 1.0, 1.0), (-1.0, -1.0, 1.0)]
+]
+
+
+@pytest.mark.parametrize("case", VERIFY_LATTICE + _seeded_verify_cases(4),
+                         ids=lambda case: ",".join(f"{k}={v:.3g}" for k, v in case.items()))
+def test_verify_integrates_up_to_its_last_stencil_time(tmp_path, monkeypatch, case):
+    built, integrated = _record_verify_builds(monkeypatch)
+    flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in case.items()]
+    assert run_cli("verify", "--out", str(tmp_path), "--n-base", "512", "--levels", "4",
+                   *flags) == 0
+    (sol,), (_,) = built, integrated  # one solution, one integration
+    latest = case["t"] + case["dt_over_h"] * (4.096 / 512)  # the study's latest sample
+    assert sol.traj.s_end == 4.0 * latest
+    assert sol.traj.problem.s_max == 4.0 * latest
+    sol.evaluate(latest, 0.0)  # the latest sample is inside the horizon...
+    with pytest.raises(HorizonExceeded):  # ...which ends there
+        sol.evaluate(np.nextafter(latest, np.inf), 0.0)
+
+
+def test_one_process_writes_what_separate_runs_write(tmp_path):
+    # the parser is built once per process, so nothing of one run may reach the next
+    sweep = ("sweep", "--grid", "xi=-2:-0.5:3", "kappa=0.25:1:2")
+    verify = ("verify", "--n-base", "64", "--levels", "3", "--k3", "-1", "--xi", "-2")
+    names = {sweep: ("sweep.csv",),
+             verify: ("verify_norms.csv", "verify_residuals.csv", "verify_report.json")}
+
+    def artifacts(out, argv):
+        return [(out / name).read_bytes() for name in names[argv]]
+
+    together = []
+    for k, argv in enumerate((sweep, verify, sweep)):
+        assert run_cli(argv[0], "--out", str(tmp_path / f"together{k}"), *argv[1:]) == 0
+        together.append(artifacts(tmp_path / f"together{k}", argv))
+    alone = {}
+    for argv in (sweep, verify):
+        out = tmp_path / f"alone_{argv[0]}"
+        proc = subprocess.run([sys.executable, "-m", "dp2.cli", argv[0], "--out", str(out),
+                               *argv[1:]], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        alone[argv] = artifacts(out, argv)
+    assert together == [alone[sweep], alone[verify], alone[sweep]]
+
+
+def test_a_handler_rebound_after_the_first_run_is_the_one_dispatched(tmp_path, monkeypatch):
+    assert run_cli("verify", "--out", str(tmp_path / "a"), "--n-base", "64", "--levels", "3") == 0
+    assert cli.build_parser() is cli.build_parser()  # built once per process
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda run: seen.append(run.params["t"]) or 7)
+    assert run_cli("verify", "--out", str(tmp_path / "b"), "--t", "0.05") == 7
+    assert seen == [0.05]
+
+
 def test_sweep_emits_grid_rows(tmp_path, capsys):
     code = run_cli(
         "sweep", "--out", str(tmp_path),
@@ -432,8 +542,10 @@ def test_schema_names_match_constructor_fields():
     assert fields(BlowupExperimentConfig) - {"rho0"} == set(SCHEMAS["solve"]) - {"snapshot_times"}
     builder = set(inspect.signature(build_solution).parameters) - {"params", "rho0"}
     solution = fields(SystemParams) | builder
-    for command in ("selfsim", "verify"):
-        assert solution <= set(SCHEMAS[command])
+    assert solution <= set(SCHEMAS["selfsim"])
+    # verify derives s_max from t and its stencil, so it has no s_max setting
+    assert solution - {"s_max"} <= set(SCHEMAS["verify"])
+    assert "s_max" not in SCHEMAS["verify"]
 
     # a default is stated in the schema and in the constructor, so they must agree
     def defaults(build):
@@ -456,7 +568,7 @@ def test_schema_names_match_constructor_fields():
             schema_default = SCHEMAS[command][key][1]
             assert schema_default == exempt.get((command, key), default), (command, key)
             shared += 1
-    assert shared == 33  # every shared default was compared, none skipped by a rename
+    assert shared == 32  # every shared default was compared, none skipped by a rename
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -40,6 +40,16 @@ def test_zero_forcing_gives_linear_motion():
     assert traj.a_dot(1.0) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("xi", [1.0, -1.0])
+def test_trajectory_state_reads_both_components_in_one_call(xi):
+    traj = integrate(EmdenProblem(xi=xi, kappa=0.5, a1=0.3, s_max=2.0))
+    for s in np.linspace(0.0, traj.s_end, 37).tolist() + [traj.s_end * (1.0 + 1e-13)]:
+        a, a_dot = traj.state(s)
+        assert type(a) is float and type(a_dot) is float
+        assert (a, a_dot) == (traj.a(s), traj.a_dot(s))
+        assert (a, a_dot) == tuple(traj._dense(min(s, traj.s_end)).tolist())  # bit for bit
+
+
 def test_canonical_touchdown_event_time():
     problem = EmdenProblem(s_max=10.0, **CANONICAL)
     traj = integrate(problem, tol=1e-10)
