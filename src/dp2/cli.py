@@ -11,7 +11,12 @@ resolved config, which can be fed back via --config to reproduce the
 run.  ``verify`` has no s_max: it integrates the scale factor up to s =
 4*(t + dt_over_h*h), h the coarsest level's spacing, which is the last
 time its stencils read, and refuses a t whose stencils reach below
-t = 0 or to the collapse time.
+t = 0 or to the collapse time.  ``solve`` has no width or margin
+setting (the bump is L/16 wide and the margin pdesolver.MARGIN); it
+refuses a snapshot time outside [0, t_max], and its summary lists the
+t of each snapshot file.  Every grid (solve's n, each verify level,
+selfsim's grid_n) is refused above grid.N_MAX = 2**20 points before
+anything is allocated.
 
 Exit codes: 0 success, 1 verification criterion failed, 2 validation
 error, 3 numerical failure.
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import emden, pdesolver, residual, riccati
 from .errors import NumericalError, ValidationError
-from .grid import Grid1D
+from .grid import N_MAX, Grid1D
 from .selfsim import SystemParams, build_solution
 
 EXIT_OK = 0
@@ -134,10 +139,8 @@ SCHEMAS = {
         "k2": (float, 1.0),
         "k3": (float, 1.0),
         "slope": (float, -5.0),
-        "sigma": (float, 0.0),
         "threshold": (float, -1e3),
         "t_max": (float, 0.5),
-        "margin": (float, 0.2),
         "snapshot_times": (str, ""),
     },
     "sweep": {
@@ -255,8 +258,8 @@ def cmd_selfsim(run: Run) -> int:
     times = _parse_times(params["times"])
     if not times:
         raise ValidationError("times: need at least one sample time")
-    if params["grid_n"] < 2:
-        raise ValidationError(f"grid_n must be >= 2, got {params['grid_n']}")
+    if not 2 <= params["grid_n"] <= N_MAX:
+        raise ValidationError(f"grid_n must be in [2, {N_MAX}], got {params['grid_n']}")
     if params["k3"] == 0.0:
         raise ValidationError("k3 = 0 (free-profile branch) is library-only; pass k3 != 0")
     sol = _solution(params)
@@ -342,14 +345,15 @@ def cmd_solve(run: Run) -> int:
         "blowup_detected": result.blowup_detected,
         "crossing_time": result.crossing_time,
         "bound": result.bound,
-        "threshold": result.threshold,
+        "threshold": config.threshold,
         "within_margin": result.within_margin,
         "parity_residual_max": result.parity_residual_max,
         "refinements": result.refinements,
         "resolved_until": result.resolved_until,
+        "snapshot_times": [t for t, _, _ in result.snapshots],  # solve_snapshot_<i>.csv's t
     })
     if result.blowup_detected:
-        print(f"steepening crossed {_fmt(result.threshold)} at t = {_fmt(result.crossing_time)}"
+        print(f"steepening crossed {_fmt(config.threshold)} at t = {_fmt(result.crossing_time)}"
               f" (bound {_fmt(result.bound)})")
     else:
         print("no blowup detected before t_max (bound is one-sided)")

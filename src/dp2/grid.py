@@ -16,6 +16,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Largest n of any grid (solve's n, each verify level, selfsim's grid_n),
+# refused above it before anything is allocated: a dp2 verify whose finest
+# level has 2**20 nodes peaks at 454 MB RSS.
+N_MAX = 2**20
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -24,8 +29,8 @@ class Grid1D:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ValidationError(f"n must be a power of two >= 16, got n={self.n}")
+        if not 16 <= self.n <= N_MAX or (self.n & (self.n - 1)) != 0:
+            raise ValidationError(f"n must be a power of two in [16, {N_MAX}], got n={self.n}")
         if not (self.length > 0.0 and math.isfinite(self.length)):
             raise ValidationError(f"length must be positive, got {self.length}")
 

@@ -35,7 +35,10 @@ library this module imports.  The multipliers (i*w, 1 + w**2, M_u and the kept b
 and the centre-node weights of the defect D below are built once per
 grid, in one cached table.  Blowup is detected, never resolved: once
 the minimum slope falls below the configured threshold the run stops
-and reports diagnostics only.
+and reports diagnostics only.  A blowup run starts from the odd bump
+of width L/16 (``odd_gaussian_derivative``) and compares its crossing
+with the M = 0 bound T = -1/slope; a crossing at most (1 + MARGIN)*T,
+MARGIN = 0.2, is ``within_margin``.  Neither number is a setting.
 
 A blowup run's ``n`` is its finest grid.  It starts on the coarsest
 grid n/2**j that is at least START_N_MIN = 1024 points and whose kept
@@ -60,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -70,6 +73,8 @@ from .riccati import BlowupCriterion, check
 from .selfsim import SystemParams
 
 CFL = 0.3
+# BlowupExperimentResult.within_margin: the crossing is at most (1 + MARGIN)*bound.
+MARGIN = 0.2
 CFL_VELOCITY_FLOOR = 1e-12
 # trig_interp: points within UNIFORM_RTOL*(L + |xs[0]|) of one uniform
 # period take the FFT route; the dense route builds its phase matrix
@@ -382,10 +387,8 @@ class BlowupExperimentConfig:
     k2: float = 1.0
     k3: float = 1.0
     slope: float = -5.0
-    sigma: float = 0.0  # 0 -> length/16
     threshold: float = -1e3
     t_max: float = 0.5
-    margin: float = 0.2
     rho0: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
@@ -397,10 +400,6 @@ class BlowupExperimentConfig:
             )
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValidationError(f"t_max must be finite and positive, got t_max={self.t_max}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValidationError(f"sigma must be finite and >= 0, got sigma={self.sigma}")
-        if not (math.isfinite(self.margin) and self.margin >= 0.0):
-            raise ValidationError(f"margin must be finite and >= 0, got margin={self.margin}")
 
 
 @dataclass(frozen=True)
@@ -410,12 +409,11 @@ class BlowupExperimentResult:
     max_rho: np.ndarray
     crossing_time: Optional[float]
     bound: float
-    threshold: float
-    margin: float
     parity_residual_max: float
-    snapshots: tuple
+    snapshots: tuple  # (t, rho, u) per captured time, in time order
     refinements: tuple  # (t, n): the start grid at t = 0, then each doubling
     resolved_until: Optional[float]  # first step time with D > DEFECT_TOL on grid n
+    margin: ClassVar[float] = MARGIN
 
     @property
     def blowup_detected(self) -> bool:
@@ -507,11 +505,20 @@ def run_blowup_experiment(
     crossing is the last row's t if its min_ux is below the threshold,
     ``refinements`` the rows where n changes, the first included, and
     ``resolved_until`` the first row on grid n with D > DEFECT_TOL.
+
+    The initial velocity is ``odd_gaussian_derivative`` of width L/16.
+    Each snapshot time must lie in [0, t_max], else ValidationError
+    before any step; it is taken from the first state at or past it,
+    t = 0 from the start state, unless the run stops at its crossing
+    first.  Snapshots come in time order, each with its state's t.
     """
+    if not all(0.0 <= t <= config.t_max for t in snapshot_times):
+        raise ValidationError(
+            f"snapshot times must lie in [0, t_max={config.t_max}], got {list(snapshot_times)}"
+        )
     fine = Grid1D(n=config.n, length=config.length)
     params = SystemParams(k1=config.k1, k2=config.k2, k3=config.k3)
-    sigma = config.sigma if config.sigma > 0.0 else config.length / 16.0
-    u0 = odd_gaussian_derivative(fine, config.slope, sigma)
+    u0 = odd_gaussian_derivative(fine, config.slope, config.length / 16.0)
     rho0 = (
         np.zeros(fine.n)
         if config.rho0 is None
@@ -532,7 +539,14 @@ def run_blowup_experiment(
     pending = sorted(snapshot_times)
     record = []  # one _record_row per state
 
-    while True:  # t_max > 0, so the run takes at least one step
+    while True:
+        while pending and state.t >= pending[0]:
+            shot = state if state.grid.n == fine.n else _padded(state, fine)
+            snapshots.append((state.t, shot.rho.copy(), shot.u.copy()))
+            pending.pop(0)
+        # t_max > 0, so the run takes at least one step: the start state never ends it
+        if record and (state.min_ux < config.threshold or state.t >= config.t_max):
+            break
         # Halve dt each time max|u| doubles relative to the start.
         u_max = max(float(np.abs(state.u).max()), CFL_VELOCITY_FLOOR)
         doublings = math.ceil(math.log2(u_max / u0_max)) if u_max > u0_max else 0
@@ -544,12 +558,6 @@ def run_blowup_experiment(
         if record[-1][-1] > DEFECT_TOL and state.grid.n < fine.n:  # the D just recorded
             advanced = _padded(advanced, Grid1D(n=2 * state.grid.n, length=fine.length))
         state = advanced
-        while pending and state.t >= pending[0]:
-            shot = state if state.grid.n == fine.n else _padded(state, fine)
-            snapshots.append((state.t, shot.rho.copy(), shot.u.copy()))
-            pending.pop(0)
-        if state.min_ux < config.threshold or state.t >= config.t_max:
-            break
     record.append(_record_row(state, math.nan))
 
     times, grid_n, min_ux, max_rho, parity, defect = zip(*record)
@@ -559,8 +567,6 @@ def run_blowup_experiment(
         max_rho=np.asarray(max_rho),
         crossing_time=times[-1] if min_ux[-1] < config.threshold else None,
         bound=bound,
-        threshold=config.threshold,
-        margin=config.margin,
         parity_residual_max=max(parity),
         snapshots=tuple(snapshots),
         refinements=tuple((t, n) for t, n, m in zip(times, grid_n, (0,) + grid_n) if n != m),

@@ -95,24 +95,19 @@ class SelfSimilarSolution:
     params: SystemParams
     profile: Union[Profile, FreeProfile]
     traj: EmdenTrajectory
-    xi: float
 
     def __post_init__(self) -> None:
-        k3 = self.params.k3
+        k3, xi = self.params.k3, self.traj.problem.xi
         if k3 == 0.0:
-            if self.xi != 0.0:
+            if xi != 0.0:
                 raise WrongBranch("k3 = 0 requires xi = 0")
             if not isinstance(self.profile, FreeProfile):
                 raise WrongBranch("k3 = 0 takes a FreeProfile shape")
         else:
             if not isinstance(self.profile, Profile):
                 raise WrongBranch("k3 != 0 takes the compact-support Profile")
-            if k3 * self.xi <= 0.0:
-                raise WrongBranch(
-                    f"invalid branch: k3={k3} and xi={self.xi} must share a sign"
-                )
-        if self.traj.problem.xi != self.xi:
-            raise ValidationError("trajectory was integrated with a different xi")
+            if k3 * xi <= 0.0:
+                raise WrongBranch(f"invalid branch: k3={k3} and xi={xi} must share a sign")
 
     # -- time handling ----------------------------------------------------
 
@@ -225,4 +220,4 @@ def build_solution(
         prof: Union[Profile, FreeProfile] = FreeProfile(rho0=rho0)
     else:
         prof = Profile.from_params(params.k3, xi, alpha, mu)
-    return SelfSimilarSolution(params=params, profile=prof, traj=traj, xi=xi)
+    return SelfSimilarSolution(params=params, profile=prof, traj=traj)

@@ -223,13 +223,80 @@ def test_solve_summary_reports_grids_and_resolution(tmp_path):
     assert len(rows) == 2048
 
 
+def test_solve_lists_the_time_of_each_snapshot_file(tmp_path):
+    code = run_cli(
+        "solve", "--out", str(tmp_path), "--n", "256", "--t-max", "0.02",
+        "--snapshot-times", "0.01,0,0.02",
+    )
+    assert code == 0
+    times = read_json(tmp_path / "solve_summary.json")["snapshot_times"]
+    _, rows = read_csv_rows(tmp_path / "solve_diagnostics.csv")
+    stepped = [float(row[0]) for row in rows]
+    assert times == [0.0, min(t for t in stepped if t >= 0.01), 0.02]
+    assert sorted(p.name for p in tmp_path.glob("solve_snapshot_*.csv")) == [
+        f"solve_snapshot_{idx}.csv" for idx in range(3)
+    ]
+    # the t = 0 file holds the start state: rho = 0 and the odd start bump
+    _, rows = read_csv_rows(tmp_path / "solve_snapshot_0.csv")
+    assert all(float(row[1]) == 0.0 for row in rows)
+    assert min(float(row[2]) for row in rows) < 0.0 < max(float(row[2]) for row in rows)
+
+
+@pytest.mark.parametrize("times", ["-0.01", "0.01,0.5"])
+def test_solve_refuses_snapshot_times_outside_the_run(tmp_path, capsys, times):
+    # -0.01 was taken from the first stepped state; 0.5 was silently dropped
+    code = run_cli(
+        "solve", "--out", str(tmp_path), "--n", "256", "--t-max", "0.02",
+        "--snapshot-times", times,
+    )
+    assert code == 2
+    assert "snapshot times must lie in [0, t_max=0.02]" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [("--sigma", "0.1"), ("--margin", "0.3")])
+def test_solve_has_no_width_or_margin_flag(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--out", str(tmp_path), "--n", "256", *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_solve_config_key_sigma_is_unknown(tmp_path, capsys):
+    # a solve_summary.json echo from before the width and margin settings went
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 256\nsigma = 0\n")
+    code = run_cli("solve", "--out", str(tmp_path / "run"), "--config", str(cfg))
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown config key: sigma\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    # each exited 1, the criterion-failed code, with a numpy _ArrayMemoryError
+    # traceback under a 1.5 GB address-space limit
+    (("verify", "--levels", "16"),
+     "n must be a power of two in [16, 1048576], got n=2097152"),
+    (("solve", "--n", "1073741824", "--t-max", "0.01"),
+     "n must be a power of two in [16, 1048576], got n=1073741824"),
+    (("selfsim", "--k3", "1", "--xi", "1", "--grid-n", "3000000000"),
+     "grid_n must be in [2, 1048576], got 3000000000"),
+], ids=["verify", "solve", "selfsim"])
+def test_grids_above_the_cap_are_refused_before_allocating(tmp_path, capsys, args, message):
+    code = run_cli(args[0], "--out", str(tmp_path), *args[1:])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args,key", [
     # order < nan is false, so the verification gate never failed
     (("verify", "--n-base", "64", "--levels", "3", "--min-order", "nan"), "min_order"),
     # ended in a raw ValueError traceback from the empty interior band
     (("verify", "--n-base", "64", "--levels", "3", "--delta-in-h", "nan"), "delta_in_h"),
-    # wrote "margin": NaN, which is not JSON, into solve_summary.json
-    (("solve", "--n", "256", "--margin", "nan"), "margin"),
+    # echoed into solve_summary.json, where NaN is not JSON
+    (("solve", "--n", "256", "--threshold", "nan"), "threshold"),
 ])
 def test_non_finite_float_flags_rejected(tmp_path, capsys, args, key):
     code = run_cli(args[0], "--out", str(tmp_path), *args[1:])
@@ -568,7 +635,7 @@ def test_schema_names_match_constructor_fields():
             schema_default = SCHEMAS[command][key][1]
             assert schema_default == exempt.get((command, key), default), (command, key)
             shared += 1
-    assert shared == 32  # every shared default was compared, none skipped by a rename
+    assert shared == 30  # every shared default was compared, none skipped by a rename
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

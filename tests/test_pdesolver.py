@@ -1,5 +1,6 @@
 """Spectral solver: multipliers, oracles, parity, stepping, experiment."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -311,6 +312,34 @@ def test_snapshot_capture():
     assert np.max(np.abs(u0)) > 0.0
 
 
+def test_snapshots_start_at_the_start_state_and_keep_their_times():
+    # [0.0, -1.0, 0.5] with t_max = 0.02 gave two snapshots, both of the first
+    # stepped state, and none at 0.5
+    config = BlowupExperimentConfig(n=256, t_max=0.02)
+    result = run_blowup_experiment(config, snapshot_times=[0.01, 0.0, 0.02, 0.01])
+    times = [t for t, _, _ in result.snapshots]
+    assert times[0] == 0.0 and times[-1] == 0.02 == result.times[-1]
+    assert times[1] == times[2] == min(t for t in result.times if t >= 0.01)
+    _, rho, u = result.snapshots[0]
+    grid = Grid1D(n=256, length=TWO_PI)
+    assert np.array_equal(u, odd_gaussian_derivative(grid, -5.0, TWO_PI / 16.0))
+    assert not rho.any()
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-300, 0.020000000000000004, 0.5, math.nan])
+def test_snapshot_times_outside_the_run_are_refused_before_any_step(monkeypatch, t):
+    monkeypatch.setattr(pdesolver, "step", None)  # a step would raise TypeError
+    with pytest.raises(ValidationError, match=r"snapshot times must lie in \[0, t_max=0.02\]"):
+        run_blowup_experiment(BlowupExperimentConfig(n=256, t_max=0.02), [0.0, t])
+
+
+def test_blowup_result_margin_is_a_constant_not_a_field():
+    result = run_blowup_experiment(BlowupExperimentConfig(n=256, slope=-5.0, threshold=-4.0))
+    assert result.margin == pdesolver.MARGIN == 0.2
+    assert {f.name for f in dataclasses.fields(result)}.isdisjoint({"margin", "threshold"})
+    assert result.within_margin is (result.crossing_time <= result.bound * 1.2)
+
+
 def test_run_sampler_matches_states_and_feeds_residual_lab():
     grid = Grid1D(n=256, length=TWO_PI)
     x = grid.nodes
@@ -355,10 +384,13 @@ def test_characteristic_density_factor_matches_pointwise_density():
 
 @pytest.mark.parametrize("kwargs", [
     {"t_max": 0.0}, {"t_max": -1.0}, {"t_max": math.inf}, {"t_max": math.nan},
-    {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
-    {"margin": math.nan}, {"margin": math.inf}, {"margin": -0.1},
-    # slope = -inf passed, then the start state warned before the bound raised
-    {"slope": -math.inf}, {"slope": math.nan}, {"threshold": -math.inf},
+    {"slope": 0.0}, {"threshold": 0.0}, {"threshold": math.nan},
+    # slope = -inf passed, then the start state warned before the bound raised;
+    # these three keep the ids they had when the sigma and margin settings
+    # (then kwargs4-9) were still tested here
+    pytest.param({"slope": -math.inf}, id="kwargs10"),
+    pytest.param({"slope": math.nan}, id="kwargs11"),
+    pytest.param({"threshold": -math.inf}, id="kwargs12"),
 ])
 def test_blowup_config_rejects_bad_step_and_horizon(kwargs):
     with pytest.raises(ValidationError):

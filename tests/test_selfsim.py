@@ -131,7 +131,7 @@ def test_branch_guards():
     prof = Profile.from_params(1.0, 1.0, 1.0)
     with pytest.raises(WrongBranch):
         SelfSimilarSolution(
-            params=SystemParams(k1=1.0, k2=1.0, k3=0.0), profile=prof, traj=traj, xi=1.0
+            params=SystemParams(k1=1.0, k2=1.0, k3=0.0), profile=prof, traj=traj
         )
 
 
