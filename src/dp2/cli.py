@@ -8,15 +8,20 @@ artifacts into --out.  Reals are written with 17 significant digits
 ('.' decimal separator, no locale) so outputs are byte-identical across
 repeated runs and round-trip safely; every JSON summary embeds the
 resolved config, which can be fed back via --config to reproduce the
-run.  ``verify`` has no s_max: it integrates the scale factor up to s =
-4*(t + dt_over_h*h), h the coarsest level's spacing, which is the last
-time its stencils read, and refuses a t whose stencils reach below
-t = 0 or to the collapse time.  ``solve`` has no width or margin
-setting (the bump is L/16 wide and the margin pdesolver.MARGIN); it
-refuses a snapshot time outside [0, t_max], and its summary lists the
-t of each snapshot file.  Every grid (solve's n, each verify level,
-selfsim's grid_n) is refused above grid.N_MAX = 2**20 points before
-anything is allocated.
+run.  No subcommand has a tol or a domain length: emden, selfsim and
+verify integrate to emden.integrate's default 1e-10, each sweep cell to
+SWEEP_TOL = 1e-8; verify's grids span VERIFY_LENGTH = 4.096 centred at
+0, and solve's period is pdesolver.LENGTH = 2*pi.  ``verify`` has no
+s_max: it integrates the scale factor up to s = 4*(t + dt_over_h*h), h
+the coarsest level's spacing, which is the last time its stencils read,
+and refuses a t whose stencils reach below t = 0 or to the collapse
+time.  ``solve`` has no width or margin setting (the bump is L/16 wide
+and the margin pdesolver.MARGIN); it refuses a snapshot time outside
+[0, t_max] or more snapshot nodes than pdesolver.SNAPSHOT_POINTS_MAX,
+and its summary lists the t of each snapshot file.  Every grid (solve's
+n, each verify level, selfsim's grid_n) is refused above grid.N_MAX =
+2**20 points before anything is allocated; verify names --n-base or
+--levels when it refuses one.
 
 Exit codes: 0 success, 1 verification criterion failed, 2 validation
 error, 3 numerical failure.
@@ -49,6 +54,8 @@ EXIT_NUMERICAL = 3
 _signature = functools.cache(inspect.signature)  # uncached it costs ~30 us per sweep cell
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the template and its text
+SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
+VERIFY_LENGTH = 4.096  # dp2 verify's grids span [-VERIFY_LENGTH/2, VERIFY_LENGTH/2)
 
 
 def _fmt(x) -> str:
@@ -92,7 +99,6 @@ SCHEMAS = {
         "a0": (float, 1.0),
         "a1": (float, 0.0),
         "s_max": (float, 10.0),
-        "tol": (float, 1e-10),
     },
     "selfsim": {
         "k1": (float, 1.0),
@@ -104,7 +110,6 @@ SCHEMAS = {
         "a1": (float, 0.0),
         "mu": (float, 4.0),
         "s_max": (float, 10.0),
-        "tol": (float, 1e-10),
         "times": (str, "0,0.1,0.2"),
         "grid_n": (int, 256),
     },
@@ -117,11 +122,9 @@ SCHEMAS = {
         "a0": (float, 1.0),
         "a1": (float, 0.0),
         "mu": (float, 4.0),
-        "tol": (float, 1e-10),
         "t": (float, 0.1),
         "n_base": (int, 512),
         "levels": (int, 4),
-        "length": (float, 4.096),
         "dt_over_h": (float, 1.0),
         "delta_in_h": (float, 5.0),
         "min_order": (float, 1.7),
@@ -134,7 +137,6 @@ SCHEMAS = {
     },
     "solve": {
         "n": (int, 2048),
-        "length": (float, 2.0 * math.pi),
         "k1": (float, 1.0),
         "k2": (float, 1.0),
         "k3": (float, 1.0),
@@ -150,7 +152,6 @@ SCHEMAS = {
         "a0": (float, 1.0),
         "a1": (float, 0.0),
         "s_max": (float, 20.0),
-        "tol": (float, 1e-8),
     },
 }
 
@@ -246,7 +247,7 @@ def _parse_times(raw: str) -> list[float]:
 
 
 def cmd_emden(run: Run) -> int:
-    traj = emden.integrate(_make(emden.EmdenProblem, run.params), tol=run.params["tol"])
+    traj = emden.integrate(_make(emden.EmdenProblem, run.params))
     run.csv("emden_trajectory.csv", "s,a,a_dot", traj.samples.tolist())
     run.json("emden_summary.json", traj.summary())
     print(f"fate = {traj.fate.value}" + (f", S = {_fmt(traj.touchdown_s)}" if traj.touchdown_s else ""))
@@ -278,11 +279,16 @@ def cmd_selfsim(run: Run) -> int:
 
 def cmd_verify(run: Run) -> int:
     params = run.params
-    t = params["t"]
-    grids = [
-        Grid1D(n=params["n_base"] * 2**i, length=params["length"], x0=-0.5 * params["length"])
-        for i in range(params["levels"])
-    ]
+    t, n_base, levels = params["t"], params["n_base"], params["levels"]
+    # a study takes 3 levels or more, and its finest, n_base*2**(levels-1), is at
+    # most N_MAX; 2**(levels-1) itself is never formed
+    if not 16 <= n_base <= N_MAX // 4 or n_base & (n_base - 1):
+        raise ValidationError(f"--n-base must be a power of two in [16, {N_MAX // 4}], got {n_base}")
+    max_levels = (N_MAX // n_base).bit_length()
+    if not 3 <= levels <= max_levels:
+        raise ValidationError(f"--levels must be in [3, {max_levels}] at --n-base {n_base}, got {levels}")
+    grids = [Grid1D(n=n_base * 2**i, length=VERIFY_LENGTH, x0=-0.5 * VERIFY_LENGTH)
+             for i in range(levels)]
     # The study samples t - reach .. t + reach, reach = dt_over_h * (coarsest h), and
     # a(s) is integrated up to s = 4*(t + reach), the study's latest sample, exactly.
     reach = residual.stencil_reach(grids, params["dt_over_h"])
@@ -319,15 +325,12 @@ def cmd_verify(run: Run) -> int:
 def cmd_riccati(run: Run) -> int:
     params = run.params
     crit = riccati.BlowupCriterion(M=params["m"], v0=params["v0"])
-    result = riccati.check(crit)
     if run.wants("csv"):  # first, so a refused trajectory leaves no summary behind
         traj = riccati.comparison_trajectory(crit, params["dt"], t_max=params["t_max"])
         run.csv("riccati_trajectory.csv", "t,v", traj.tolist())
-    run.json("riccati_summary.json", result.summary(crit))
-    if result.applies:
-        print(f"T = {_fmt(result.t_bound)}")
-    else:
-        print("inconclusive (criterion hypothesis fails)")
+    run.json("riccati_summary.json", crit.summary())
+    t_bound = riccati.check(crit)
+    print("inconclusive (criterion hypothesis fails)" if t_bound is None else f"T = {_fmt(t_bound)}")
     return EXIT_OK
 
 
@@ -338,7 +341,7 @@ def cmd_solve(run: Run) -> int:
     result = pdesolver.run_blowup_experiment(config, snapshot_times=snapshot_times)
     run.csv("solve_diagnostics.csv", "t,min_ux,max_rho",
             zip(result.times.tolist(), result.min_ux.tolist(), result.max_rho.tolist()))
-    nodes = Grid1D(n=params["n"], length=params["length"]).nodes.tolist()
+    nodes = Grid1D(n=params["n"], length=pdesolver.LENGTH).nodes.tolist()
     for idx, (t, rho, u) in enumerate(result.snapshots):
         run.csv(f"solve_snapshot_{idx}.csv", "x,rho,u", zip(nodes, rho.tolist(), u.tolist()))
     run.json("solve_summary.json", {
@@ -396,7 +399,7 @@ def cmd_sweep(run: Run) -> int:
     header = ["xi", "kappa", "mu", "a0", "a1", "s_max"]
     for cell in itertools.product(*(axes[name] for name in names)):
         cell_params = {**run.params, **dict(zip(names, cell))}
-        traj = emden.integrate(_make(emden.EmdenProblem, cell_params), tol=cell_params["tol"])
+        traj = emden.integrate(_make(emden.EmdenProblem, cell_params), tol=SWEEP_TOL)
         rows.append(
             [cell_params[name] for name in header]
             + [traj.fate.value, traj.touchdown_s if traj.touchdown_s is not None else ""]

@@ -133,8 +133,8 @@ class EmdenTrajectory:
 
     ``samples`` holds the accepted integrator steps as rows (s, a, a').
     ``touchdown_s`` is the event time S when ``fate`` is TOUCHDOWN,
-    else None.  Queries of a(s), a'(s) between samples use
-    the integrator's dense output; :meth:`state` reads both at once.
+    else None.  :meth:`state` reads (a, a') at any s of the trajectory
+    from the integrator's dense output.
     """
 
     problem: EmdenProblem
@@ -159,12 +159,6 @@ class EmdenTrajectory:
         self._check_domain(s)
         a, a_dot = self._dense(min(s, self.s_end))
         return float(a), float(a_dot)
-
-    def a(self, s: float) -> float:
-        return self.state(s)[0]
-
-    def a_dot(self, s: float) -> float:
-        return self.state(s)[1]
 
     def summary(self) -> dict:
         return {

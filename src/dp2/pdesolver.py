@@ -35,10 +35,11 @@ library this module imports.  The multipliers (i*w, 1 + w**2, M_u and the kept b
 and the centre-node weights of the defect D below are built once per
 grid, in one cached table.  Blowup is detected, never resolved: once
 the minimum slope falls below the configured threshold the run stops
-and reports diagnostics only.  A blowup run starts from the odd bump
-of width L/16 (``odd_gaussian_derivative``) and compares its crossing
-with the M = 0 bound T = -1/slope; a crossing at most (1 + MARGIN)*T,
-MARGIN = 0.2, is ``within_margin``.  Neither number is a setting.
+and reports diagnostics only.  A blowup run lives on the period
+L = LENGTH = 2*pi, starts from the odd bump of width L/16
+(``odd_gaussian_derivative``) and compares its crossing with the M = 0
+bound T = -1/slope; a crossing at most (1 + MARGIN)*T, MARGIN = 0.2, is
+``within_margin``.  None of these numbers is a setting.
 
 A blowup run's ``n`` is its finest grid.  It starts on the coarsest
 grid n/2**j that is at least START_N_MIN = 1024 points and whose kept
@@ -68,13 +69,18 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import Grid1D
+from .grid import N_MAX, Grid1D
 from .riccati import BlowupCriterion, check
 from .selfsim import SystemParams
 
 CFL = 0.3
 # BlowupExperimentResult.within_margin: the crossing is at most (1 + MARGIN)*bound.
 MARGIN = 0.2
+# The period of every blowup run.
+LENGTH = 2.0 * math.pi
+# Nodes all snapshots of one blowup run may hold, per field: 16 grids at the
+# cap, 256 MB of (rho, u).
+SNAPSHOT_POINTS_MAX = 16 * N_MAX
 CFL_VELOCITY_FLOOR = 1e-12
 # trig_interp: points within UNIFORM_RTOL*(L + |xs[0]|) of one uniform
 # period take the FFT route; the dense route builds its phase matrix
@@ -382,7 +388,6 @@ def odd_gaussian_derivative(
 @dataclass(frozen=True)
 class BlowupExperimentConfig:
     n: int = 2048
-    length: float = 2.0 * math.pi
     k1: float = 1.0
     k2: float = 1.0
     k3: float = 1.0
@@ -507,8 +512,9 @@ def run_blowup_experiment(
     ``resolved_until`` the first row on grid n with D > DEFECT_TOL.
 
     The initial velocity is ``odd_gaussian_derivative`` of width L/16.
-    Each snapshot time must lie in [0, t_max], else ValidationError
-    before any step; it is taken from the first state at or past it,
+    Each snapshot time must lie in [0, t_max], and len(snapshot_times)*n
+    must not exceed SNAPSHOT_POINTS_MAX, else ValidationError before
+    any allocation; a time is taken from the first state at or past it,
     t = 0 from the start state, unless the run stops at its crossing
     first.  Snapshots come in time order, each with its state's t.
     """
@@ -516,9 +522,14 @@ def run_blowup_experiment(
         raise ValidationError(
             f"snapshot times must lie in [0, t_max={config.t_max}], got {list(snapshot_times)}"
         )
-    fine = Grid1D(n=config.n, length=config.length)
+    fine = Grid1D(n=config.n, length=LENGTH)
+    if (nodes := len(snapshot_times) * fine.n) > SNAPSHOT_POINTS_MAX:
+        raise ValidationError(
+            f"{len(snapshot_times)} snapshot times on n={fine.n} would keep {nodes} nodes"
+            f" per field, over the cap {SNAPSHOT_POINTS_MAX}"
+        )
     params = SystemParams(k1=config.k1, k2=config.k2, k3=config.k3)
-    u0 = odd_gaussian_derivative(fine, config.slope, config.length / 16.0)
+    u0 = odd_gaussian_derivative(fine, config.slope, LENGTH / 16.0)
     rho0 = (
         np.zeros(fine.n)
         if config.rho0 is None
@@ -527,7 +538,7 @@ def run_blowup_experiment(
     if parity_residual(u0) > 1e-12 * max(1.0, float(np.max(np.abs(u0)))):
         raise ValidationError("initial velocity is not odd")
 
-    bound = check(BlowupCriterion(M=0.0, v0=config.slope)).t_bound
+    bound = check(BlowupCriterion(M=0.0, v0=config.slope))
 
     grid = _start_grid(fine, rho0, u0)
     stride = fine.n // grid.n  # the coarse nodes are every stride-th fine node

@@ -42,10 +42,10 @@ class InsufficientGrids(ValidationError):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    grid_h: float
+    """A refinement study, coarsest level first: the finest level's h and
+    norms are the last entries of ``hs``, ``mass_norms`` and ``momentum_norms``."""
+
     dt: float
-    mass_eq_linf: float
-    momentum_eq_linf: float
     interior_band: float
     order_estimate_mass: Optional[float]
     order_estimate_momentum: Optional[float]
@@ -58,10 +58,10 @@ class ResidualReport:
 
     def summary(self) -> dict:
         return {
-            "grid_h": self.grid_h,
+            "grid_h": self.hs[-1],
             "dt": self.dt,
-            "mass_eq_linf": self.mass_eq_linf,
-            "momentum_eq_linf": self.momentum_eq_linf,
+            "mass_eq_linf": self.mass_norms[-1],
+            "momentum_eq_linf": self.momentum_norms[-1],
             "interior_band": self.interior_band,
             "order_estimate_mass": self.order_estimate_mass,
             "order_estimate_momentum": self.order_estimate_momentum,
@@ -203,10 +203,7 @@ def convergence_study(
         mom_norms.append(float(np.max(np.abs(r2[mask]))))
 
     return ResidualReport(
-        grid_h=hs[-1],
         dt=dt_over_h * hs[-1],
-        mass_eq_linf=mass_norms[-1],
-        momentum_eq_linf=mom_norms[-1],
         interior_band=delta,
         order_estimate_mass=_fit_order(hs, mass_norms),
         order_estimate_momentum=_fit_order(hs, mom_norms),

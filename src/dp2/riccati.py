@@ -62,31 +62,19 @@ class BlowupCriterion:
     def applies(self) -> bool:
         return self.v0 < -self.c
 
-
-@dataclass(frozen=True)
-class BlowupCheck:
-    applies: bool
-    t_bound: Optional[float]
-
-    def summary(self, crit: BlowupCriterion) -> dict:
-        return {
-            "M": crit.M,
-            "v0": crit.v0,
-            "c": crit.c,
-            "applies": self.applies,
-            "T_bound": self.t_bound,
-        }
+    def summary(self) -> dict:
+        return {"M": self.M, "v0": self.v0, "c": self.c, "applies": self.applies,
+                "T_bound": check(self)}
 
 
-def check(crit: BlowupCriterion) -> BlowupCheck:
-    """Closed-form blowup-time bound of the comparison ODE."""
+def check(crit: BlowupCriterion) -> Optional[float]:
+    """Closed-form blowup-time bound T of the comparison ODE, None when it does not apply."""
     if not crit.applies:
-        return BlowupCheck(applies=False, t_bound=None)
+        return None
     if crit.c == 0.0:
-        return BlowupCheck(applies=True, t_bound=-1.0 / crit.v0)
+        return -1.0 / crit.v0
     c, v0 = crit.c, crit.v0
-    t_bound = math.log((v0 - c) / (v0 + c)) / (2.0 * c)
-    return BlowupCheck(applies=True, t_bound=t_bound)
+    return math.log((v0 - c) / (v0 + c)) / (2.0 * c)
 
 
 def _rk4_step(v: float, dt: float, c2: float) -> float:
@@ -113,11 +101,11 @@ def comparison_trajectory(
     """
     if not (dt > 0.0):
         raise ValidationError(f"dt must be > 0, got dt={dt}")
-    result = check(crit)
-    rows = (result.t_bound if result.applies else t_max) / dt
+    t_bound = check(crit)
+    rows = (t_max if t_bound is None else t_bound) / dt
     if rows > MAX_TRAJECTORY_ROWS:
         raise ValidationError(f"dt={dt} needs ~{rows:.3g} rows, over the cap {MAX_TRAJECTORY_ROWS}")
-    horizon = 10.0 * result.t_bound if result.applies else t_max
+    horizon = t_max if t_bound is None else 10.0 * t_bound
     c2 = crit.c**2
     t, v = 0.0, crit.v0
     out = [(t, v)]

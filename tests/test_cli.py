@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -149,6 +150,9 @@ def test_verify_passes_on_exact_solution(tmp_path, capsys):
     report = read_json(tmp_path / "verify_report.json")
     assert 1.7 <= report["order_estimate_mass"] <= 2.3
     assert 1.7 <= report["order_estimate_momentum"] <= 2.3
+    # the finest level's h and norms are the last entries of the study
+    assert (report["grid_h"], report["mass_eq_linf"], report["momentum_eq_linf"]) == (
+        report["hs"][-1], report["mass_norms"][-1], report["momentum_norms"][-1])
     assert "order_mass" in capsys.readouterr().out
     header, rows = read_csv_rows(tmp_path / "verify_residuals.csv")
     assert header == "x,R1,R2"
@@ -168,6 +172,7 @@ def test_riccati_prints_bound(tmp_path, capsys):
     assert code == 0
     assert "T = 0.5" in capsys.readouterr().out
     summary = read_json(tmp_path / "riccati_summary.json")
+    assert set(summary) == {"M", "v0", "c", "applies", "T_bound", "config"}
     assert summary["applies"] is True
     assert summary["T_bound"] == pytest.approx(0.5)
     header, rows = read_csv_rows(tmp_path / "riccati_trajectory.csv")
@@ -277,17 +282,87 @@ def test_solve_config_key_sigma_is_unknown(tmp_path, capsys):
     # each exited 1, the criterion-failed code, with a numpy _ArrayMemoryError
     # traceback under a 1.5 GB address-space limit
     (("verify", "--levels", "16"),
-     "n must be a power of two in [16, 1048576], got n=2097152"),
+     "--levels must be in [3, 12] at --n-base 512, got 16"),
     (("solve", "--n", "1073741824", "--t-max", "0.01"),
      "n must be a power of two in [16, 1048576], got n=1073741824"),
     (("selfsim", "--k3", "1", "--xi", "1", "--grid-n", "3000000000"),
      "grid_n must be in [2, 1048576], got 3000000000"),
-], ids=["verify", "solve", "selfsim"])
+    # 16 MB of (rho, u) per snapshot at n = 2**20, with nothing to limit the count
+    (("solve", "--n", "1048576", "--t-max", "0.01", "--snapshot-times", ",".join(["0"] * 17)),
+     "17 snapshot times on n=1048576 would keep 17825792 nodes per field, over the cap 16777216"),
+], ids=["verify", "solve", "selfsim", "solve-snapshots"])
 def test_grids_above_the_cap_are_refused_before_allocating(tmp_path, capsys, args, message):
     code = run_cli(args[0], "--out", str(tmp_path), *args[1:])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+
+
+# (command, key): tolerances and domain lengths that no run set to anything
+# but the default are constants, not settings
+CONSTANT_SETTINGS = [
+    ("emden", "tol"), ("selfsim", "tol"), ("verify", "tol"), ("sweep", "tol"),
+    ("verify", "length"), ("solve", "length"),
+]
+
+
+@pytest.mark.parametrize("command, key", CONSTANT_SETTINGS)
+def test_constant_settings_have_no_flag(tmp_path, capsys, command, key):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--out", str(tmp_path), f"--{key}", "1e-10")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key} 1e-10" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, key", CONSTANT_SETTINGS)
+def test_constant_settings_are_unknown_config_keys(tmp_path, capsys, command, key):
+    # a summary echo written while these were settings
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1e-10\n")
+    code = run_cli(command, "--out", str(tmp_path / "run"), "--config", str(cfg))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_has_no_tol_axis(tmp_path, capsys):
+    code = run_cli("sweep", "--out", str(tmp_path), "--grid", "tol=1e-10:1e-8:2")
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown sweep key: tol\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    # each reported "n must be a power of two in [16, 1048576], got n=...",
+    # naming an n that verify has no flag for
+    (("--n-base", "100"), "--n-base must be a power of two in [16, 262144], got 100"),
+    (("--n-base", "2097152", "--levels", "3"),
+     "--n-base must be a power of two in [16, 262144], got 2097152"),
+    (("--n-base", "262144", "--levels", "4"), "--levels must be in [3, 3] at --n-base 262144, got 4"),
+    (("--levels", "1000000000"), "--levels must be in [3, 12] at --n-base 512, got 1000000000"),
+    # reported "need >= 3 grids, got 2"; 524288 = N_MAX/2 leaves room for two levels only
+    (("--levels", "2"), "--levels must be in [3, 12] at --n-base 512, got 2"),
+    (("--n-base", "524288", "--levels", "2"),
+     "--n-base must be a power of two in [16, 262144], got 524288"),
+])
+def test_verify_names_the_flag_of_a_refused_grid(tmp_path, capsys, args, message):
+    start = time.perf_counter()
+    code = run_cli("verify", "--out", str(tmp_path), *args)
+    assert time.perf_counter() - start < 1.0  # no 2**(levels-1) is formed
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_verify_accepts_a_finest_level_at_the_cap(monkeypatch, tmp_path):
+    # 16 * 2**16 = N_MAX: the grids are built, the study is not run
+    seen = []
+    monkeypatch.setattr(cli.residual, "stencil_reach", lambda grids, _: seen.extend(grids) or 1.0)
+    code = run_cli("verify", "--out", str(tmp_path), "--n-base", "16", "--levels", "17")
+    assert code == 2  # the faked reach of 1.0 puts t - reach below 0
+    assert [grid.n for grid in seen] == [16 * 2**i for i in range(17)]
+    assert {(grid.length, grid.x0) for grid in seen} == {(cli.VERIFY_LENGTH, -2.048)}
 
 
 @pytest.mark.parametrize("args,key", [
@@ -605,9 +680,10 @@ def test_schema_names_match_constructor_fields():
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
 
-    assert fields(EmdenProblem) == set(SCHEMAS["emden"]) - {"tol"}
+    assert fields(EmdenProblem) == set(SCHEMAS["emden"])
     assert fields(BlowupExperimentConfig) - {"rho0"} == set(SCHEMAS["solve"]) - {"snapshot_times"}
-    builder = set(inspect.signature(build_solution).parameters) - {"params", "rho0"}
+    # tol is library-only: every CLI run integrates to the library's default
+    builder = set(inspect.signature(build_solution).parameters) - {"params", "rho0", "tol"}
     solution = fields(SystemParams) | builder
     assert solution <= set(SCHEMAS["selfsim"])
     # verify derives s_max from t and its stencil, so it has no s_max setting
@@ -625,8 +701,8 @@ def test_schema_names_match_constructor_fields():
         ("verify", build_solution), ("verify", convergence_study),
         ("riccati", comparison_trajectory),
     ]
-    # the sweep's own horizon and tolerance; the single-run commands share the library's
-    exempt = {("sweep", "s_max"): 20.0, ("sweep", "tol"): 1e-8}
+    # the sweep's own horizon; the single-run commands share the library's
+    exempt = {("sweep", "s_max"): 20.0}
     shared = 0
     for command, build in feeds:
         for key, default in defaults(build).items():
@@ -635,7 +711,7 @@ def test_schema_names_match_constructor_fields():
             schema_default = SCHEMAS[command][key][1]
             assert schema_default == exempt.get((command, key), default), (command, key)
             shared += 1
-    assert shared == 30  # every shared default was compared, none skipped by a rename
+    assert shared == 25  # every shared default was compared, none skipped by a rename
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

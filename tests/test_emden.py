@@ -36,8 +36,7 @@ def test_zero_forcing_gives_linear_motion():
     problem = EmdenProblem(xi=0.0, kappa=0.5, mu=4.0, a0=1.0, a1=2.0, s_max=1.0)
     traj = integrate(problem, tol=1e-10)
     assert traj.fate is Fate.GLOBAL_ON_HORIZON
-    assert traj.a(1.0) == pytest.approx(3.0, abs=1e-12)
-    assert traj.a_dot(1.0) == pytest.approx(2.0, abs=1e-12)
+    assert traj.state(1.0) == pytest.approx((3.0, 2.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("xi", [1.0, -1.0])
@@ -46,7 +45,7 @@ def test_trajectory_state_reads_both_components_in_one_call(xi):
     for s in np.linspace(0.0, traj.s_end, 37).tolist() + [traj.s_end * (1.0 + 1e-13)]:
         a, a_dot = traj.state(s)
         assert type(a) is float and type(a_dot) is float
-        assert (a, a_dot) == (traj.a(s), traj.a_dot(s))
+        assert (a, a_dot) == traj.state(s)
         assert (a, a_dot) == tuple(traj._dense(min(s, traj.s_end)).tolist())  # bit for bit
 
 
@@ -66,7 +65,7 @@ def test_touchdown_s_is_the_event_root(xi, kappa, a0, a1):
     # (a bisection that stopped short left a(S) 1e-2 relative above the level).
     traj = integrate(EmdenProblem(xi=xi, kappa=kappa, a0=a0, a1=a1, s_max=10.0))
     assert traj.fate is Fate.TOUCHDOWN
-    assert traj.a(traj.touchdown_s) == pytest.approx(emden.TOUCHDOWN_FRACTION * a0, rel=1e-5)
+    assert traj.state(traj.touchdown_s)[0] == pytest.approx(emden.TOUCHDOWN_FRACTION * a0, rel=1e-5)
 
 
 def test_quadrature_oracle_beta_value():

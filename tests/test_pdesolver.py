@@ -333,6 +333,29 @@ def test_snapshot_times_outside_the_run_are_refused_before_any_step(monkeypatch,
         run_blowup_experiment(BlowupExperimentConfig(n=256, t_max=0.02), [0.0, t])
 
 
+class StepCalled(Exception):
+    pass
+
+
+def refuse_step(*args, **kwargs):
+    raise StepCalled
+
+
+@pytest.mark.parametrize("count, refused", [(16, False), (17, True)])
+def test_snapshot_nodes_are_capped_before_any_allocation(monkeypatch, count, refused):
+    # 16 MB of (rho, u) per snapshot at n = 2**20, and nothing limited the count
+    monkeypatch.setattr(pdesolver, "step", refuse_step)
+    config = BlowupExperimentConfig(n=2**20, t_max=0.01)
+    assert pdesolver.SNAPSHOT_POINTS_MAX == 16 * 2**20
+    times = np.linspace(0.0, 0.01, count).tolist()
+    if refused:
+        with pytest.raises(ValidationError, match="17 snapshot times on n=1048576 would keep"):
+            run_blowup_experiment(config, times)
+    else:
+        with pytest.raises(StepCalled):  # past the cap check, at the first step
+            run_blowup_experiment(config, times)
+
+
 def test_blowup_result_margin_is_a_constant_not_a_field():
     result = run_blowup_experiment(BlowupExperimentConfig(n=256, slope=-5.0, threshold=-4.0))
     assert result.margin == pdesolver.MARGIN == 0.2
@@ -559,9 +582,9 @@ def reference_min_ux(grid, u):
 
 def reference_blowup_run(config):
     """(steps, crossing time) of the former driver: min of the doubling rule and the CFL dt."""
-    grid = Grid1D(n=config.n, length=config.length)
+    grid = Grid1D(n=config.n, length=pdesolver.LENGTH)
     params = SystemParams(k1=config.k1, k2=config.k2, k3=config.k3)
-    u = odd_gaussian_derivative(grid, config.slope, config.length / 16.0)
+    u = odd_gaussian_derivative(grid, config.slope, pdesolver.LENGTH / 16.0)
     rho = np.zeros(grid.n)
     u0_max = float(np.max(np.abs(u)))
     dt0 = pdesolver.CFL * grid.dx / u0_max

@@ -19,20 +19,20 @@ from dp2.selfsim import SystemParams
 
 
 def test_unbounded_point_closed_form():
-    result = check(BlowupCriterion(M=0.0, v0=-2.0))
-    assert result.applies
-    assert result.t_bound == pytest.approx(0.5, abs=1e-15)
+    crit = BlowupCriterion(M=0.0, v0=-2.0)
+    assert crit.applies
+    assert check(crit) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_bounded_point_closed_form_vs_rk4():
     crit = BlowupCriterion(M=1.0, v0=-2.0)
-    result = check(crit)
+    t_bound = check(crit)
     c = math.sqrt(1.5)
     expected = math.log((-2.0 - c) / (-2.0 + c)) / (2.0 * c)
-    assert result.t_bound == pytest.approx(expected, abs=1e-15)
-    assert result.t_bound == pytest.approx(0.582, abs=1e-3)
+    assert t_bound == pytest.approx(expected, abs=1e-15)
+    assert t_bound == pytest.approx(0.582, abs=1e-3)
     rk4 = escape_time(crit, dt=1e-4)
-    assert abs(rk4 - result.t_bound) / result.t_bound < 1e-3
+    assert abs(rk4 - t_bound) / t_bound < 1e-3
 
 
 def test_escape_time_is_zero_when_v0_already_escaped():
@@ -46,9 +46,9 @@ def test_escape_time_none_when_trajectory_settles():
 
 
 def test_inconclusive_when_hypothesis_fails():
-    result = check(BlowupCriterion(M=2.0, v0=-1.0))
-    assert not result.applies
-    assert result.t_bound is None
+    crit = BlowupCriterion(M=2.0, v0=-1.0)
+    assert not crit.applies
+    assert check(crit) is None
 
 
 def test_trajectory_escape_window_unbounded_point():
@@ -79,7 +79,7 @@ def test_lattice_closed_form_vs_rk4_and_monotonicity():
     for i, m in enumerate(ms):
         for j, d in enumerate(offsets):
             crit = BlowupCriterion(M=float(m), v0=float(-math.sqrt(1.5) * m - d))
-            t_closed = check(crit).t_bound
+            t_closed = check(crit)
             bounds[i, j] = t_closed
             t_rk4 = escape_time(crit, dt=1e-4)
             assert abs(t_rk4 - t_closed) / t_closed < 1e-3
@@ -87,7 +87,7 @@ def test_lattice_closed_form_vs_rk4_and_monotonicity():
     assert np.all(np.diff(bounds, axis=1) < 0.0)
     # increasing in M at fixed v0: the squeeze -v**2 + c**2 weakens
     v0 = -4.0
-    fixed_v0 = [check(BlowupCriterion(M=float(m), v0=v0)).t_bound
+    fixed_v0 = [check(BlowupCriterion(M=float(m), v0=v0))
                 for m in np.linspace(0.0, 3.0, 10)]
     assert np.all(np.diff(fixed_v0) > 0.0)
 
@@ -97,7 +97,7 @@ def test_small_m_limit_continuity():
     t0 = 0.5
     last = None
     for m in (1e-1, 1e-2, 1e-3):
-        t_m = check(BlowupCriterion(M=m, v0=v0)).t_bound
+        t_m = check(BlowupCriterion(M=m, v0=v0))
         gap = abs(t_m - t0)
         assert gap < 1e-3
         if last is not None:

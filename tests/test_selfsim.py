@@ -90,10 +90,10 @@ def test_mass_value_when_scale_factor_reaches_four():
     sol = make_branch2()
     traj = sol.traj
     lo, hi = 0.0, traj.s_end
-    assert traj.a(hi) > 4.0
+    assert traj.state(hi)[0] > 4.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if traj.a(mid) < 4.0:
+        if traj.state(mid)[0] < 4.0:
             lo = mid
         else:
             hi = mid
@@ -104,7 +104,7 @@ def test_mass_value_when_scale_factor_reaches_four():
 def test_mass_scaling_law_against_spatial_quadrature():
     sol = make_branch2()
     for t in (0.1, 0.5, 1.2):
-        a = sol.traj.a(4.0 * t)
+        a, _ = sol.traj.state(4.0 * t)
         mass_quad = spatial_mass(sol, t)
         assert abs(mass_quad * a**0.25 - sol.profile.mass_eta()) / sol.profile.mass_eta() < 1e-6
 
@@ -112,7 +112,7 @@ def test_mass_scaling_law_against_spatial_quadrature():
 def test_support_tracking():
     sol = make_branch2()
     for t in (0.0, 0.4, 1.0):
-        a = sol.traj.a(4.0 * t)
+        a, _ = sol.traj.state(4.0 * t)
         expected = 1.0 * a**0.25
         assert sol.support_halfwidth(t) == pytest.approx(expected, rel=1e-12)
         xs = np.linspace(-2.0 * expected, 2.0 * expected, 4001)
@@ -189,7 +189,7 @@ def test_free_profile_branch_evaluation():
     assert np.allclose(rho, shape(xs))
     assert np.allclose(u, xs)  # a1 = 1, a0 = 1
     t = 0.25  # s = 1, a = 2 under linear motion
-    a = sol.traj.a(1.0)
+    a, _ = sol.traj.state(1.0)
     rho_t, _ = sol.evaluate(t, xs)
     assert np.allclose(rho_t, shape(xs / a**0.25) / a**0.5, atol=1e-12)
     with pytest.raises(WrongBranch):
