@@ -21,7 +21,9 @@ and the margin pdesolver.MARGIN); it refuses a snapshot time outside
 and its summary lists the t of each snapshot file.  Every grid (solve's
 n, each verify level, selfsim's grid_n) is refused above grid.N_MAX =
 2**20 points before anything is allocated; verify names --n-base or
---levels when it refuses one.
+--levels when it refuses one.  ``sweep`` refuses a lattice of more than
+SWEEP_CELLS_MAX = 2**16 cells, the product of its --grid counts, before
+it builds any axis.
 
 Exit codes: 0 success, 1 verification criterion failed, 2 validation
 error, 3 numerical failure.
@@ -55,6 +57,9 @@ _signature = functools.cache(inspect.signature)  # uncached it costs ~30 us per 
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the template and its text
 SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
+# Most cells dp2 sweep runs: at 4-8 ms a cell (a 16x16 xi x kappa touchdown
+# lattice, x86_64, Python 3.11), a full lattice takes 4-9 minutes.
+SWEEP_CELLS_MAX = 2**16
 VERIFY_LENGTH = 4.096  # dp2 verify's grids span [-VERIFY_LENGTH/2, VERIFY_LENGTH/2)
 
 
@@ -367,6 +372,8 @@ def cmd_solve(run: Run) -> int:
 
 
 def _parse_grid_axes(axis_args: list[str]) -> dict:
+    """Each axis as its list of values; refuses a lattice of more than
+    SWEEP_CELLS_MAX cells after reading every count and before building any axis."""
     axes = {}
     for arg in axis_args:
         if "=" not in arg:
@@ -386,8 +393,11 @@ def _parse_grid_axes(axis_args: list[str]) -> dict:
             raise ValidationError(f"grid axis {key}: {exc}") from exc
         if count < 1:
             raise ValidationError(f"grid axis {key}: count must be >= 1")
-        axes[key] = np.linspace(start, stop, count).tolist()
-    return axes
+        axes[key] = (start, stop, count)
+    cells = math.prod(count for _, _, count in axes.values())
+    if cells > SWEEP_CELLS_MAX:
+        raise ValidationError(f"sweep lattice has {cells} cells, more than {SWEEP_CELLS_MAX}")
+    return {key: np.linspace(*axis).tolist() for key, axis in axes.items()}
 
 
 def cmd_sweep(run: Run) -> int:

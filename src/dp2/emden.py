@@ -12,9 +12,10 @@ for xi > 0 the motion is convex and a grows without bound.
 
 Two independent routes to the touchdown time are provided:
 
-* :func:`integrate` - adaptive embedded Runge-Kutta with dense output
-  and event detection at the touchdown threshold, S being the event
-  root that ``solve_ivp`` locates on the dense output;
+* :func:`integrate` - adaptive embedded Runge-Kutta with event
+  detection at the touchdown threshold, S being the event root that
+  ``solve_ivp`` locates on the crossing step's interpolant (the dense
+  output of the whole trajectory is built only on request);
 * :func:`touchdown_time_quadrature` - closed-form energy reduction
   a'^2 = a1^2 + 2*xi*(a^(1-kappa) - a0^(1-kappa))/(mu*(1-kappa)),
   whose time integral ds = -da/|a'(a)| is the regularized incomplete
@@ -129,12 +130,13 @@ class EmdenProblem:
 
 @dataclass(frozen=True)
 class EmdenTrajectory:
-    """Dense-output solution of an :class:`EmdenProblem`.
+    """Solution of an :class:`EmdenProblem`.
 
     ``samples`` holds the accepted integrator steps as rows (s, a, a').
     ``touchdown_s`` is the event time S when ``fate`` is TOUCHDOWN,
     else None.  :meth:`state` reads (a, a') at any s of the trajectory
-    from the integrator's dense output.
+    from the integrator's dense output, which only a trajectory from
+    ``integrate(..., dense_output=True)`` carries.
     """
 
     problem: EmdenProblem
@@ -142,7 +144,7 @@ class EmdenTrajectory:
     fate: Fate
     touchdown_s: Optional[float]
     energy_drift_max: float
-    _dense: object = field(repr=False)
+    _dense: Optional[object] = field(repr=False)
 
     @property
     def s_end(self) -> float:
@@ -156,6 +158,10 @@ class EmdenTrajectory:
 
     def state(self, s: float) -> tuple[float, float]:
         """(a, a') at s from one evaluation of the dense output."""
+        if self._dense is None:
+            raise ValidationError(
+                "this trajectory has no dense output: integrate with dense_output=True"
+            )
         self._check_domain(s)
         a, a_dot = self._dense(min(s, self.s_end))
         return float(a), float(a_dot)
@@ -187,13 +193,22 @@ def _rhs(problem: EmdenProblem, floor: float):
     return rhs
 
 
-def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
+def integrate(
+    problem: EmdenProblem, tol: float = 1e-10, dense_output: bool = False
+) -> EmdenTrajectory:
     """Integrate the scale-factor ODE with touchdown event detection.
 
     Uses an embedded adaptive Runge-Kutta pair (DOP853) with local error
     per step bounded by ``tol`` relative to the solution components.  If
     a(s) decreases through eps_a = 1e-8 * a0 the fate is TOUCHDOWN at
-    the event root that ``solve_ivp`` finds on the dense output.
+    the event root that ``solve_ivp`` finds on the crossing step's
+    interpolant.
+
+    ``dense_output=True`` keeps the interpolant of every step, which
+    :meth:`EmdenTrajectory.state` reads; DOP853 pays 3 extra right-hand
+    side evaluations per accepted step for it.  Without it the samples,
+    fate, S and energy drift are the same to the bit, since the event
+    locator builds the crossing step's interpolant either way.
 
     When the step size underflows on a falling trajectory (xi < 0,
     a' < 0) whose remaining fall time a/|a'| is at most FALL_TIME_RTOL
@@ -227,7 +242,7 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
         # Keep error control purely relative near touchdown (a ~ 1e-8*a0);
         # the tiny absolute floor only guards exact-zero components.
         atol=1e-30,
-        dense_output=True,
+        dense_output=dense_output,
         events=touchdown_event,
     )
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dp2 import cli, selfsim
+from dp2 import cli, emden, selfsim
 from dp2.cli import SCHEMAS, main, write_csv
 from dp2.emden import EmdenProblem, integrate
 from dp2.pdesolver import BlowupExperimentConfig
@@ -672,6 +672,59 @@ def test_sweep_rejects_repeated_axis(tmp_path, capsys):
     assert code == 2
     assert "xi" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_makes_one_integrate_call_per_cell_and_no_oracle_call(tmp_path, monkeypatch):
+    # a benchmark that traces the sweep counts these calls per cell
+    calls = {"integrate": [], "quadrature": 0}
+    real, real_quadrature = emden.integrate, emden.touchdown_time_quadrature
+
+    def recording_integrate(*args, **kwargs):
+        calls["integrate"].append(kwargs)
+        return real(*args, **kwargs)
+
+    def counting_quadrature(problem):
+        calls["quadrature"] += 1
+        return real_quadrature(problem)
+
+    monkeypatch.setattr(emden, "integrate", recording_integrate)
+    monkeypatch.setattr(emden, "touchdown_time_quadrature", counting_quadrature)
+    argv = ("--grid", "xi=-1.5:1:3", "kappa=0.5:1:2", "a1=-1:0.5:2")
+    assert run_cli("sweep", "--out", str(tmp_path), *argv) == 0
+    header, rows = read_csv_rows(tmp_path / "sweep.csv")
+    assert len(rows) == len(calls["integrate"]) == 12 and calls["quadrature"] == 0
+    assert calls["integrate"] == [{"tol": cli.SWEEP_TOL}] * 12  # no dense output asked for
+    names = header.split(",")[:6]
+    for row in rows:
+        problem = EmdenProblem(**dict(zip(names, map(float, row[:6]))))
+        traj = real(problem, tol=cli.SWEEP_TOL, dense_output=True)
+        assert row[6] == traj.fate.value
+        assert (float(row[7]) if row[7] else None) == traj.touchdown_s
+
+
+@pytest.mark.parametrize("grid, cells", [
+    (("xi=-1:-0.1:65537",), 65537),
+    (("xi=-2:-0.2:256", "kappa=0.2:1:257"), 65792),
+    (("xi=-1:-0.1:1000000000000",), 10**12),
+])
+def test_sweep_refuses_a_lattice_above_the_cell_cap(tmp_path, monkeypatch, capsys, grid, cells):
+    # a 10**9 count allocated 8 GB of axis values before the first cell ran
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused lattice must build nothing")
+
+    monkeypatch.setattr(emden, "integrate", unreachable)
+    monkeypatch.setattr(np, "linspace", unreachable)
+    assert run_cli("sweep", "--out", str(tmp_path), "--grid", *grid) == 2
+    assert capsys.readouterr().err == f"error: sweep lattice has {cells} cells, more than 65536\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_cell_cap_is_inclusive(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SWEEP_CELLS_MAX", 4)
+    assert run_cli("sweep", "--out", str(tmp_path), "--grid", "xi=-2:-1:2", "kappa=0.5:1:2") == 0
+    assert len(read_csv_rows(tmp_path / "sweep.csv")[1]) == 4
+    assert run_cli("sweep", "--out", str(tmp_path / "b"), "--grid", "xi=-2:-1:5") == 2
+    assert capsys.readouterr().err == "error: sweep lattice has 5 cells, more than 4\n"
 
 
 def test_schema_names_match_constructor_fields():

@@ -34,19 +34,69 @@ def test_beta_function_value_is_eight_thirds():
 
 def test_zero_forcing_gives_linear_motion():
     problem = EmdenProblem(xi=0.0, kappa=0.5, mu=4.0, a0=1.0, a1=2.0, s_max=1.0)
-    traj = integrate(problem, tol=1e-10)
+    traj = integrate(problem, tol=1e-10, dense_output=True)
     assert traj.fate is Fate.GLOBAL_ON_HORIZON
     assert traj.state(1.0) == pytest.approx((3.0, 2.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("xi", [1.0, -1.0])
 def test_trajectory_state_reads_both_components_in_one_call(xi):
-    traj = integrate(EmdenProblem(xi=xi, kappa=0.5, a1=0.3, s_max=2.0))
+    traj = integrate(EmdenProblem(xi=xi, kappa=0.5, a1=0.3, s_max=2.0), dense_output=True)
     for s in np.linspace(0.0, traj.s_end, 37).tolist() + [traj.s_end * (1.0 + 1e-13)]:
         a, a_dot = traj.state(s)
         assert type(a) is float and type(a_dot) is float
         assert (a, a_dot) == traj.state(s)
         assert (a, a_dot) == tuple(traj._dense(min(s, traj.s_end)).tolist())  # bit for bit
+
+
+def test_state_needs_the_dense_output():
+    # without it, state() failed with "'NoneType' object is not callable"
+    traj = integrate(EmdenProblem(xi=-1.0, kappa=0.5, s_max=1.0))
+    with pytest.raises(ValidationError, match="integrate with dense_output=True"):
+        traj.state(0.5)
+
+
+# One problem per branch of integrate: kappa < 1 and kappa = 1 touchdown,
+# xi > 0 growth, xi > 0 touchdown from a strongly falling start, and the
+# step collapse on a touchdown narrower than ulp(S) (S = 1.727e9).
+FATE_LATTICE = [
+    (Fate.TOUCHDOWN, dict(xi=-1.0, kappa=0.5, a1=0.3, s_max=10.0)),
+    (Fate.TOUCHDOWN, dict(xi=-0.7, kappa=1.0, a0=1.3, a1=-0.5, s_max=10.0)),
+    (Fate.GLOBAL_ON_HORIZON, dict(xi=1.0, kappa=0.5, a1=0.3, s_max=20.0)),
+    (Fate.TOUCHDOWN, dict(xi=0.5, kappa=0.5, a1=-1.5, s_max=20.0)),
+    (Fate.TOUCHDOWN, dict(xi=-0.17229347302922404, kappa=0.88575712942259,
+                          a0=1.202935475732981, a1=2.560212566385392, s_max=3.5e9)),
+]
+
+
+@pytest.mark.parametrize("fate, kwargs", FATE_LATTICE)
+def test_dense_output_changes_no_result(fate, kwargs):
+    plain = integrate(EmdenProblem(**kwargs))
+    dense = integrate(EmdenProblem(**kwargs), dense_output=True)
+    assert plain.fate is dense.fate is fate
+    assert np.array_equal(plain.samples, dense.samples)
+    assert plain.touchdown_s == dense.touchdown_s
+    assert plain.energy_drift_max == dense.energy_drift_max
+
+
+@pytest.mark.parametrize("fate, kwargs", FATE_LATTICE[:4])
+def test_dense_output_costs_three_rhs_evaluations_per_accepted_step(monkeypatch, fate, kwargs):
+    # DOP853's interpolant takes 3 extra stages per step; the event locator builds
+    # it on the crossing step either way, so only the other steps pay for it.
+    real, sols = emden.solve_ivp, []
+
+    def recording(*args, **kw):
+        sols.append(real(*args, **kw))
+        return sols[-1]
+
+    monkeypatch.setattr(emden, "solve_ivp", recording)
+    integrate(EmdenProblem(**kwargs))
+    integrate(EmdenProblem(**kwargs), dense_output=True)
+    plain, dense = sols
+    steps = len(plain.t) - 1
+    assert steps == len(dense.t) - 1 > 10
+    crossing = 1 if fate is Fate.TOUCHDOWN else 0
+    assert dense.nfev - plain.nfev == 3 * (steps - crossing)
 
 
 def test_canonical_touchdown_event_time():
@@ -63,7 +113,7 @@ def test_canonical_touchdown_event_time():
 def test_touchdown_s_is_the_event_root(xi, kappa, a0, a1):
     # S is where the dense output meets the event level, not a point before it
     # (a bisection that stopped short left a(S) 1e-2 relative above the level).
-    traj = integrate(EmdenProblem(xi=xi, kappa=kappa, a0=a0, a1=a1, s_max=10.0))
+    traj = integrate(EmdenProblem(xi=xi, kappa=kappa, a0=a0, a1=a1, s_max=10.0), dense_output=True)
     assert traj.fate is Fate.TOUCHDOWN
     assert traj.state(traj.touchdown_s)[0] == pytest.approx(emden.TOUCHDOWN_FRACTION * a0, rel=1e-5)
 
