@@ -57,8 +57,8 @@ _signature = functools.cache(inspect.signature)  # uncached it costs ~30 us per 
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the template and its text
 SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
-# Most cells dp2 sweep runs: at 4-8 ms a cell (a 16x16 xi x kappa touchdown
-# lattice, x86_64, Python 3.11), a full lattice takes 4-9 minutes.
+# Most cells dp2 sweep runs: at 1.4-1.7 ms a cell (a 16x16 xi x kappa touchdown
+# lattice, x86_64, Python 3.11), a full lattice takes about 2 minutes.
 SWEEP_CELLS_MAX = 2**16
 VERIFY_LENGTH = 4.096  # dp2 verify's grids span [-VERIFY_LENGTH/2, VERIFY_LENGTH/2)
 

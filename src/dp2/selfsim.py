@@ -209,14 +209,14 @@ def build_solution(
 ) -> SelfSimilarSolution:
     """Assemble a solution: shape from (k3, xi, alpha, mu), trajectory from kappa.
 
-    The trajectory keeps its dense output, from which every evaluation
-    reads (a, a').
+    Every evaluation reads (a, a') from the trajectory's ``state``: one
+    DOP853 step from the last sample at or before s.
 
     For k3 = 0 (and xi = 0) pass ``rho0``, the arbitrary nonnegative C1
     shape of the decoupled branch.
     """
     problem = EmdenProblem(xi=xi, kappa=params.kappa, mu=mu, a0=a0, a1=a1, s_max=s_max)
-    traj = integrate(problem, tol=tol, dense_output=True)
+    traj = integrate(problem, tol=tol)
     if params.k3 == 0.0:
         if rho0 is None:
             raise ValidationError("k3 = 0 requires an explicit rho0 shape")

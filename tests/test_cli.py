@@ -550,13 +550,16 @@ def test_verify_rejects_empty_interior_band(tmp_path, capsys):
     # named the stencil's t + dt: "t=0.704 is at or past the collapse time"
     (("--t", "0.64", "--xi", "-1", "--k3", "-1"),
      "--t 0.64 plus the stencil reach 0.064 is at or past the collapse time"
-     " T=0.6666666641679245"),
+     " T=0.6666666641679078"),
 ])
 def test_verify_rejects_a_t_whose_stencil_leaves_the_solution(tmp_path, capsys, args, message):
     code = run_cli("verify", "--out", str(tmp_path), "--n-base", "64", "--levels", "3", *args)
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())
+    if "T=" in message:  # the printed T is the oracle's S/4 (8/3 for kappa = 1/2), to 1e-8
+        s_oracle = emden.touchdown_time_quadrature(EmdenProblem(xi=-1.0, kappa=0.5))
+        assert float(message.rsplit("T=", 1)[1]) == pytest.approx(s_oracle / 4.0, rel=1e-8)
 
 
 def _record_verify_builds(monkeypatch):
@@ -693,11 +696,11 @@ def test_sweep_makes_one_integrate_call_per_cell_and_no_oracle_call(tmp_path, mo
     assert run_cli("sweep", "--out", str(tmp_path), *argv) == 0
     header, rows = read_csv_rows(tmp_path / "sweep.csv")
     assert len(rows) == len(calls["integrate"]) == 12 and calls["quadrature"] == 0
-    assert calls["integrate"] == [{"tol": cli.SWEEP_TOL}] * 12  # no dense output asked for
+    assert calls["integrate"] == [{"tol": cli.SWEEP_TOL}] * 12
     names = header.split(",")[:6]
     for row in rows:
         problem = EmdenProblem(**dict(zip(names, map(float, row[:6]))))
-        traj = real(problem, tol=cli.SWEEP_TOL, dense_output=True)
+        traj = real(problem, tol=cli.SWEEP_TOL)
         assert row[6] == traj.fate.value
         assert (float(row[7]) if row[7] else None) == traj.touchdown_s
 

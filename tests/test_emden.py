@@ -34,26 +34,28 @@ def test_beta_function_value_is_eight_thirds():
 
 def test_zero_forcing_gives_linear_motion():
     problem = EmdenProblem(xi=0.0, kappa=0.5, mu=4.0, a0=1.0, a1=2.0, s_max=1.0)
-    traj = integrate(problem, tol=1e-10, dense_output=True)
+    traj = integrate(problem, tol=1e-10)
     assert traj.fate is Fate.GLOBAL_ON_HORIZON
     assert traj.state(1.0) == pytest.approx((3.0, 2.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("xi", [1.0, -1.0])
 def test_trajectory_state_reads_both_components_in_one_call(xi):
-    traj = integrate(EmdenProblem(xi=xi, kappa=0.5, a1=0.3, s_max=2.0), dense_output=True)
+    traj = integrate(EmdenProblem(xi=xi, kappa=0.5, a1=0.3, s_max=2.0))
     for s in np.linspace(0.0, traj.s_end, 37).tolist() + [traj.s_end * (1.0 + 1e-13)]:
         a, a_dot = traj.state(s)
         assert type(a) is float and type(a_dot) is float
         assert (a, a_dot) == traj.state(s)
-        assert (a, a_dot) == tuple(traj._dense(min(s, traj.s_end)).tolist())  # bit for bit
 
 
-def test_state_needs_the_dense_output():
-    # without it, state() failed with "'NoneType' object is not callable"
-    traj = integrate(EmdenProblem(xi=-1.0, kappa=0.5, s_max=1.0))
-    with pytest.raises(ValidationError, match="integrate with dense_output=True"):
-        traj.state(0.5)
+@pytest.mark.parametrize("s", [0.5, 1.7])
+def test_state_reads_every_trajectory(s):
+    # state() once needed a dense output that only one caller asked integrate for
+    kwargs = dict(xi=-1.0, kappa=0.5, a1=0.3)
+    traj = integrate(EmdenProblem(s_max=2.0, **kwargs))
+    a, a_dot = traj.state(s)
+    _, a_end, a_dot_end = integrate(EmdenProblem(s_max=s, **kwargs)).samples[-1]
+    assert (a, a_dot) == pytest.approx((a_end, a_dot_end), rel=1e-9)
 
 
 # One problem per branch of integrate: kappa < 1 and kappa = 1 touchdown,
@@ -71,32 +73,83 @@ FATE_LATTICE = [
 
 @pytest.mark.parametrize("fate, kwargs", FATE_LATTICE)
 def test_dense_output_changes_no_result(fate, kwargs):
-    plain = integrate(EmdenProblem(**kwargs))
-    dense = integrate(EmdenProblem(**kwargs), dense_output=True)
-    assert plain.fate is dense.fate is fate
-    assert np.array_equal(plain.samples, dense.samples)
-    assert plain.touchdown_s == dense.touchdown_s
-    assert plain.energy_drift_max == dense.energy_drift_max
+    # The dense output, state(), returns each sample bit for bit at its time and
+    # is continuous across each sample boundary: one ulp of s before s_k it is
+    # within one ulp of s times the slope (plus rounding) of sample k.
+    problem = EmdenProblem(**kwargs)
+    traj = integrate(problem)
+    assert traj.fate is fate and len(traj.samples) > 10
+    rows = traj.samples.tolist()
+    for s, a, a_dot in rows:
+        assert traj.state(s) == (a, a_dot)
+
+    def force(a):
+        return problem.xi / (problem.mu * a**problem.kappa)
+
+    for (_, a0, a_dot0), (s, a, a_dot) in zip(rows, rows[1:]):
+        a_left, a_dot_left = traj.state(math.nextafter(s, 0.0))
+        ds = math.ulp(s)
+        assert abs(a_left - a) <= 4.0 * (ds * max(abs(a_dot0), abs(a_dot)) + math.ulp(a0))
+        assert abs(a_dot_left - a_dot) <= 4.0 * (ds * max(abs(force(a0)), abs(force(a)))
+                                                 + math.ulp(a_dot0))
 
 
-@pytest.mark.parametrize("fate, kwargs", FATE_LATTICE[:4])
-def test_dense_output_costs_three_rhs_evaluations_per_accepted_step(monkeypatch, fate, kwargs):
-    # DOP853's interpolant takes 3 extra stages per step; the event locator builds
-    # it on the crossing step either way, so only the other steps pay for it.
-    real, sols = emden.solve_ivp, []
+def test_run_counters_on_the_canonical_case():
+    # 80 accepted and 53 rejected attempts of 11 evaluations, 79 FSAL evaluations
+    # after accepted steps, 2 to start and one 11-evaluation landing for S
+    traj = integrate(EmdenProblem(s_max=10.0, **CANONICAL))
+    assert (len(traj.samples), traj.rejected_steps, traj.nfev) == (81, 53, 1555)
+    assert traj.nfev == 2 + 11 * (80 + 53) + 79 + 11
+    assert set(traj.summary()) == {"fate", "S", "energy_drift_max"}  # counters stay off artefacts
 
-    def recording(*args, **kw):
-        sols.append(real(*args, **kw))
-        return sols[-1]
 
-    monkeypatch.setattr(emden, "solve_ivp", recording)
-    integrate(EmdenProblem(**kwargs))
-    integrate(EmdenProblem(**kwargs), dense_output=True)
-    plain, dense = sols
-    steps = len(plain.t) - 1
-    assert steps == len(dense.t) - 1 > 10
-    crossing = 1 if fate is Fate.TOUCHDOWN else 0
-    assert dense.nfev - plain.nfev == 3 * (steps - crossing)
+def _scipy_dop853(problem, tol):
+    """(fate, S) from scipy's solve_ivp on the same problem, event and tolerances."""
+    from scipy.integrate import solve_ivp
+
+    eps_a = emden.TOUCHDOWN_FRACTION * problem.a0
+    floor = 1e-3 * eps_a
+
+    def rhs(s, y):
+        a = y[0] if y[0] > floor else floor
+        return (y[1], problem.xi / (problem.mu * a**problem.kappa))
+
+    def touchdown(s, y):
+        return y[0] - eps_a
+
+    touchdown.terminal, touchdown.direction = True, -1.0
+    sol = solve_ivp(rhs, (0.0, problem.s_max), (problem.a0, problem.a1), method="DOP853",
+                    rtol=tol, atol=1e-30, events=touchdown)
+    assert sol.status in (0, 1), sol.message
+    if sol.status == 1:
+        return Fate.TOUCHDOWN, float(sol.t_events[0][0])
+    return Fate.GLOBAL_ON_HORIZON, None
+
+
+def _sweep_lattice():
+    return [EmdenProblem(xi=float(xi), kappa=float(kappa), s_max=20.0)
+            for xi in np.linspace(-2.0, -0.2, 16) for kappa in np.linspace(0.2, 1.0, 16)]
+
+
+def _random_problems():
+    rng = np.random.default_rng(20)
+    return [EmdenProblem(xi=float(rng.uniform(-3.0, 3.0)), kappa=1.0 - float(rng.uniform(0.0, 1.0)),
+                         a0=float(rng.uniform(0.3, 3.0)), a1=float(rng.uniform(-3.0, 3.0)),
+                         s_max=float(rng.choice([5.0, 10.0, 20.0, 50.0])))
+            for _ in range(300)]
+
+
+@pytest.mark.parametrize("problems", [_sweep_lattice, _random_problems])
+@pytest.mark.parametrize("tol, s_rtol", [(1e-8, 1e-9), (1e-10, 1e-11)])
+def test_integrate_matches_scipy_dop853(problems, tol, s_rtol):
+    # The float stepper is scipy's DOP853 method: same fate everywhere, and
+    # S within rounding-driven step-sequence noise, far below tol.
+    for problem in problems():
+        traj = integrate(problem, tol=tol)
+        fate, s_ref = _scipy_dop853(problem, tol)
+        assert traj.fate is fate, problem
+        if fate is Fate.TOUCHDOWN:
+            assert abs(traj.touchdown_s - s_ref) <= s_rtol * s_ref, problem
 
 
 def test_canonical_touchdown_event_time():
@@ -113,7 +166,7 @@ def test_canonical_touchdown_event_time():
 def test_touchdown_s_is_the_event_root(xi, kappa, a0, a1):
     # S is where the dense output meets the event level, not a point before it
     # (a bisection that stopped short left a(S) 1e-2 relative above the level).
-    traj = integrate(EmdenProblem(xi=xi, kappa=kappa, a0=a0, a1=a1, s_max=10.0), dense_output=True)
+    traj = integrate(EmdenProblem(xi=xi, kappa=kappa, a0=a0, a1=a1, s_max=10.0))
     assert traj.fate is Fate.TOUCHDOWN
     assert traj.state(traj.touchdown_s)[0] == pytest.approx(emden.TOUCHDOWN_FRACTION * a0, rel=1e-5)
 
@@ -270,19 +323,27 @@ def test_touchdown_narrower_than_ulp_of_s():
 
 
 def test_step_collapse_off_a_falling_trajectory_still_raises(monkeypatch):
-    # A collapse on a rising trajectory is no touchdown.
-    real = emden.solve_ivp
+    # A collapse on a rising trajectory is no touchdown.  After the first step
+    # every error estimate reads 1/h, which no step size h can bring below
+    # tol, so each attempt is rejected until h falls below 10 ulp(s).
+    real = emden._dop853_step
 
-    def collapsing(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        sol.status, sol.message = -1, "Required step size is less than spacing between numbers."
-        return sol
+    def collapse_after_one_step(problem):
+        calls = []
 
-    monkeypatch.setattr(emden, "solve_ivp", collapsing)
-    with pytest.raises(StepCollapse):
-        integrate(EmdenProblem(xi=1.0, kappa=0.5, s_max=2.0))
-    with pytest.raises(StepCollapse):  # falling, but far from a = 0
-        integrate(EmdenProblem(xi=-1.0, kappa=0.5, a1=-1.0, s_max=0.1))
+        def stepper(*args):
+            calls.append(args)
+            a, a_dot, *errors = real(*args)
+            return (a, a_dot, *errors) if len(calls) == 1 else (a, a_dot, *[1.0 / args[-1]] * 4)
+
+        monkeypatch.setattr(emden, "_dop853_step", stepper)
+        with pytest.raises(StepCollapse, match="before touchdown or s_max"):
+            integrate(problem)
+        assert len(calls) > 2
+
+    collapse_after_one_step(EmdenProblem(xi=1.0, kappa=0.5, s_max=2.0))
+    # falling, but far from a = 0
+    collapse_after_one_step(EmdenProblem(xi=-1.0, kappa=0.5, a1=-1.0, s_max=0.1))
 
 
 @pytest.mark.parametrize("a1", [0.7, -0.7])

@@ -1,13 +1,13 @@
-"""Import graph: the solver path imports no scipy.
+"""Import graph: no dp2 subcommand imports scipy.
 
-``import dp2``, ``dp2 solve`` and ``dp2 riccati`` load numpy and nothing
-from scipy; ``scipy.special`` loads with the touchdown oracle's first call
-and ``scipy.integrate`` with the Emden ODE's.  The suite's own process has
-imported everything already, so each check runs in a fresh interpreter.
+``import dp2`` and every subcommand (``solve``, ``riccati``, ``emden``,
+``selfsim``, ``verify``, ``sweep``) load numpy and nothing from scipy;
+only the touchdown oracle's first call loads ``scipy.special``.  The
+suite's own process has imported everything already, so each check runs
+in a fresh interpreter.
 """
 
 import importlib
-import inspect
 import json
 import os
 import subprocess
@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import dp2
-from dp2 import emden
 
 SRC = str(Path(dp2.__file__).resolve().parents[1])
 
@@ -38,12 +37,20 @@ main(["solve", "--n", "64", "--t-max", "0.01", "--format", "json", "--out", OUT]
 stages["solve"] = scipy_loaded()
 main(["riccati", "--M", "0", "--v0", "-2", "--out", OUT])
 stages["riccati"] = scipy_loaded()
+main(["emden", "--xi", "-1", "--out", OUT])
+stages["emden"] = scipy_loaded()
+main(["selfsim", "--k3", "-1", "--xi", "-1", "--grid-n", "64", "--out", OUT])
+stages["selfsim"] = scipy_loaded()
+main(["verify", "--n-base", "64", "--levels", "3", "--out", OUT])
+stages["verify"] = scipy_loaded()
+main(["sweep", "--grid", "xi=-1:1:2", "kappa=0.5:1:2", "--out", OUT])
+stages["sweep"] = scipy_loaded()
 from dp2 import emden
 problem = emden.EmdenProblem(xi=-1.0, kappa=0.5, a0=1.0, a1=0.0)
-quadrature_s = emden.touchdown_time_quadrature(problem)
-stages["quadrature"] = scipy_loaded()
 traj = emden.integrate(problem)
 stages["integrate"] = scipy_loaded()
+quadrature_s = emden.touchdown_time_quadrature(problem)
+stages["quadrature"] = scipy_loaded()
 print(json.dumps({"stages": stages, "quadrature_S": quadrature_s, "S": traj.touchdown_s}))
 """
 
@@ -66,21 +73,18 @@ def test_solver_path_loads_no_scipy(probe, stage):
                                       "scipy.integrate": False}
 
 
-def test_quadrature_loads_scipy_special(probe):
-    assert probe["stages"]["quadrature"]["scipy.special"] is True
-    assert probe["quadrature_S"] == pytest.approx(8.0 / 3.0, rel=1e-15)
-
-
-def test_integrate_loads_scipy_integrate(probe):
-    assert probe["stages"]["integrate"]["scipy.integrate"] is True
+@pytest.mark.parametrize("stage", ["emden", "selfsim", "verify", "sweep", "integrate"])
+def test_emden_paths_load_no_scipy(probe, stage):
+    # emden.integrate went through scipy.integrate.solve_ivp (~0.25 s of imports)
+    assert probe["stages"][stage] == {"scipy": False, "scipy.special": False,
+                                      "scipy.integrate": False}
     assert probe["S"] == pytest.approx(8.0 / 3.0, rel=1e-4)
 
 
-def test_solve_ivp_is_a_module_level_function():
-    # the benchmark tracer and tests patch emden.solve_ivp as a module attribute
-    assert inspect.isfunction(vars(emden)["solve_ivp"])
-    assert emden.solve_ivp.__module__ == "dp2.emden"
-
+def test_quadrature_loads_scipy_special(probe):
+    assert probe["stages"]["quadrature"] == {"scipy": True, "scipy.special": True,
+                                             "scipy.integrate": False}
+    assert probe["quadrature_S"] == pytest.approx(8.0 / 3.0, rel=1e-15)
 
 
 # dp2 attributes the benchmark (perfbench/tracing.py LAYERS, perfbench/workloads.py)
@@ -98,7 +102,6 @@ BENCHMARK_NAMES = [
     ("dp2.pdesolver", "dealias"),
     ("dp2.pdesolver", "odd_gaussian_derivative"),
     ("dp2.emden", "integrate"),
-    ("dp2.emden", "solve_ivp"),
     ("dp2.emden", "touchdown_time_quadrature"),
     ("dp2.emden", "QuadratureBudgetExceeded"),
     ("dp2.cli", "cmd_sweep"),
