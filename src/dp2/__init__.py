@@ -15,7 +15,7 @@ from .errors import Dp2Error, NumericalError, ValidationError
 from .grid import Grid1D
 from .profile import Profile
 from .residual import ResidualReport, convergence_study, interior_mask
-from .riccati import BlowupCriterion, check, comparison_trajectory, density_positivity_factor
+from .riccati import BlowupCriterion, check, comparison_trajectory
 from .selfsim import FreeProfile, SelfSimilarSolution, SystemParams, build_solution
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "classify",
     "comparison_trajectory",
     "convergence_study",
-    "density_positivity_factor",
     "integrate",
     "interior_mask",
     "touchdown_time_quadrature",

@@ -393,6 +393,8 @@ def _parse_grid_axes(axis_args: list[str]) -> dict:
             raise ValidationError(f"grid axis {key}: {exc}") from exc
         if count < 1:
             raise ValidationError(f"grid axis {key}: count must be >= 1")
+        if not math.isfinite(stop - start):  # also false when start or stop is not finite
+            raise ValidationError(f"grid axis {key}: start, stop and stop - start must be finite")
         axes[key] = (start, stop, count)
     cells = math.prod(count for _, _, count in axes.values())
     if cells > SWEEP_CELLS_MAX:

@@ -300,6 +300,8 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
     StepCollapse
         If the step size collapses in any other state before touchdown
         or s_max; must not occur for kappa in (0, 1].
+    NumericalError
+        If a float operation divides by zero or overflows, as a**kappa can for kappa = 1e308.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValidationError(f"tol must lie in (0, 1e-3], got {tol}")
@@ -308,66 +310,68 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
     s_max = problem.s_max
     force = _force(problem)
     s, a, a_dot = 0.0, problem.a0, problem.a1
-    f = force(a)
-    h = _initial_step(force, problem, f, tol)
     samples = [(s, a, a_dot)]
     nfev, rejected_steps = 2, 0
     fate, touchdown_s = Fate.GLOBAL_ON_HORIZON, None
-
-    while s < s_max:
-        min_step = 10.0 * math.ulp(s)
-        h = max(h, min_step)
-        rejected = False
-        while h >= min_step:
-            s_new = min(s + h, s_max)
-            h = s_new - s
-            a_new, a_dot_new, e3a, e5a, e3v, e5v = _dop853_step(force, a, a_dot, f, h)
-            nfev += _STAGE_EVALS
-            sa = ATOL + max(abs(a), abs(a_new)) * tol
-            sv = ATOL + max(abs(a_dot), abs(a_dot_new)) * tol
-            e5 = (e5a / sa) ** 2 + (e5v / sv) ** 2
-            e3 = (e3a / sa) ** 2 + (e3v / sv) ** 2
-            err = h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 or e3 else 0.0
-            if err < 1.0:
-                factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
-                h *= min(1.0, factor) if rejected else factor
-                break
-            h *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
-            rejected = True
-            rejected_steps += 1
-        else:
-            # For xi < 0 the fall only speeds up, so a falling trajectory reaches
-            # a = 0 within a/|a'| of its last sample.  When that is a negligible
-            # fraction of s, the step collapsed on a touchdown window narrower
-            # than ulp(s): report the touchdown there.
-            if not (problem.xi < 0.0 and a_dot < 0.0 and a / -a_dot <= FALL_TIME_RTOL * s):
-                raise StepCollapse(
-                    f"step size fell below 10 ulp(s) at s={s} before touchdown or s_max"
-                )
-            fate, touchdown_s = Fate.TOUCHDOWN, s
-            break
-
-        if a_new <= eps_a:  # a only falls through eps_a: every earlier sample lies above it
-            # Newton on the landing map from s, clamped to the step, until the
-            # update is within 4 ulp (scipy's Brent locator stops at 4 eps).
-            t = s_new
-            for _ in range(LANDING_NEWTON_MAX):
-                if not a_dot_new < 0.0:  # no downward slope to follow
-                    break
-                t_next = min(max(t - (a_new - eps_a) / a_dot_new, s), s_new)
-                if abs(t_next - t) <= 4.0 * math.ulp(t):
-                    break
-                t = t_next
-                a_new, a_dot_new, *_ = _dop853_step(force, a, a_dot, f, t - s)
-                nfev += _STAGE_EVALS
-            samples.append((t, a_new, a_dot_new))
-            fate, touchdown_s = Fate.TOUCHDOWN, t
-            break
-
-        s, a, a_dot = s_new, a_new, a_dot_new
+    try:
         f = force(a)
-        nfev += 1
-        samples.append((s, a, a_dot))
+        h = _initial_step(force, problem, f, tol)
+        while s < s_max:
+            min_step = 10.0 * math.ulp(s)
+            h = max(h, min_step)
+            rejected = False
+            while h >= min_step:
+                s_new = min(s + h, s_max)
+                h = s_new - s
+                a_new, a_dot_new, e3a, e5a, e3v, e5v = _dop853_step(force, a, a_dot, f, h)
+                nfev += _STAGE_EVALS
+                sa = ATOL + max(abs(a), abs(a_new)) * tol
+                sv = ATOL + max(abs(a_dot), abs(a_dot_new)) * tol
+                e5 = (e5a / sa) ** 2 + (e5v / sv) ** 2
+                e3 = (e3a / sa) ** 2 + (e3v / sv) ** 2
+                err = h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 or e3 else 0.0
+                if err < 1.0:
+                    factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
+                    h *= min(1.0, factor) if rejected else factor
+                    break
+                h *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
+                rejected = True
+                rejected_steps += 1
+            else:
+                # For xi < 0 the fall only speeds up, so a falling trajectory reaches
+                # a = 0 within a/|a'| of its last sample.  When that is a negligible
+                # fraction of s, the step collapsed on a touchdown window narrower
+                # than ulp(s): report the touchdown there.
+                if not (problem.xi < 0.0 and a_dot < 0.0 and a / -a_dot <= FALL_TIME_RTOL * s):
+                    raise StepCollapse(
+                        f"step size fell below 10 ulp(s) at s={s} before touchdown or s_max"
+                    )
+                fate, touchdown_s = Fate.TOUCHDOWN, s
+                break
+
+            if a_new <= eps_a:  # a only falls through eps_a: every earlier sample lies above it
+                # Newton on the landing map from s, clamped to the step, until the
+                # update is within 4 ulp (scipy's Brent locator stops at 4 eps).
+                t = s_new
+                for _ in range(LANDING_NEWTON_MAX):
+                    if not a_dot_new < 0.0:  # no downward slope to follow
+                        break
+                    t_next = min(max(t - (a_new - eps_a) / a_dot_new, s), s_new)
+                    if abs(t_next - t) <= 4.0 * math.ulp(t):
+                        break
+                    t = t_next
+                    a_new, a_dot_new, *_ = _dop853_step(force, a, a_dot, f, t - s)
+                    nfev += _STAGE_EVALS
+                samples.append((t, a_new, a_dot_new))
+                fate, touchdown_s = Fate.TOUCHDOWN, t
+                break
+
+            s, a, a_dot = s_new, a_new, a_dot_new
+            f = force(a)
+            nfev += 1
+            samples.append((s, a, a_dot))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalError(f"a(s) left the float range at xi={problem.xi}, kappa={problem.kappa}: {exc}") from exc
 
     samples = np.array(samples)
     e0 = float(problem.energy(problem.a0, problem.a1))
@@ -412,7 +416,7 @@ def classify(problem: EmdenProblem) -> Classification:
 
 
 class QuadratureBudgetExceeded(NumericalError):
-    """Kept for callers that catch it; the closed-form oracle never raises it."""
+    """Raised by no dp2 code; perfbench's self-tests and ``workloads.KNOWN_FAILURES`` name it."""
 
 
 def touchdown_time_quadrature(problem: EmdenProblem) -> float:

@@ -82,12 +82,8 @@ LENGTH = 2.0 * math.pi
 # cap, 256 MB of (rho, u).
 SNAPSHOT_POINTS_MAX = 16 * N_MAX
 CFL_VELOCITY_FLOOR = 1e-12
-# trig_interp: points within UNIFORM_RTOL*(L + |xs[0]|) of one uniform
-# period take the FFT route; the dense route builds its phase matrix
-# DENSE_BLOCK_ROWS points at a time (DENSE_BLOCK_ROWS*(n/2+1)*16 bytes
-# per block, 8.4 MB at n=4096).
+# How far xs may lie from one uniform period before trig_interp refuses it.
 UNIFORM_RTOL = 64 * np.finfo(float).eps
-DENSE_BLOCK_ROWS = 256
 # Grid growth in run_blowup_experiment (see the module docstring).
 START_N_MIN = 1024
 START_BAND_RTOL = 1e-13
@@ -597,49 +593,43 @@ def _is_one_period(grid: Grid1D, xs: np.ndarray) -> bool:
     m = xs.size
     if m < 2:
         return False
-    uniform = xs[0] + np.arange(m) * (grid.length / m)
+    uniform = xs[0] + np.arange(m, dtype=float) * (grid.length / m)  # float: same values, no int cast
     tol = UNIFORM_RTOL * (grid.length + abs(float(xs[0])))
-    return bool(np.max(np.abs(xs - uniform)) <= tol)
+    return bool(np.abs(xs - uniform).max() <= tol)
+
+
+def _one_period(grid: Grid1D, xs) -> np.ndarray:
+    """xs as a flat float array if it is one uniform period, else ValidationError."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    if not _is_one_period(grid, xs):
+        raise ValidationError(f"xs must be one uniform period xs[0] + j*L/m, j < m, m >= 2, L = {grid.length}")
+    return xs
 
 
 def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of nodal values at xs.
+    """Evaluate the trigonometric interpolant of nodal values at one period of points.
 
     values has shape (n,) or (..., n), for instance rho and u stacked as
-    (2, n); the result has shape values.shape[:-1] + (len(xs),).  The
-    interpolant is Re sum_k a_k c_k exp(i w_k (x - x0)) over the
-    half-spectrum c = rfft(values), with a_k = 2/n (1/n for the mean
-    and Nyquist modes).  Two routes evaluate the same sum:
-
-    * one period, when xs is xs[0] + j*L/m for j = 0..m-1 to within
-      UNIFORM_RTOL*(L + |xs[0]|), m >= 2: the terms are shifted by
-      exp(i w_k (xs[0] - x0)), folded mod m (zero-padded when m > n)
-      and summed by one inverse FFT of length m, O(n log n + m log m).
-      The points are taken as exactly uniform, which moves the result
-      by no more than the round-off already carried by xs.
-    * anything else (single points, partial periods, non-uniform
-      points): the dense phase matrix, O(m n), built DENSE_BLOCK_ROWS
-      points at a time, so its memory does not grow with len(xs).
+    (2, n); the result has shape values.shape[:-1] + (m,).  xs must be
+    xs[0] + j*L/m, j = 0..m-1, m >= 2, to within UNIFORM_RTOL*(L + |xs[0]|),
+    else ValidationError, and is taken as exactly uniform, which moves the
+    result by no more than the round-off xs carries.  The interpolant
+    Re sum_k a_k c_k exp(i w_k (x - x0)), c = rfft(values), a_k = 2/n (1/n
+    for the mean and Nyquist modes), is shifted by exp(i w_k (xs[0] - x0)),
+    folded mod m (zero-padded when m > n) and summed by one inverse FFT of
+    length m, O(n log n + m log m).
     """
+    xs = _one_period(grid, xs)
     values = np.asarray(values, dtype=float)
-    xs = np.asarray(xs, dtype=float).ravel()
     coeffs = np.fft.rfft(values) / grid.n
     coeffs[..., 1:-1] *= 2.0  # n is even: the mean and Nyquist modes count once
     m = xs.size
-    if _is_one_period(grid, xs):
-        coeffs = coeffs * np.exp(1j * grid.wavenumbers * (xs[0] - grid.x0))
-        folds = -(-coeffs.shape[-1] // m)
-        padded = np.zeros(coeffs.shape[:-1] + (folds * m,), dtype=complex)
-        padded[..., : coeffs.shape[-1]] = coeffs
-        folded = padded.reshape(coeffs.shape[:-1] + (folds, m)).sum(axis=-2)
-        return np.fft.ifft(folded, norm="forward").real
-    out = np.empty(coeffs.shape[:-1] + (m,))
-    for start in range(0, m, DENSE_BLOCK_ROWS):
-        block = xs[start : start + DENSE_BLOCK_ROWS]
-        phase = np.exp(1j * np.outer(block - grid.x0, grid.wavenumbers))
-        # a row-wise sum, not a matmul: the values do not depend on the blocking
-        out[..., start : start + block.size] = (phase * coeffs[..., None, :]).sum(-1).real
-    return out
+    coeffs = coeffs * np.exp(1j * grid.wavenumbers * (xs[0] - grid.x0))
+    folds = -(-coeffs.shape[-1] // m)
+    padded = np.zeros(coeffs.shape[:-1] + (folds * m,), dtype=complex)
+    padded[..., : coeffs.shape[-1]] = coeffs
+    folded = padded.reshape(coeffs.shape[:-1] + (folds, m)).sum(axis=-2)
+    return np.fft.ifft(folded, norm="forward").real
 
 
 class RunSampler:
@@ -651,9 +641,9 @@ class RunSampler:
     (shorter than that state's CFL dt), cached per t, so a sample depends
     on t alone, not on the times asked before; a non-finite t raises, and
     so does a t the run cannot reach within RUN_STATES_MAX states.
-    rho and u are evaluated together by one trig_interp call: a query
-    over one full period of uniform points (the residual lab's grid
-    nodes shifted by c*h) costs O(n log n + m log m), any other O(m n).
+    rho and u come from one trig_interp call, O(n log n + m log m), so xs
+    must be one full period of uniform points (the residual lab's grid
+    nodes shifted by c*h); other xs raise ValidationError before any step.
     """
 
     def __init__(self, state0: SolverState):
@@ -677,6 +667,7 @@ class RunSampler:
         return state
 
     def __call__(self, t: float, xs):
+        xs = _one_period(self._run[0].grid, xs)
         state = self._state_at(t)
         rho, u = trig_interp(state.grid, state.rows[:2], xs)
         return rho, u

@@ -12,9 +12,8 @@ Residual norms are taken over the interior of the density support,
 keeping a margin delta from its edge: the assembled solutions are only
 C0 there (the shape's derivative diverges at the support boundary) and
 satisfy the equations on the support only, so edge and exterior nodes
-would destroy the convergence order.  Time derivatives use their own
-dt rather than the trajectory's dense output so third-party solver
-snapshots can be validated through the same interface.
+would destroy the convergence order.  Time derivatives are central
+differences with their own dt, read from the sampler like any stencil point.
 """
 
 from __future__ import annotations

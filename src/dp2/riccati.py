@@ -12,21 +12,18 @@ which escapes to -infinity at the closed-form time
 
 with the M = 0 limit T = -1/v0 (v(t) = v0/(1 + v0*t)).  The comparison
 is an inequality, so T is an upper bound on the blowup time of the true
-slope, not an exact time.  Positivity of a transported density along a
-characteristic is exposed separately through the accumulated-divergence
-factor exp(-(k1+k2) * int div u dt).
+slope, not an exact time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .selfsim import SystemParams
 
 # Beyond this magnitude the comparison trajectory counts as escaped:
 # one more RK4 step would be meaningless and the closed form governs.
@@ -34,10 +31,6 @@ ESCAPE_THRESHOLD = 1e6
 
 # Rows of (t, v) tuples a comparison trajectory may keep, about 100 MB.
 MAX_TRAJECTORY_ROWS = 10**6
-
-
-class EmptyHistory(ValidationError):
-    """The divergence history must contain at least one sample."""
 
 
 @dataclass(frozen=True)
@@ -125,23 +118,3 @@ def escape_time(crit: BlowupCriterion, dt: float, t_max: float = 10.0) -> Option
     t, v = comparison_trajectory(crit, dt, t_max)[-1]
     return float(t) if abs(v) > ESCAPE_THRESHOLD else None
 
-
-def density_positivity_factor(
-    ux_history: Sequence[tuple[float, float]], params: SystemParams
-) -> float:
-    """Accumulated positivity factor exp(-(k1+k2) * int div u dt).
-
-    ``ux_history`` holds (t, div u) samples along a characteristic on a
-    uniform time grid.  The factor is strictly positive for any finite
-    history, which is the discrete shadow of positivity preservation of
-    a transported density.
-    """
-    hist = np.asarray(ux_history, dtype=float)
-    if hist.size == 0:
-        raise EmptyHistory("ux_history is empty")
-    hist = np.atleast_2d(hist)
-    if hist.shape[0] == 1:
-        integral = 0.0
-    else:
-        integral = float(np.trapezoid(hist[:, 1], hist[:, 0]))
-    return math.exp(-(params.k1 + params.k2) * integral)

@@ -423,6 +423,18 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert any(line.startswith("numerical failure:") for line in lines)
 
 
+@pytest.mark.parametrize("args", [
+    ("emden", "--xi", "-1", "--kappa", "1e308"),
+    ("sweep", "--grid", "kappa=0.5:1e308:2", "xi=-1:-2:2"),
+])
+def test_float_range_failure_of_integrate_exits_3(tmp_path, capsys, args):
+    # a**kappa's ZeroDivisionError escaped as a traceback with exit 1, "criterion failed"
+    code = run_cli(args[0], "--out", str(tmp_path), *args[1:])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "kappa=1e+308" in err
+
+
 def test_numerical_failure_is_the_only_stderr_line(tmp_path):
     # a subprocess, so numpy's RuntimeWarnings would reach stderr as in a shell
     proc = subprocess.run(
@@ -675,6 +687,22 @@ def test_sweep_rejects_repeated_axis(tmp_path, capsys):
     assert code == 2
     assert "xi" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("axis", ["xi=-1:nan:3", "xi=-1:inf:3", "a1=-1.7e308:1.7e308:3"])
+def test_sweep_refuses_a_non_finite_axis_before_any_cell(tmp_path, capsys, monkeypatch, axis):
+    # nan ran the first cell before exiting 2; inf, and a span past the float
+    # range, made np.linspace warn
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(emden, "integrate", no_cell)
+    assert run_cli("sweep", "--out", str(tmp_path), "--grid", axis) == 2
+    key = axis.split("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: grid axis {key}: start, stop and stop - start must be finite\n"
+    )
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_makes_one_integrate_call_per_cell_and_no_oracle_call(tmp_path, monkeypatch):

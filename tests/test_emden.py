@@ -1,6 +1,7 @@
 """Scale-factor dynamics: events, classification, energy, oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dp2.emden import (
     integrate,
     touchdown_time_quadrature,
 )
-from dp2.errors import ValidationError
+from dp2.errors import NumericalError, ValidationError
 
 CANONICAL = dict(xi=-1.0, kappa=0.5, mu=4.0, a0=1.0, a1=0.0)
 
@@ -344,6 +345,18 @@ def test_step_collapse_off_a_falling_trajectory_still_raises(monkeypatch):
     collapse_after_one_step(EmdenProblem(xi=1.0, kappa=0.5, s_max=2.0))
     # falling, but far from a = 0
     collapse_after_one_step(EmdenProblem(xi=-1.0, kappa=0.5, a1=-1.0, s_max=0.1))
+
+
+@pytest.mark.parametrize("xi, kappa, cause", [
+    (-1.0, 1e308, ZeroDivisionError),  # a**kappa underflows to 0 once a < 1
+    (1.0, 1e308, OverflowError),  # and overflows once a > 1
+    (-1.0, -1e4, OverflowError),
+])
+def test_float_range_failures_raise_a_numerical_error_naming_kappa(xi, kappa, cause):
+    # these inputs pass validation, and the bare float error escaped integrate
+    with pytest.raises(NumericalError, match=re.escape(f"kappa={kappa}")) as info:
+        integrate(EmdenProblem(xi=xi, kappa=kappa))
+    assert isinstance(info.value.__cause__, cause)
 
 
 @pytest.mark.parametrize("a1", [0.7, -0.7])

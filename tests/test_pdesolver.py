@@ -28,7 +28,6 @@ from dp2.pdesolver import (
     trig_interp,
 )
 from dp2.residual import equation_residuals
-from dp2.riccati import density_positivity_factor
 from dp2.selfsim import SystemParams
 
 PARAMS = SystemParams(k1=1.0, k2=1.0, k3=1.0)
@@ -372,7 +371,7 @@ def test_run_sampler_matches_states_and_feeds_residual_lab():
     assert np.max(np.abs(rho_s - state0.rho)) < 1e-12
     assert np.max(np.abs(u_s - state0.u)) < 1e-12
     # trig interpolation reproduces the band-limited fields off-grid
-    xq = x[:32] + 0.37 * grid.dx
+    xq = x + 0.37 * grid.dx
     rho_q, _ = sampler(0.0, xq)
     assert np.max(np.abs(rho_q - (0.8 + 0.1 * np.cos(xq)))) < 1e-10
     r1, _, _ = equation_residuals(sampler, PARAMS, 0.05, grid, 1e-3, 1e-3)
@@ -387,21 +386,24 @@ def test_characteristic_density_factor_matches_pointwise_density():
     rho0 = 1.0 + 0.5 * np.exp(-((x - math.pi) ** 2) / (2.0 * 0.4**2))
     state = make_state(grid, rho0, 0.3 * np.sin(x))
     q = math.pi + 0.5
-    rho_start = float(trig_interp(grid, state.rho, np.array([q]))[0])
-    history = [(0.0, float(trig_interp(grid, state.rows[3], np.array([q]))[0]))]
+
+    def at(values, point):  # the interpolant at one point, through the dense reference
+        return float(dense_interp(grid, values, [point])[0])
+
+    rho_start = at(state.rho, q)
+    ts, ux = [0.0], [at(state.rows[3], q)]
     while state.t < 0.5:
         dt = cfl_dt(state)
-        u_here = float(trig_interp(grid, state.u, np.array([q]))[0])
+        u_here = at(state.u, q)
         new_state = step(state, dt)
         q_pred = q + dt * PARAMS.k2 * u_here
-        u_pred = float(trig_interp(grid, new_state.u, np.array([q_pred]))[0])
+        u_pred = at(new_state.u, q_pred)
         q = q + 0.5 * dt * PARAMS.k2 * (u_here + u_pred)
         state = new_state
-        ux_here = float(trig_interp(grid, state.rows[3], np.array([q]))[0])
-        history.append((state.t, ux_here))
-    factor = density_positivity_factor(history, PARAMS)
-    rho_end = float(trig_interp(grid, state.rho, np.array([q]))[0])
-    assert factor > 0.0
+        ts.append(state.t)
+        ux.append(at(state.rows[3], q))
+    factor = math.exp(-(PARAMS.k1 + PARAMS.k2) * np.trapezoid(ux, ts))
+    rho_end = at(state.rho, q)
     assert rho_end / rho_start == pytest.approx(factor, rel=1e-2)
 
 
@@ -514,28 +516,23 @@ def test_trig_interp_one_period_wraps_past_the_domain(start):
     assert err <= 1e-13 * np.max(np.abs(values))
 
 
-def test_trig_interp_other_points_take_dense_route():
+def test_trig_interp_and_run_sampler_refuse_other_points():
+    # a single point, a partial period and jittered nodes, which the removed
+    # dense phase-matrix route used to take
     grid = Grid1D(n=256, length=TWO_PI)
     values = solver_like_fields(grid)
+    state0 = SolverState.make(0.0, values[0], values[1], PARAMS, grid)
     x = grid.nodes
     jitter = np.random.default_rng(3).uniform(-1e-3, 1e-3, size=grid.n) * grid.dx
     for xs in (np.array([1.234]), x[:32] + 0.37 * grid.dx, x + jitter):
         assert not pdesolver._is_one_period(grid, xs)
-        got = trig_interp(grid, values, xs)
-        for row, field in zip(got, values):
-            want = dense_interp(grid, field, xs)
-            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(field))
-
-
-def test_trig_interp_dense_blocks_do_not_change_values(monkeypatch):
-    grid = Grid1D(n=256, length=TWO_PI)
-    values = solver_like_fields(grid)
-    xs = np.random.default_rng(4).uniform(-1.0, 8.0, size=1000)
-    monkeypatch.setattr(pdesolver, "DENSE_BLOCK_ROWS", xs.size)
-    single = trig_interp(grid, values, xs)
-    for rows in (1, 7, 256):
-        monkeypatch.setattr(pdesolver, "DENSE_BLOCK_ROWS", rows)
-        assert np.array_equal(trig_interp(grid, values, xs), single)
+        with pytest.raises(ValidationError, match="one uniform period"):
+            trig_interp(grid, values, xs)
+        sampler = RunSampler(state0)
+        assert 0.05 > cfl_dt(state0)  # the query would need a step
+        with pytest.raises(ValidationError, match="one uniform period"):
+            sampler(0.05, xs)
+        assert len(sampler._run) == 1 and not sampler._landed
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Blowup-time bound: closed form vs RK4 oracle, limits, positivity factor."""
+"""Blowup-time bound: closed form vs RK4 oracle, limits."""
 
 import math
 
@@ -9,13 +9,10 @@ from dp2.errors import ValidationError
 from dp2.riccati import (
     ESCAPE_THRESHOLD,
     BlowupCriterion,
-    EmptyHistory,
     check,
     comparison_trajectory,
-    density_positivity_factor,
     escape_time,
 )
-from dp2.selfsim import SystemParams
 
 
 def test_unbounded_point_closed_form():
@@ -103,22 +100,6 @@ def test_small_m_limit_continuity():
         if last is not None:
             assert gap < last
         last = gap
-
-
-def test_positivity_factor_identity_and_closed_form():
-    params = SystemParams(k1=1.0, k2=1.0, k3=1.0)
-    ts = np.linspace(0.0, 1.0, 11)
-    zero = np.column_stack([ts, np.zeros_like(ts)])
-    assert density_positivity_factor(zero, params) == 1.0
-    const = np.column_stack([ts, np.full_like(ts, 0.7)])
-    expected = math.exp(-(1.0 + 1.0) * 0.7 * 1.0)
-    assert density_positivity_factor(const, params) == pytest.approx(expected, rel=1e-12)
-    assert density_positivity_factor(const, params) > 0.0
-
-
-def test_positivity_factor_empty_history():
-    with pytest.raises(EmptyHistory):
-        density_positivity_factor(np.empty((0, 2)), SystemParams(1.0, 1.0, 1.0))
 
 
 def test_rejects_negative_m():
