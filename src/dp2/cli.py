@@ -15,7 +15,7 @@ SWEEP_TOL = 1e-8; verify's grids span VERIFY_LENGTH = 4.096 centred at
 s_max: it integrates the scale factor up to s = 4*(t + dt_over_h*h), h
 the coarsest level's spacing, which is the last time its stencils read,
 and refuses a t whose stencils reach below t = 0 or to the collapse
-time.  ``solve`` has no width or margin setting (the bump is L/16 wide
+time, or whose s is not finite.  ``solve`` has no width or margin setting (the bump is L/16 wide
 and the margin pdesolver.MARGIN); it refuses a snapshot time outside
 [0, t_max] or more snapshot nodes than pdesolver.SNAPSHOT_POINTS_MAX,
 and its summary lists the t of each snapshot file.  Every grid (solve's
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import itertools
 import json
 import math
@@ -52,8 +51,6 @@ EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_signature = functools.cache(inspect.signature)  # uncached it costs ~30 us per sweep cell
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the template and its text
 SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
@@ -96,37 +93,38 @@ def write_json(path: Path, obj) -> None:
 # Parameter schemas and config resolution.
 # ---------------------------------------------------------------------------
 
+_EMDEN = {  # emden.EmdenProblem's fields
+    "xi": (float, None),
+    "kappa": (float, 0.5),
+    "mu": (float, 4.0),
+    "a0": (float, 1.0),
+    "a1": (float, 0.0),
+    "s_max": (float, 10.0),
+}
+
+_SOLUTION = {  # read by _solution into SystemParams and build_solution
+    "k1": (float, 1.0),
+    "k2": (float, 1.0),
+    "k3": (float, None),
+    "xi": (float, None),
+    "alpha": (float, 1.0),
+    "a0": (float, 1.0),
+    "a1": (float, 0.0),
+    "mu": (float, 4.0),
+}
+
 SCHEMAS = {
-    "emden": {
-        "xi": (float, None),
-        "kappa": (float, 0.5),
-        "mu": (float, 4.0),
-        "a0": (float, 1.0),
-        "a1": (float, 0.0),
-        "s_max": (float, 10.0),
-    },
+    "emden": _EMDEN,
     "selfsim": {
-        "k1": (float, 1.0),
-        "k2": (float, 1.0),
-        "k3": (float, None),
-        "xi": (float, None),
-        "alpha": (float, 1.0),
-        "a0": (float, 1.0),
-        "a1": (float, 0.0),
-        "mu": (float, 4.0),
+        **_SOLUTION,
         "s_max": (float, 10.0),
         "times": (str, "0,0.1,0.2"),
         "grid_n": (int, 256),
     },
     "verify": {
-        "k1": (float, 1.0),
-        "k2": (float, 1.0),
+        **_SOLUTION,
         "k3": (float, 1.0),
         "xi": (float, 1.0),
-        "alpha": (float, 1.0),
-        "a0": (float, 1.0),
-        "a1": (float, 0.0),
-        "mu": (float, 4.0),
         "t": (float, 0.1),
         "n_base": (int, 512),
         "levels": (int, 4),
@@ -140,7 +138,7 @@ SCHEMAS = {
         "dt": (float, 1e-4),
         "t_max": (float, 10.0),
     },
-    "solve": {
+    "solve": {  # pdesolver.BlowupExperimentConfig's fields, and snapshot_times
         "n": (int, 2048),
         "k1": (float, 1.0),
         "k2": (float, 1.0),
@@ -151,11 +149,8 @@ SCHEMAS = {
         "snapshot_times": (str, ""),
     },
     "sweep": {
+        **_EMDEN,
         "xi": (float, -1.0),
-        "kappa": (float, 0.5),
-        "mu": (float, 4.0),
-        "a0": (float, 1.0),
-        "a1": (float, 0.0),
         "s_max": (float, 20.0),
     },
 }
@@ -226,14 +221,9 @@ class Run:
             write_json(self.out / name, {**summary, "config": echo})
 
 
-def _make(build, resolved: dict, /, **extra):
-    """Call ``build`` with the resolved params its signature names, plus ``extra``."""
-    names = _signature(build).parameters
-    return build(**{key: value for key, value in resolved.items() if key in names}, **extra)
-
-
-def _solution(params: dict, /, **extra):
-    return _make(build_solution, params, params=_make(SystemParams, params), **extra)
+def _solution(p: dict, s_max: float):
+    return build_solution(SystemParams(k1=p["k1"], k2=p["k2"], k3=p["k3"]), xi=p["xi"], alpha=p["alpha"],
+                          a0=p["a0"], a1=p["a1"], s_max=s_max, mu=p["mu"])
 
 
 def _parse_times(raw: str) -> list[float]:
@@ -252,9 +242,10 @@ def _parse_times(raw: str) -> list[float]:
 
 
 def cmd_emden(run: Run) -> int:
-    traj = emden.integrate(_make(emden.EmdenProblem, run.params))
+    traj = emden.integrate(emden.EmdenProblem(**run.params))
+    summary = traj.summary()  # first, so a refused energy drift leaves no trajectory behind
     run.csv("emden_trajectory.csv", "s,a,a_dot", traj.samples.tolist())
-    run.json("emden_summary.json", traj.summary())
+    run.json("emden_summary.json", summary)
     print(f"fate = {traj.fate.value}" + (f", S = {_fmt(traj.touchdown_s)}" if traj.touchdown_s else ""))
     return EXIT_OK
 
@@ -268,7 +259,7 @@ def cmd_selfsim(run: Run) -> int:
         raise ValidationError(f"grid_n must be in [2, {N_MAX}], got {params['grid_n']}")
     if params["k3"] == 0.0:
         raise ValidationError("k3 = 0 (free-profile branch) is library-only; pass k3 != 0")
-    sol = _solution(params)
+    sol = _solution(params, params["s_max"])
     metadata = [sol.snapshot_metadata(t) for t in times]  # validates every t before a write
     for idx, meta in enumerate(metadata):
         if run.wants("csv"):
@@ -300,7 +291,11 @@ def cmd_verify(run: Run) -> int:
     if t - reach < 0.0:
         raise ValidationError(f"--t {t} is below the stencil reach dt_over_h*h = {reach}"
                               " of the coarsest level: the study would sample t < 0")
-    sol = _solution(params, s_max=4.0 * (t + reach))
+    s_max = 4.0 * (t + reach)
+    if not math.isfinite(s_max):
+        raise ValidationError(f"--t {t} plus the stencil reach {reach} puts the study's last"
+                              " sample s = 4*(t + reach) past the float range")
+    sol = _solution(params, s_max)
     if sol.traj.touchdown_s is not None:
         raise ValidationError(f"--t {t} plus the stencil reach {reach} is at or past the"
                               f" collapse time T={sol.traj.touchdown_s / 4.0}")
@@ -340,10 +335,10 @@ def cmd_riccati(run: Run) -> int:
 
 
 def cmd_solve(run: Run) -> int:
-    params = run.params
-    config = _make(pdesolver.BlowupExperimentConfig, params)
-    snapshot_times = _parse_times(params["snapshot_times"])
-    result = pdesolver.run_blowup_experiment(config, snapshot_times=snapshot_times)
+    params = dict(run.params)  # run.params keeps snapshot_times for the summary's echo
+    snapshot_times = params.pop("snapshot_times")
+    config = pdesolver.BlowupExperimentConfig(**params)
+    result = pdesolver.run_blowup_experiment(config, snapshot_times=_parse_times(snapshot_times))
     run.csv("solve_diagnostics.csv", "t,min_ux,max_rho",
             zip(result.times.tolist(), result.min_ux.tolist(), result.max_rho.tolist()))
     nodes = Grid1D(n=params["n"], length=pdesolver.LENGTH).nodes.tolist()
@@ -408,10 +403,10 @@ def cmd_sweep(run: Run) -> int:
         raise ValidationError("sweep needs at least one --grid axis")
     names = sorted(axes)
     rows = []
-    header = ["xi", "kappa", "mu", "a0", "a1", "s_max"]
+    header = list(SCHEMAS["sweep"])
     for cell in itertools.product(*(axes[name] for name in names)):
         cell_params = {**run.params, **dict(zip(names, cell))}
-        traj = emden.integrate(_make(emden.EmdenProblem, cell_params), tol=SWEEP_TOL)
+        traj = emden.integrate(emden.EmdenProblem(**cell_params), tol=SWEEP_TOL)
         rows.append(
             [cell_params[name] for name in header]
             + [traj.fate.value, traj.touchdown_s if traj.touchdown_s is not None else ""]

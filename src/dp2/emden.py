@@ -132,9 +132,12 @@ class EmdenTrajectory:
     ``samples`` holds the accepted integrator steps as rows (s, a, a'),
     ending at the touchdown state when ``fate`` is TOUCHDOWN.
     ``touchdown_s`` is then the touchdown time S, else None.
-    :meth:`state` reads (a, a') at any s of the trajectory.  ``nfev``
-    and ``rejected_steps`` count the right-hand-side evaluations and
-    the rejected step attempts of the run that built the trajectory.
+    :meth:`state` reads (a, a') at any s of the trajectory.
+    ``energy_drift_max`` is the largest |E - E(0)| over the samples,
+    relative to max(1, |E(0)|), and inf when an energy E leaves the
+    float range.  ``nfev`` and ``rejected_steps`` count the
+    right-hand-side evaluations and the rejected step attempts of the
+    run that built the trajectory.
     """
 
     problem: EmdenProblem
@@ -167,6 +170,12 @@ class EmdenTrajectory:
         return a, a_dot
 
     def summary(self) -> dict:
+        """fate, S and the energy drift; refuses an infinite drift, which JSON cannot hold."""
+        if not math.isfinite(self.energy_drift_max):
+            raise NumericalError(
+                f"the energy of a(s) left the float range at xi={self.problem.xi},"
+                f" kappa={self.problem.kappa}: energy_drift_max is not finite"
+            )
         return {
             "fate": self.fate.value,
             "S": self.touchdown_s,
@@ -299,9 +308,11 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
     ------
     StepCollapse
         If the step size collapses in any other state before touchdown
-        or s_max; must not occur for kappa in (0, 1].
+        or s_max while the last attempt's (a, a') is finite.
     NumericalError
-        If a float operation divides by zero or overflows, as a**kappa can for kappa = 1e308.
+        If a float operation divides by zero or overflows, as a**kappa can for kappa = 1e308,
+        or if the step size collapses while the last attempt's (a, a') is not finite, as
+        the stages' sums of a' are for a0 = a1 = 1e308.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValidationError(f"tol must lie in (0, 1e-3], got {tol}")
@@ -338,6 +349,11 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
                 rejected = True
                 rejected_steps += 1
             else:
+                if not (math.isfinite(a_new) and math.isfinite(a_dot_new)):
+                    raise NumericalError(
+                        f"a(s) left the float range at xi={problem.xi}, kappa={problem.kappa}:"
+                        f" the step from s={s} fell below 10 ulp(s) on a non-finite (a, a')"
+                    )
                 # For xi < 0 the fall only speeds up, so a falling trajectory reaches
                 # a = 0 within a/|a'| of its last sample.  When that is a negligible
                 # fraction of s, the step collapsed on a touchdown window narrower
@@ -374,9 +390,12 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
         raise NumericalError(f"a(s) left the float range at xi={problem.xi}, kappa={problem.kappa}: {exc}") from exc
 
     samples = np.array(samples)
-    e0 = float(problem.energy(problem.a0, problem.a1))
-    energies = problem.energy(samples[:, 1], samples[:, 2])
-    drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed energy reads inf or nan
+        e0 = float(problem.energy(problem.a0, problem.a1))
+        energies = problem.energy(samples[:, 1], samples[:, 2])
+        drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
+    if not math.isfinite(drift):
+        drift = math.inf
 
     return EmdenTrajectory(
         problem=problem,

@@ -435,6 +435,37 @@ def test_float_range_failure_of_integrate_exits_3(tmp_path, capsys, args):
     assert err.startswith("numerical failure: ") and "kappa=1e+308" in err
 
 
+def test_emden_refuses_an_energy_that_left_the_float_range(tmp_path, capsys):
+    # exited 0 after four numpy RuntimeWarnings and wrote "energy_drift_max": NaN
+    code = run_cli("emden", "--out", str(tmp_path), "--xi=-1e308", "--a0", "1e300", "--a1=-1e300")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the energy of a(s) left the float range at xi=-1e+308, kappa=0.5:"
+        " energy_drift_max is not finite\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_never_reads_an_energy_that_left_the_float_range(tmp_path, capsys):
+    code = run_cli("sweep", "--out", str(tmp_path), "--grid", "xi=-1e308:-1e307:2",
+                   "--a0", "1e300", "--a1=-1e300")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv_rows(tmp_path / "sweep.csv")
+    assert [row[-2:] for row in rows] == [["TouchdownAt", "0.99999999000000073"]] * 2
+
+
+def test_step_collapse_outside_the_float_range_names_the_float_range(tmp_path, capsys):
+    # said "step size fell below 10 ulp(s) at s=0.0 before touchdown or s_max"
+    code = run_cli("emden", "--out", str(tmp_path), "--xi", "1", "--a0", "1e308", "--a1", "1e308")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: a(s) left the float range at xi=1.0, kappa=0.5:"
+        " the step from s=0.0 fell below 10 ulp(s) on a non-finite (a, a')\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
 def test_numerical_failure_is_the_only_stderr_line(tmp_path):
     # a subprocess, so numpy's RuntimeWarnings would reach stderr as in a shell
     proc = subprocess.run(
@@ -574,11 +605,26 @@ def test_verify_rejects_a_t_whose_stencil_leaves_the_solution(tmp_path, capsys, 
         assert float(message.rsplit("T=", 1)[1]) == pytest.approx(s_oracle / 4.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--t", "1e308"), "--t 1e+308 plus the stencil reach 0.008"),
+    (("--t", "5e307", "--n-base", "64", "--levels", "3"), "--t 5e+307 plus the stencil reach 0.064"),
+])
+def test_verify_refuses_a_t_whose_last_sample_leaves_the_float_range(tmp_path, capsys, args,
+                                                                       message):
+    # named "s_max must be positive and finite, got s_max=inf", a setting verify has no flag for
+    code = run_cli("verify", "--out", str(tmp_path), *args)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {message} puts the study's last sample s = 4*(t + reach) past the float range\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
 def _record_verify_builds(monkeypatch):
     """Record every solution cmd_verify builds, and every integrate call."""
     built, integrated = [], []
 
-    @functools.wraps(build_solution)  # cmd_verify passes the params its signature names
+    @functools.wraps(build_solution)  # keeps build_solution's name; cmd_verify calls it by keyword
     def recording_build(*args, **kwargs):
         built.append(build_solution(*args, **kwargs))
         return built[-1]
@@ -759,8 +805,8 @@ def test_sweep_cell_cap_is_inclusive(tmp_path, monkeypatch, capsys):
 
 
 def test_schema_names_match_constructor_fields():
-    # the CLI passes each constructor the resolved params its signature names,
-    # so a renamed field would silently fall back to its default
+    # the CLI calls each constructor by name with its schema's keys, so a renamed
+    # field fails at the call; this pins the names and defaults the two share
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
 

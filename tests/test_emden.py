@@ -359,6 +359,23 @@ def test_float_range_failures_raise_a_numerical_error_naming_kappa(xi, kappa, ca
     assert isinstance(info.value.__cause__, cause)
 
 
+def test_an_energy_outside_the_float_range_reads_an_infinite_drift():
+    # under the suite's filterwarnings = error this raised numpy's overflow
+    # RuntimeWarning; outside it the drift read nan
+    traj = integrate(EmdenProblem(xi=-1e308, kappa=0.5, a0=1e300, a1=-1e300))
+    assert traj.fate is Fate.TOUCHDOWN and traj.touchdown_s == 0.99999999000000073
+    assert traj.energy_drift_max == math.inf
+    with pytest.raises(NumericalError, match=re.escape("the energy of a(s) left the float range")):
+        traj.summary()
+
+
+def test_step_collapse_outside_the_float_range_names_the_float_range():
+    # every step's (a, a') from a0 = a1 = 1e308 is nan; this raised StepCollapse
+    with pytest.raises(NumericalError, match=re.escape("a(s) left the float range")) as info:
+        integrate(EmdenProblem(xi=1.0, kappa=0.5, a0=1e308, a1=1e308))
+    assert not isinstance(info.value, StepCollapse)
+
+
 @pytest.mark.parametrize("a1", [0.7, -0.7])
 def test_oracle_log_potential_both_slopes(a1):
     kwargs = dict(xi=-1.0, mu=4.0, a0=1.3, a1=a1)
