@@ -54,8 +54,9 @@ EXIT_NUMERICAL = 3
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the template and its text
 SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
-# Most cells dp2 sweep runs: at 1.4-1.7 ms a cell (a 16x16 xi x kappa touchdown
-# lattice, x86_64, Python 3.11), a full lattice takes about 2 minutes.
+# Most cells dp2 sweep runs: at 0.65-0.72 ms of CPU a cell (a 16x16 xi x kappa
+# touchdown lattice, x86_64 Xeon virtual machine, Python 3.11.7), a full lattice
+# takes under a minute.
 SWEEP_CELLS_MAX = 2**16
 VERIFY_LENGTH = 4.096  # dp2 verify's grids span [-VERIFY_LENGTH/2, VERIFY_LENGTH/2)
 

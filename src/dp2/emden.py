@@ -14,7 +14,10 @@ Two independent routes to the touchdown time are provided:
 
 * :func:`integrate` - the adaptive embedded Runge-Kutta pair DOP853,
   stepped on plain floats, with event detection at the touchdown
-  threshold, S being where the crossing step's landing map meets it;
+  threshold, S being where the crossing step's landing map meets it.
+  The step is straight-line code whose literals are scipy's DOP853
+  coefficients; the test suite compares it bit for bit with a step
+  driven by scipy's coefficient tables;
 * :func:`touchdown_time_quadrature` - closed-form energy reduction
   a'^2 = a1^2 + 2*xi*(a^(1-kappa) - a0^(1-kappa))/(mu*(1-kappa)),
   whose time integral ds = -da/|a'(a)| is the regularized incomplete
@@ -196,44 +199,7 @@ def _force(problem: EmdenProblem):
     return force
 
 
-# DOP853, the 8(5,3) pair of Hairer, Norsett & Wanner (Solving ODEs I,
-# sec. II.10), with the coefficients of scipy's dop853_coefficients module.
-# _STAGES[i - 1] lists the nonzero (j, A[i, j]) of stage i = 1..11;
-# _WEIGHTS lists (j, B[j], E3[j], E5[j]) for the stages that the solution
-# and the two error estimates weigh.
-_STAGES = (
-    ((0, 0.05260015195876773),),
-    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
-    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
-    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
-    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
-    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
-     (5, -0.017578125)),
-    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
-     (5, -0.015319437748624402), (6, 0.008273789163814023)),
-    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
-     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
-    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
-     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
-     (8, -0.020331201708508627)),
-    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
-     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
-     (8, 2.4936055526796523), (9, -3.0467644718982196)),
-    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
-     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
-     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
-)
-_WEIGHTS = (
-    (0, 0.054293734116568765, -0.18980075407240762, 0.01312004499419488),
-    (5, 4.450312892752409, 4.450312892752409, -1.2251564463762044),
-    (6, 1.8915178993145003, 1.8915178993145003, -0.4957589496572502),
-    (7, -5.801203960010585, -5.801203960010585, 1.6643771824549864),
-    (8, 0.3111643669578199, -0.4226823213237919, -0.35032884874997366),
-    (9, -0.1521609496625161, -0.1521609496625161, 0.3341791187130175),
-    (10, 0.20136540080403034, 0.20136540080403034, 0.08192320648511571),
-    (11, 0.04471061572777259, 0.02265179219836082, -0.022355307863886294),
-)
-_STAGE_EVALS = len(_STAGES)  # right-hand-side evaluations per step; stage 0 is given
+_STAGE_EVALS = 11  # right-hand-side evaluations per DOP853 step; stage 0 is given
 
 # Step-size control of scipy's explicit Runge-Kutta solvers (rk.py).
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
@@ -248,24 +214,78 @@ def _dop853_step(force, a: float, a_dot: float, f: float, h: float):
     Returns (a, a') at the step's end and the 3rd- and 5th-order error
     estimates of each component, (e3_a, e5_a, e3_adot, e5_adot), not yet
     multiplied by h.
+
+    DOP853 is the 8(5,3) pair of Hairer, Norsett & Wanner (Solving ODEs I,
+    sec. II.10), written out stage by stage as in their dop853.f.  The
+    literals are the nonzero A[i, j], B[j], E3[j] and E5[j] of scipy's
+    dop853_coefficients; stage i's a' and a'' are v_i and f_i, and each sum
+    adds its terms in ascending j.
     """
-    vs, fs = [a_dot], [f]  # the stages' a' and a''
-    for row in _STAGES:
-        da = dv = 0.0
-        for j, c in row:
-            da += c * vs[j]
-            dv += c * fs[j]
-        vs.append(a_dot + dv * h)
-        fs.append(force(a + da * h))
-    sa = sv = e3a = e3v = e5a = e5v = 0.0
-    for j, b, e3, e5 in _WEIGHTS:
-        v, g = vs[j], fs[j]
-        sa += b * v
-        sv += b * g
-        e3a += e3 * v
-        e3v += e3 * g
-        e5a += e5 * v
-        e5v += e5 * g
+    v0, f0 = a_dot, f
+    v1 = a_dot + (0.05260015195876773 * f0) * h
+    f1 = force(a + (0.05260015195876773 * v0) * h)
+    v2 = a_dot + (0.0197250569845379 * f0 + 0.0591751709536137 * f1) * h
+    f2 = force(a + (0.0197250569845379 * v0 + 0.0591751709536137 * v1) * h)
+    v3 = a_dot + (0.02958758547680685 * f0 + 0.08876275643042054 * f2) * h
+    f3 = force(a + (0.02958758547680685 * v0 + 0.08876275643042054 * v2) * h)
+    v4 = a_dot + (0.2413651341592667 * f0 - 0.8845494793282861 * f2 + 0.924834003261792 * f3) * h
+    f4 = force(a + (0.2413651341592667 * v0 - 0.8845494793282861 * v2
+                    + 0.924834003261792 * v3) * h)
+    v5 = a_dot + (0.037037037037037035 * f0 + 0.17082860872947386 * f3
+                  + 0.12546768756682242 * f4) * h
+    f5 = force(a + (0.037037037037037035 * v0 + 0.17082860872947386 * v3
+                    + 0.12546768756682242 * v4) * h)
+    v6 = a_dot + (0.037109375 * f0 + 0.17025221101954405 * f3 + 0.06021653898045596 * f4
+                  - 0.017578125 * f5) * h
+    f6 = force(a + (0.037109375 * v0 + 0.17025221101954405 * v3 + 0.06021653898045596 * v4
+                    - 0.017578125 * v5) * h)
+    v7 = a_dot + (0.03709200011850479 * f0 + 0.17038392571223998 * f3 + 0.10726203044637328 * f4
+                  - 0.015319437748624402 * f5 + 0.008273789163814023 * f6) * h
+    f7 = force(a + (0.03709200011850479 * v0 + 0.17038392571223998 * v3 + 0.10726203044637328 * v4
+                    - 0.015319437748624402 * v5 + 0.008273789163814023 * v6) * h)
+    v8 = a_dot + (0.6241109587160757 * f0 - 3.3608926294469414 * f3 - 0.868219346841726 * f4
+                  + 27.59209969944671 * f5 + 20.154067550477894 * f6 - 43.48988418106996 * f7) * h
+    f8 = force(a + (0.6241109587160757 * v0 - 3.3608926294469414 * v3 - 0.868219346841726 * v4
+                    + 27.59209969944671 * v5 + 20.154067550477894 * v6
+                    - 43.48988418106996 * v7) * h)
+    v9 = a_dot + (0.47766253643826434 * f0 - 2.4881146199716677 * f3 - 0.590290826836843 * f4
+                  + 21.230051448181193 * f5 + 15.279233632882423 * f6 - 33.28821096898486 * f7
+                  - 0.020331201708508627 * f8) * h
+    f9 = force(a + (0.47766253643826434 * v0 - 2.4881146199716677 * v3 - 0.590290826836843 * v4
+                    + 21.230051448181193 * v5 + 15.279233632882423 * v6 - 33.28821096898486 * v7
+                    - 0.020331201708508627 * v8) * h)
+    v10 = a_dot + (-0.9371424300859873 * f0 + 5.186372428844064 * f3 + 1.0914373489967295 * f4
+                   - 8.149787010746927 * f5 - 18.52006565999696 * f6 + 22.739487099350505 * f7
+                   + 2.4936055526796523 * f8 - 3.0467644718982196 * f9) * h
+    f10 = force(a + (-0.9371424300859873 * v0 + 5.186372428844064 * v3 + 1.0914373489967295 * v4
+                     - 8.149787010746927 * v5 - 18.52006565999696 * v6 + 22.739487099350505 * v7
+                     + 2.4936055526796523 * v8 - 3.0467644718982196 * v9) * h)
+    v11 = a_dot + (2.273310147516538 * f0 - 10.53449546673725 * f3 - 2.0008720582248625 * f4
+                   - 17.9589318631188 * f5 + 27.94888452941996 * f6 - 2.8589982771350235 * f7
+                   - 8.87285693353063 * f8 + 12.360567175794303 * f9
+                   + 0.6433927460157636 * f10) * h
+    f11 = force(a + (2.273310147516538 * v0 - 10.53449546673725 * v3 - 2.0008720582248625 * v4
+                     - 17.9589318631188 * v5 + 27.94888452941996 * v6 - 2.8589982771350235 * v7
+                     - 8.87285693353063 * v8 + 12.360567175794303 * v9
+                     + 0.6433927460157636 * v10) * h)
+    sa = (0.054293734116568765 * v0 + 4.450312892752409 * v5 + 1.8915178993145003 * v6
+          - 5.801203960010585 * v7 + 0.3111643669578199 * v8 - 0.1521609496625161 * v9
+          + 0.20136540080403034 * v10 + 0.04471061572777259 * v11)
+    sv = (0.054293734116568765 * f0 + 4.450312892752409 * f5 + 1.8915178993145003 * f6
+          - 5.801203960010585 * f7 + 0.3111643669578199 * f8 - 0.1521609496625161 * f9
+          + 0.20136540080403034 * f10 + 0.04471061572777259 * f11)
+    e3a = (-0.18980075407240762 * v0 + 4.450312892752409 * v5 + 1.8915178993145003 * v6
+           - 5.801203960010585 * v7 - 0.4226823213237919 * v8 - 0.1521609496625161 * v9
+           + 0.20136540080403034 * v10 + 0.02265179219836082 * v11)
+    e5a = (0.01312004499419488 * v0 - 1.2251564463762044 * v5 - 0.4957589496572502 * v6
+           + 1.6643771824549864 * v7 - 0.35032884874997366 * v8 + 0.3341791187130175 * v9
+           + 0.08192320648511571 * v10 - 0.022355307863886294 * v11)
+    e3v = (-0.18980075407240762 * f0 + 4.450312892752409 * f5 + 1.8915178993145003 * f6
+           - 5.801203960010585 * f7 - 0.4226823213237919 * f8 - 0.1521609496625161 * f9
+           + 0.20136540080403034 * f10 + 0.02265179219836082 * f11)
+    e5v = (0.01312004499419488 * f0 - 1.2251564463762044 * f5 - 0.4957589496572502 * f6
+           + 1.6643771824549864 * f7 - 0.35032884874997366 * f8 + 0.3341791187130175 * f9
+           + 0.08192320648511571 * f10 - 0.022355307863886294 * f11)
     return a + h * sa, a_dot + h * sv, e3a, e5a, e3v, e5v
 
 
@@ -340,7 +360,9 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
                 sv = ATOL + max(abs(a_dot), abs(a_dot_new)) * tol
                 e5 = (e5a / sa) ** 2 + (e5v / sv) ** 2
                 e3 = (e3a / sa) ** 2 + (e3v / sv) ** 2
-                err = h * e5 / math.sqrt(2.0 * (e5 + 0.01 * e3)) if e5 or e3 else 0.0
+                # guard on the sum: 0.01 * e3 can underflow to 0 while e5 is 0
+                norm = e5 + 0.01 * e3
+                err = h * e5 / math.sqrt(2.0 * norm) if norm else 0.0
                 if err < 1.0:
                     factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
                     h *= min(1.0, factor) if rejected else factor

@@ -1,7 +1,8 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately avoids the library's own code paths:
-fixed-step RK4 loops and plain quadrature rules only.
+fixed-step RK4 loops, plain quadrature rules and a table-driven DOP853
+step only.
 """
 
 import math
@@ -22,6 +23,31 @@ def rk4_scale_factor(xi, kappa, mu, a0, a1, s_end, n_steps):
         a += h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
         ad += h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
     return a, ad
+
+
+def dop853_step(force, a, a_dot, f, h):
+    """One DOP853 step of a'' = force(a), driven by scipy's coefficient tables.
+
+    Same contract as ``emden._dop853_step``: (a, a') after a step of length h
+    from (a, a') with a'' = f there, then the error estimates (e3_a, e5_a,
+    e3_adot, e5_adot) before the factor h.  Every sum takes the nonzero
+    entries of its row of A, B, E3 or E5 and adds them in ascending j.
+    """
+    from scipy.integrate._ivp import dop853_coefficients as tables
+
+    def dot(row, xs):
+        terms = [c * x for c, x in zip(row.tolist(), xs) if c]
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+
+    vs, fs = [a_dot], [f]  # the stages' a' and a''
+    for i in range(1, tables.N_STAGES):
+        vs.append(a_dot + dot(tables.A[i, :i], fs) * h)
+        fs.append(force(a + dot(tables.A[i, :i], vs) * h))
+    return (a + h * dot(tables.B, vs), a_dot + h * dot(tables.B, fs),
+            dot(tables.E3, vs), dot(tables.E5, vs), dot(tables.E3, fs), dot(tables.E5, fs))
 
 
 def quadrature_mass(beta, alpha, n=20001):

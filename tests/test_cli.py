@@ -1,7 +1,6 @@
 """CLI: dispatch, validation exit codes, determinism, round-trip."""
 
 import dataclasses
-import functools
 import inspect
 import json
 import math
@@ -620,11 +619,21 @@ def test_verify_refuses_a_t_whose_last_sample_leaves_the_float_range(tmp_path, c
     assert not any(tmp_path.iterdir())
 
 
+def test_verify_at_a_t_whose_error_estimates_underflow_runs_to_the_end(tmp_path, capsys):
+    # integrate's error norm divided by zero once e5 read 0 and 0.01*e3 underflowed, and verify
+    # exited 3 with "a(s) left the float range ...: float division by zero" at a(s) = 2.6e222
+    code = run_cli("verify", "--out", str(tmp_path), "--t", "4e307", "--n-base", "64",
+                   "--levels", "3")
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "order_mass = NotApplicable, order_momentum = NotApplicable\n"
+    assert err == "verification failed: order below 1.7\n"
+
+
 def _record_verify_builds(monkeypatch):
     """Record every solution cmd_verify builds, and every integrate call."""
     built, integrated = [], []
 
-    @functools.wraps(build_solution)  # keeps build_solution's name; cmd_verify calls it by keyword
     def recording_build(*args, **kwargs):
         built.append(build_solution(*args, **kwargs))
         return built[-1]

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from oracles import dop853_step
+
 from dp2 import emden
 from dp2.emden import (
     Classification,
@@ -102,6 +104,32 @@ def test_run_counters_on_the_canonical_case():
     assert (len(traj.samples), traj.rejected_steps, traj.nfev) == (81, 53, 1555)
     assert traj.nfev == 2 + 11 * (80 + 53) + 79 + 11
     assert set(traj.summary()) == {"fate", "S", "energy_drift_max"}  # counters stay off artefacts
+
+
+def _step_inputs(count=3000, seed=24):
+    """Seeded (problem, a, a', h): xi of both signs and 0, kappa in (0, 1], a down to
+    1e-12 * a0, below the force floor, h from 1e-20 to 1, and some a' = -0.0."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        xi = (0.0, float(rng.uniform(-3.0, 3.0)))[i % 4 != 0]
+        a0 = float(rng.uniform(0.3, 3.0))
+        problem = EmdenProblem(xi=xi, kappa=1.0 - float(rng.uniform(0.0, 1.0)), a0=a0)
+        a = a0 * 10.0 ** float(rng.uniform(-12.0, 0.0))
+        a_dot = (-0.0, float(rng.uniform(-3.0, 3.0)))[i % 3 != 0]
+        yield problem, a, a_dot, 10.0 ** float(rng.uniform(-20.0, 0.0))
+
+
+def test_step_is_the_table_driven_dop853_step_bit_for_bit():
+    # The step's literals and order of summation, against scipy's tables: a
+    # mistyped coefficient or a reordered sum changes the last bits here.
+    floored = 0
+    for problem, a, a_dot, h in _step_inputs():
+        force = emden._force(problem)
+        got = emden._dop853_step(force, a, a_dot, force(a), h)
+        want = dop853_step(force, a, a_dot, force(a), h)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (problem, a, a_dot, h)
+        floored += a < 1e-11 * problem.a0
+    assert floored > 100  # enough starts below the force floor
 
 
 def _scipy_dop853(problem, tol):
