@@ -28,11 +28,15 @@ linear and homogeneous in rho), and a state whose rho is all exact zeros
 is stepped on u alone: one 1-row irfft and one rfft of u**2 per stage,
 9 transforms in 8 calls per step, which is what every blowup run from
 rho0 = 0 costs; the step's last irfft writes the new (u, u_x) straight
-into the new state's rows.  The transforms are numpy.fft's, called as
-module attributes so that a patched numpy.fft (perfbench's tracer, the
-transform-count tests) sees every one; numpy is the only third-party
-library this module imports.  The multipliers (i*w, 1 + w**2, M_u and the kept band)
-and the centre-node weights of the defect D below are built once per
+into the new state's rows.  Each stage band s + c*dt*k is formed in the
+buffer its irfft reads, and a state's scans (max|u|, min u_x, max rho
+and whether rho is all zeros) are taken once each, on first use; a
+state a rho-free step made is known rho-free without a scan.  The
+transforms are numpy.fft's, called as module attributes so that a
+patched numpy.fft (perfbench's tracer, the transform-count tests) sees
+every one; numpy is the only third-party library this module imports.
+The multipliers (i*w, 1 + w**2, M_u and the kept band) and the
+centre-node weights of the defect D below are built once per
 grid, in one cached table.  Blowup is detected, never resolved: once
 the minimum slope falls below the configured threshold the run stops
 and reports diagnostics only.  A blowup run lives on the period
@@ -57,6 +61,13 @@ An odd u with an even rho stays so under this discretisation (the
 equations are parity-equivariant, transforms and multipliers preserve
 it), which pins u = 0 at the symmetry point and makes the M = 0
 slope-blowup criterion applicable there.
+
+``RunSampler`` reads a run at (t, x) for the residual lab, through the
+trigonometric interpolant of the state t lands on.  It keeps, per
+landed time, that state's interpolation coefficients, 2*(n/2 + 1)
+complex numbers (16.4 KB at n = 1024, against 43.7 KB for a state),
+for the latest RUN_STATES_MAX times: a query costs one inverse FFT,
+plus one rfft and the landing step when its time is not kept.
 """
 
 from __future__ import annotations
@@ -88,8 +99,11 @@ UNIFORM_RTOL = 64 * np.finfo(float).eps
 START_N_MIN = 1024
 START_BAND_RTOL = 1e-13
 DEFECT_TOL = 1e-6
-# States one RunSampler run may hold: a state is 43.7 KB at n = 1024, so
-# 44.8 MB at the cap; the residual lab's queries hold 8-25.
+# States one RunSampler run may hold, and landed times whose interpolation
+# coefficients it keeps (the oldest time goes first).  A state is 43.7 KB at
+# n = 1024 and a landed time's coefficients 16.4 KB (2*(n/2 + 1) complex
+# numbers), so 44.8 MB and 16.8 MB at the cap; a convergence study over four
+# levels holds 8-25 states and 9 landed times.
 RUN_STATES_MAX = 1024
 
 
@@ -185,15 +199,24 @@ def _nodal_rows(
     return np.fft.irfft(stacked, n=grid.n, out=out)
 
 
-def _stage_rows(grid: Grid1D, spectrum: np.ndarray) -> np.ndarray:
-    """The nodal rows a stage's tendency reads, from the stage's kept bands.
+def _stage_rows(
+    grid: Grid1D, s: np.ndarray, c: float, k: np.ndarray, band: np.ndarray
+) -> np.ndarray:
+    """The nodal rows a stage's tendency reads, from its kept bands s + c*k.
 
-    A (rho, u) band gives (rho, u, rho_x, u_x); the u band of a rho-free
-    stage gives u alone, shape (1, n), since u**2 needs no u_x.
+    The stage band is formed in band[:len(s)], with the operations of
+    s + c*k, and the irfft reads band itself.  (rho, u) bands take a
+    band of 4 rows, whose last two receive the x-derivatives, and give
+    (rho, u, rho_x, u_x); the u band of a rho-free stage takes a band of
+    1 row and gives u alone, shape (1, n), since u**2 needs no u_x.
     """
-    if len(spectrum) == 1:
-        return np.fft.irfft(spectrum, n=grid.n)
-    return _nodal_rows(grid, spectrum)
+    m = len(s)
+    stage = band[:m]
+    np.multiply(c, k, out=stage)
+    np.add(s, stage, out=stage)
+    if len(band) > m:
+        np.multiply(stage, _operators(grid).ik_kept, out=band[m:])
+    return np.fft.irfft(band, n=grid.n)
 
 
 @dataclass(frozen=True)
@@ -203,11 +226,14 @@ class SolverState:
     spectrum holds the (rho, u) half-spectra on the band the 2/3 rule
     keeps, shape (2, n//3 + 1); it is what step advances.  rows holds
     the nodal (rho, u, rho_x, u_x), shape (4, n); rho and u are views
-    of its first two rows, and min_ux and max_rho are read from it on
-    demand.  make keeps the nodal rho and u it is given value for value;
-    the first step projects them onto the kept band (every dp2 caller
-    passes dealiased data, where that is a no-op to round-off).  A state reached by a rho-free step has the same
-    layout, with exact zeros in its rho and rho_x rows and rho band.
+    of its first two rows.  max_abs_u, min_ux, max_rho and rho_free are
+    scanned from rows on first use and kept, so each row is scanned at
+    most once per state.  make keeps the nodal rho and u it is given
+    value for value; the first step projects them onto the kept band
+    (every dp2 caller passes dealiased data, where that is a no-op to
+    round-off).  A state reached by a rho-free step has the same layout,
+    with exact zeros in its rho and rho_x rows and rho band, and is
+    rho_free without a scan.
     """
 
     t: float
@@ -224,13 +250,22 @@ class SolverState:
     def u(self) -> np.ndarray:
         return self.rows[1]
 
-    @property
+    @functools.cached_property
+    def max_abs_u(self) -> float:
+        return float(np.abs(self.rows[1]).max())
+
+    @functools.cached_property
     def min_ux(self) -> float:
         return float(self.rows[3].min())
 
-    @property
+    @functools.cached_property
     def max_rho(self) -> float:
         return float(self.rows[0].max())
+
+    @functools.cached_property
+    def rho_free(self) -> bool:
+        """rho is all exact zeros, so step advances u alone (see ``step``)."""
+        return not self.rows[0].any()
 
     @classmethod
     def make(
@@ -259,7 +294,8 @@ class SolverState:
         cls, t: float, spectrum: np.ndarray, params: SystemParams, grid: Grid1D
     ) -> "SolverState":
         """State from the kept (rho, u) bands, or from the u band alone of a rho-free step."""
-        if len(spectrum) == 1:
+        rho_free = len(spectrum) == 1
+        if rho_free:
             rows = np.zeros((4, grid.n))
             _nodal_rows(grid, spectrum, out=rows[1::2])
             spectrum = np.concatenate((np.zeros_like(spectrum), spectrum))
@@ -267,7 +303,10 @@ class SolverState:
             rows = _nodal_rows(grid, spectrum)
         if not np.isfinite(rows[:2]).all():
             raise NonFinite(f"state contains non-finite entries at t={t}")
-        return cls(t, params, grid, spectrum, rows)
+        state = cls(t, params, grid, spectrum, rows)
+        if rho_free:
+            state.__dict__["rho_free"] = True  # the cached_property's value, known without a scan
+        return state
 
 
 def _tendency_arrays(
@@ -299,12 +338,13 @@ def _tendency_arrays(
         mass *= -params.k2
         mass -= (params.k1 + params.k2) * rho * u_x
     p_hat = np.fft.rfft(products)[:, : ops.keep]
-    du = ops.momentum_u * p_hat[0]
     if len(p_hat) == 1:
-        out = du[None]
+        out = ops.momentum_u * p_hat
     else:
+        out = np.empty((2, ops.keep), dtype=complex)
+        du = np.multiply(ops.momentum_u, p_hat[0], out=out[1])
         du -= (0.5 * params.k3) * ops.ik_helmholtz_kept * p_hat[1]
-        out = np.stack((p_hat[2], du))
+        out[0] = p_hat[2]
     if not np.isfinite(out).all():
         raise NonFinite("tendency produced non-finite entries")
     if spectra_out is not None:
@@ -313,7 +353,7 @@ def _tendency_arrays(
 
 
 def cfl_dt(state: SolverState) -> float:
-    return CFL * state.grid.dx / max(float(np.abs(state.u).max()), CFL_VELOCITY_FLOOR)
+    return CFL * state.grid.dx / max(state.max_abs_u, CFL_VELOCITY_FLOOR)
 
 
 def step(state: SolverState, dt: float, spectra_out: Optional[list] = None) -> SolverState:
@@ -330,19 +370,20 @@ def step(state: SolverState, dt: float, spectra_out: Optional[list] = None) -> S
     stage's product spectra and tendency, which belong to ``state``
     itself (see ``_tendency_arrays``).
     """
-    if abs(dt) > cfl_dt(state) * (1.0 + 1e-12):
-        raise ValidationError(f"dt={dt} violates the CFL bound {cfl_dt(state)} at t={state.t}")
+    if abs(dt) > (limit := cfl_dt(state)) * (1.0 + 1e-12):
+        raise ValidationError(f"dt={dt} violates the CFL bound {limit} at t={state.t}")
     grid, params = state.grid, state.params
-    if state.rho.any():
-        s, rows = state.spectrum, state.rows
-    else:
+    if state.rho_free:
         s, rows = state.spectrum[1:], state.rows[1:2]
+    else:
+        s, rows = state.spectrum, state.rows
+    band = np.empty((len(rows), s.shape[1]), dtype=complex)  # one row per nodal row; see _stage_rows
     # Overflow surfaces as the NonFinite the finiteness checks raise, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = _tendency_arrays(grid, params, rows, spectra_out)
-        k2 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k1))
-        k3 = _tendency_arrays(grid, params, _stage_rows(grid, s + 0.5 * dt * k2))
-        k4 = _tendency_arrays(grid, params, _stage_rows(grid, s + dt * k3))
+        k2 = _tendency_arrays(grid, params, _stage_rows(grid, s, 0.5 * dt, k1, band))
+        k3 = _tendency_arrays(grid, params, _stage_rows(grid, s, 0.5 * dt, k2, band))
+        k4 = _tendency_arrays(grid, params, _stage_rows(grid, s, dt, k3, band))
         # s + dt/6*(k1 + 2*k2 + 2*k3 + k4) with the same operations, so the
         # same bits, summed in k2's array; k1 may be held by spectra_out.
         spectrum = k2
@@ -444,7 +485,7 @@ def _start_grid(fine: Grid1D, rho0: np.ndarray, u0: np.ndarray) -> Grid1D:
 
 def _padded(state: SolverState, grid: Grid1D) -> SolverState:
     """The state on a finer grid, its kept band zero-padded, which is exact."""
-    s = state.spectrum if state.rho.any() else state.spectrum[1:]
+    s = state.spectrum[1:] if state.rho_free else state.spectrum
     band = np.zeros((len(s), _operators(grid).keep), dtype=complex)
     band[:, : s.shape[1]] = s * (grid.n // state.grid.n)
     return SolverState._advanced(state.t, band, state.params, grid)
@@ -472,8 +513,13 @@ def _centre_defect(state: SolverState, p_hat: np.ndarray, tendency_hat: np.ndarr
 
 
 def _record_row(state: SolverState, defect: float) -> tuple:
-    """(t, n, min_ux, max_rho, parity, D) of one state of a blowup run."""
-    parity = max(parity_residual(state.u), parity_residual(state.rho, even=True))
+    """(t, n, min_ux, max_rho, parity, D) of one state of a blowup run.
+
+    The parity of a rho-free state is u's alone: all-zero rho has none.
+    """
+    parity = parity_residual(state.u)
+    if not state.rho_free:
+        parity = max(parity, parity_residual(state.rho, even=True))
     return (state.t, state.grid.n, state.min_ux, state.max_rho, parity, defect)
 
 
@@ -555,7 +601,7 @@ def run_blowup_experiment(
         if record and (state.min_ux < config.threshold or state.t >= config.t_max):
             break
         # Halve dt each time max|u| doubles relative to the start.
-        u_max = max(float(np.abs(state.u).max()), CFL_VELOCITY_FLOOR)
+        u_max = max(state.max_abs_u, CFL_VELOCITY_FLOOR)
         doublings = math.ceil(math.log2(u_max / u0_max)) if u_max > u0_max else 0
         # dt0 * dx/dx_n / 2**doublings <= this grid's CFL dt; step checks it.
         dt = min(dt0 * (fine.n // state.grid.n) / 2**doublings, config.t_max - state.t)
@@ -606,6 +652,33 @@ def _one_period(grid: Grid1D, xs) -> np.ndarray:
     return xs
 
 
+def _interp_coeffs(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+    """The interpolant's coefficients a_k*c_k of nodal values, by one rfft.
+
+    c = rfft(values), a_k = 2/n, and 1/n for the mean and Nyquist modes:
+    shape values.shape[:-1] + (n/2 + 1,).
+    """
+    coeffs = np.fft.rfft(values) / grid.n
+    coeffs[..., 1:-1] *= 2.0  # n is even: the mean and Nyquist modes count once
+    return coeffs
+
+
+def _eval_one_period(grid: Grid1D, coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Re sum_k coeffs_k exp(i w_k (x - x0)) at xs, one period checked by the caller.
+
+    The coefficients are shifted by exp(i w_k (xs[0] - x0)), folded mod
+    m = len(xs) (zero-padded when m > n/2 + 1) and summed by one inverse
+    FFT of length m, O(n + m log m).
+    """
+    m = xs.size
+    coeffs = coeffs * np.exp(1j * grid.wavenumbers * (xs[0] - grid.x0))
+    folds = -(-coeffs.shape[-1] // m)
+    padded = np.zeros(coeffs.shape[:-1] + (folds * m,), dtype=complex)
+    padded[..., : coeffs.shape[-1]] = coeffs
+    folded = padded.reshape(coeffs.shape[:-1] + (folds, m)).sum(axis=-2)
+    return np.fft.ifft(folded, norm="forward").real
+
+
 def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of nodal values at one period of points.
 
@@ -617,19 +690,12 @@ def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     Re sum_k a_k c_k exp(i w_k (x - x0)), c = rfft(values), a_k = 2/n (1/n
     for the mean and Nyquist modes), is shifted by exp(i w_k (xs[0] - x0)),
     folded mod m (zero-padded when m > n) and summed by one inverse FFT of
-    length m, O(n log n + m log m).
+    length m: two transforms per call, O(n log n + m log m).  RunSampler
+    keeps the coefficients of each time it lands on and repeats only the
+    inverse FFT.
     """
     xs = _one_period(grid, xs)
-    values = np.asarray(values, dtype=float)
-    coeffs = np.fft.rfft(values) / grid.n
-    coeffs[..., 1:-1] *= 2.0  # n is even: the mean and Nyquist modes count once
-    m = xs.size
-    coeffs = coeffs * np.exp(1j * grid.wavenumbers * (xs[0] - grid.x0))
-    folds = -(-coeffs.shape[-1] // m)
-    padded = np.zeros(coeffs.shape[:-1] + (folds * m,), dtype=complex)
-    padded[..., : coeffs.shape[-1]] = coeffs
-    folded = padded.reshape(coeffs.shape[:-1] + (folds, m)).sum(axis=-2)
-    return np.fft.ifft(folded, norm="forward").real
+    return _eval_one_period(grid, _interp_coeffs(grid, np.asarray(values, dtype=float)), xs)
 
 
 class RunSampler:
@@ -638,21 +704,25 @@ class RunSampler:
     The run is CFL-limited steps from state0, extended only until its
     next step would pass the latest query.  The state at t is the run's
     last state at or before t advanced by one step of length t - base.t
-    (shorter than that state's CFL dt), cached per t, so a sample depends
-    on t alone, not on the times asked before; a non-finite t raises, and
-    so does a t the run cannot reach within RUN_STATES_MAX states.
-    rho and u come from one trig_interp call, O(n log n + m log m), so xs
-    must be one full period of uniform points (the residual lab's grid
-    nodes shifted by c*h); other xs raise ValidationError before any step.
+    (shorter than that state's CFL dt), so a sample depends on t alone,
+    not on the times asked before; a non-finite t raises, and so does a
+    t the run cannot reach within RUN_STATES_MAX states.  rho and u are
+    trig_interp's, so xs must be one full period of uniform points (the
+    residual lab's grid nodes shifted by c*h); other xs raise
+    ValidationError before any step.  The interpolation coefficients of
+    (rho, u) at each landed t, 2*(n/2 + 1) complex numbers (16.4 KB at
+    n = 1024, against 43.7 KB for the state), are kept for the latest
+    RUN_STATES_MAX distinct times, the oldest evicted first: a query
+    costs one inverse FFT of length m, O(n + m log m), plus one rfft
+    (and the landing step) when its t is not kept.  An evicted t asked
+    again lands on the same base state and gives the same bits.
     """
 
     def __init__(self, state0: SolverState):
         self._run = [state0]
-        self._landed: dict = {}  # t -> the state that t's query landed on
+        self._landed: dict = {}  # t -> interpolation coefficients of the state t landed on
 
     def _state_at(self, t: float) -> SolverState:
-        if (state := self._landed.get(t)) is not None:
-            return state
         run = self._run
         if not (math.isfinite(t) and t >= run[0].t - 1e-15):
             raise ValidationError(f"t={t} is not finite or precedes the run start {run[0].t}")
@@ -662,12 +732,15 @@ class RunSampler:
                 raise ValidationError(f"t={t} needs more than the {RUN_STATES_MAX} states a run holds")
             run.append(step(run[-1], dt))
         base = next(st for st in reversed(run) if st.t <= t + 1e-15)  # the run is in time order
-        state = base if base.t >= t - 1e-15 else step(base, t - base.t)
-        self._landed[t] = state
-        return state
+        return base if base.t >= t - 1e-15 else step(base, t - base.t)
 
     def __call__(self, t: float, xs):
-        xs = _one_period(self._run[0].grid, xs)
-        state = self._state_at(t)
-        rho, u = trig_interp(state.grid, state.rows[:2], xs)
+        grid = self._run[0].grid
+        xs = _one_period(grid, xs)
+        if (coeffs := self._landed.get(t)) is None:
+            coeffs = _interp_coeffs(grid, self._state_at(t).rows[:2])
+            if len(self._landed) >= RUN_STATES_MAX:
+                del self._landed[next(iter(self._landed))]  # dicts keep insertion order
+            self._landed[t] = coeffs
+        rho, u = _eval_one_period(grid, coeffs, xs)
         return rho, u

@@ -2,12 +2,16 @@
 
 Everything here deliberately avoids the library's own code paths:
 fixed-step RK4 loops, plain quadrature rules and a table-driven DOP853
-step only.
+step only.  The one exception is ``LandingSampler``, the reference for
+``RunSampler``: it reads a solver run through the library's public
+``step``, ``cfl_dt`` and ``trig_interp`` and keeps nothing it derives.
 """
 
 import math
 
 import numpy as np
+
+from dp2.pdesolver import cfl_dt, step, trig_interp
 
 
 def rk4_scale_factor(xi, kappa, mu, a0, a1, s_end, n_steps):
@@ -65,3 +69,27 @@ def spatial_mass(sol, t, n=4001):
     xs = width * np.sin(theta)
     rho, _ = sol.evaluate(t, xs)
     return float(np.trapezoid(rho * width * np.cos(theta), theta))
+
+
+class LandingSampler:
+    """(t, x) sampler over one solver run that recomputes every read.
+
+    The run is the CFL lattice from state0, steps of cfl_dt, extended
+    until its next step would pass t; the state at t is the lattice's
+    last state at or before t advanced by one step of length t - base.t,
+    taken afresh on each query, and rho and u come from one public
+    trig_interp call, which transforms that state again every time.
+    RunSampler must give the same bits.
+    """
+
+    def __init__(self, state0):
+        self.run = [state0]
+
+    def __call__(self, t, xs):
+        run = self.run
+        while run[-1].t + (dt := cfl_dt(run[-1])) <= t + 1e-15:
+            run.append(step(run[-1], dt))
+        base = [state for state in run if state.t <= t + 1e-15][-1]
+        landed = base if base.t >= t - 1e-15 else step(base, t - base.t)
+        rho, u = trig_interp(landed.grid, landed.rows[:2], xs)
+        return rho, u

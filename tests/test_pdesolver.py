@@ -27,8 +27,9 @@ from dp2.pdesolver import (
     step,
     trig_interp,
 )
-from dp2.residual import equation_residuals
+from dp2.residual import convergence_study, equation_residuals
 from dp2.selfsim import SystemParams
+from oracles import LandingSampler
 
 PARAMS = SystemParams(k1=1.0, k2=1.0, k3=1.0)
 TWO_PI = 2.0 * math.pi
@@ -490,6 +491,79 @@ def test_run_sampler_stops_at_its_cap_while_stepping(monkeypatch):
     assert 1 < len(sampler._run) <= 4
 
 
+def verify_solver_case(seed):
+    """A convergence study shaped like perfbench's verify_solver: an n = 1024
+    run with rho from 3 seeded cosines, read at t by levels 128...1024."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(n=1024, length=TWO_PI)
+    amps = rng.uniform(-0.1, 0.1, size=3)
+    phases = rng.uniform(0.0, TWO_PI, size=3)
+    rho0 = 1.0 + sum(a * np.cos((k + 1) * grid.nodes + p) for k, (a, p) in enumerate(zip(amps, phases)))
+    u0 = odd_gaussian_derivative(grid, float(rng.uniform(-1.5, -0.5)), TWO_PI / 16.0)
+    state0 = SolverState.make(0.0, dealias(grid, rho0), u0, PARAMS, grid)
+    grids = tuple(Grid1D(n=m, length=TWO_PI) for m in (128, 256, 512, 1024))
+    return state0, float(rng.uniform(0.06, 0.1)), grids
+
+
+def recorded_study(sampler, state0, t, grids):
+    """The study's report and every (t, rho, u) the sampler returned, in query order."""
+    samples = []
+
+    def record(tq, xs):
+        rho, u = sampler(tq, xs)
+        samples.append((tq, rho, u))
+        return rho, u
+
+    return convergence_study(record, state0.params, t, grids), samples
+
+
+@pytest.mark.parametrize("seed", [2501, 2502, 2503])
+def test_run_sampler_matches_the_landing_oracle_bit_for_bit(seed):
+    state0, t, grids = verify_solver_case(seed)
+    report, samples = recorded_study(RunSampler(state0), state0, t, grids)
+    want_report, want_samples = recorded_study(LandingSampler(state0), state0, t, grids)
+    assert len(samples) == len(want_samples) == 11 * len(grids)
+    for (tq, rho, u), (want_t, want_rho, want_u) in zip(samples, want_samples):
+        assert tq == want_t
+        assert rho.tobytes() == want_rho.tobytes() and u.tobytes() == want_u.tobytes()
+    for name in ("mass_norms", "momentum_norms", "order_estimate_mass", "order_estimate_momentum"):
+        got, want = np.atleast_1d(getattr(report, name)), np.atleast_1d(getattr(want_report, name))
+        assert np.array_equal(float_bits(got), float_bits(want)), name
+
+
+def test_study_takes_one_coefficient_rfft_per_landed_time(monkeypatch):
+    state0, t, grids = verify_solver_case(2501)
+    sampler = RunSampler(state0)
+    rows = count_transform_rows(monkeypatch)
+    _, samples = recorded_study(sampler, state0, t, grids)
+    times = {tq for tq, _, _ in samples}
+    assert (len(samples), len(times)) == (44, 9)  # t, and t +- h on each of the 4 levels
+    # rho != 0 here, so each step transform has 3 or 4 rows: the 2-row
+    # calls are the rffts of a landed (rho, u), one per distinct time
+    assert rows.count(2) == len(times) == len(sampler._landed)
+
+
+def test_run_sampler_keeps_at_most_run_states_max_landed_times():
+    # Each landed time used to be kept for good: these 2000 queries held 13
+    # run states and 2000 landed states, and RSS grew by 84 MB.
+    grid = Grid1D(n=1024, length=TWO_PI)
+    rho0 = dealias(grid, 1.0 + 0.1 * np.cos(grid.nodes))
+    u0 = odd_gaussian_derivative(grid, -1.0, TWO_PI / 16.0)
+    sampler = RunSampler(SolverState.make(0.0, rho0, u0, PARAMS, grid))
+    times = np.linspace(0.0, 0.1, 2001)[1:].tolist()
+    first = sampler(times[0], grid.nodes)
+    for t in times[1:]:
+        sampler(t, grid.nodes)
+    cap = pdesolver.RUN_STATES_MAX
+    assert len(sampler._run) == 13
+    assert len(sampler._landed) == cap and times[0] not in sampler._landed
+    assert list(sampler._landed) == times[-cap:]  # the oldest went first
+    # 2*(n/2 + 1) complex numbers per landed time: 16.4 KB at n = 1024
+    assert sum(c.nbytes for c in sampler._landed.values()) == cap * 2 * (grid.n // 2 + 1) * 16
+    again = sampler(times[0], grid.nodes)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, first))
+
+
 @pytest.mark.parametrize("m", [64, 256, 1024])  # m < n, m = n, m > n
 @pytest.mark.parametrize("offset", [0.0, 1.0, -1.0, 2.0, -2.0, 0.37])
 @pytest.mark.parametrize("x0", [0.0, -1.3])
@@ -764,6 +838,37 @@ def test_tiny_rho_takes_the_general_path(monkeypatch):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def fresh_scans(state):
+    """(max|u|, min u_x, max rho, rho all zeros, CFL dt) of a state, scanned anew."""
+    u_max = float(np.max(np.abs(state.rows[1])))
+    dt = pdesolver.CFL * state.grid.dx / max(u_max, pdesolver.CFL_VELOCITY_FLOOR)
+    return u_max, float(np.min(state.rows[3])), float(np.max(state.rows[0])), not np.any(state.rows[0]), dt
+
+
+def test_cached_scans_equal_fresh_scans_bit_for_bit():
+    grid, fine = Grid1D(n=256, length=TWO_PI), Grid1D(n=512, length=TWO_PI)
+    x = grid.nodes
+    u = 0.3 * np.sin(x) + 0.1 * np.cos(2.0 * x)
+    starts = {
+        "rho-free": make_state(grid, np.zeros(grid.n), u),
+        "coupled": make_state(grid, 1.0 + 0.1 * np.cos(x), u),
+        "tiny rho": SolverState.make(0.0, 1e-30 * np.cos(x), u, PARAMS, grid),
+    }
+    states = {name: step(state, cfl_dt(state)) for name, state in starts.items()}
+    assert vars(states["rho-free"])["rho_free"] is True  # known from the step, not scanned
+    for name in ("rho-free", "coupled"):
+        states[f"padded {name}"] = pdesolver._padded(states[name], fine)
+    assert vars(states["padded rho-free"])["rho_free"] is True
+    for name, state in states.items():
+        want = fresh_scans(state)
+        for _ in range(2):  # the first read scans, the second reads the kept value
+            got = (state.max_abs_u, state.min_ux, state.max_rho, state.rho_free, cfl_dt(state))
+            assert got[3] is want[3], name
+            floats = [0, 1, 2, 4]
+            assert [float_bits(got[i]) for i in floats] == [float_bits(want[i]) for i in floats], name
+    assert [states[name].rho_free for name in states] == [True, False, False, True, False]
+
+
 def former_advanced(cls, t, spectrum, params, grid):
     """SolverState._advanced as it was: a rho-free state's rows stacked from its (u, u_x)."""
     rows = pdesolver._nodal_rows(grid, spectrum)
@@ -797,6 +902,13 @@ def test_rho_free_rows_written_in_place_match_the_stacked_layout(monkeypatch):
     assert not got.rows[::2].any() and got.rows.flags.c_contiguous
 
 
+def former_stage_rows(grid, spectrum):
+    """A stage's nodal rows as they were taken: from a stage band s + c*k formed apart."""
+    if len(spectrum) == 1:
+        return np.fft.irfft(spectrum, n=grid.n)
+    return pdesolver._nodal_rows(grid, spectrum)
+
+
 def former_step_spectrum(state, dt):
     """step's new kept bands, combined as before: s + dt/6*(k1 + 2*k2 + 2*k3 + k4)."""
     grid, params = state.grid, state.params
@@ -805,9 +917,9 @@ def former_step_spectrum(state, dt):
     else:
         s, rows = state.spectrum[1:], state.rows[1:2]
     k1 = pdesolver._tendency_arrays(grid, params, rows)
-    k2 = pdesolver._tendency_arrays(grid, params, pdesolver._stage_rows(grid, s + 0.5 * dt * k1))
-    k3 = pdesolver._tendency_arrays(grid, params, pdesolver._stage_rows(grid, s + 0.5 * dt * k2))
-    k4 = pdesolver._tendency_arrays(grid, params, pdesolver._stage_rows(grid, s + dt * k3))
+    k2 = pdesolver._tendency_arrays(grid, params, former_stage_rows(grid, s + 0.5 * dt * k1))
+    k3 = pdesolver._tendency_arrays(grid, params, former_stage_rows(grid, s + 0.5 * dt * k2))
+    k4 = pdesolver._tendency_arrays(grid, params, former_stage_rows(grid, s + dt * k3))
     return s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
