@@ -54,9 +54,10 @@ EXIT_NUMERICAL = 3
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the template and its text
 SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
-# Most cells dp2 sweep runs: at 0.65-0.72 ms of CPU a cell (a 16x16 xi x kappa
-# touchdown lattice, x86_64 Xeon virtual machine, Python 3.11.7), a full lattice
-# takes under a minute.
+# Most cells dp2 sweep runs: at 0.9-1.0 ms of CPU a cell (the 16x16 xi x kappa
+# touchdown lattice xi=-2:-0.2:16 kappa=0.2:1:16, its CSV included; 2-core x86_64
+# Intel Xeon virtual machine, Python 3.11.7, numpy 2.4.6), a full lattice takes
+# about a minute.
 SWEEP_CELLS_MAX = 2**16
 VERIFY_LENGTH = 4.096  # dp2 verify's grids span [-VERIFY_LENGTH/2, VERIFY_LENGTH/2)
 
@@ -340,8 +341,7 @@ def cmd_solve(run: Run) -> int:
     snapshot_times = params.pop("snapshot_times")
     config = pdesolver.BlowupExperimentConfig(**params)
     result = pdesolver.run_blowup_experiment(config, snapshot_times=_parse_times(snapshot_times))
-    run.csv("solve_diagnostics.csv", "t,min_ux,max_rho",
-            zip(result.times.tolist(), result.min_ux.tolist(), result.max_rho.tolist()))
+    run.csv("solve_diagnostics.csv", "t,min_ux,max_rho", result.record[["t", "min_ux", "max_rho"]].tolist())
     nodes = Grid1D(n=params["n"], length=pdesolver.LENGTH).nodes.tolist()
     for idx, (t, rho, u) in enumerate(result.snapshots):
         run.csv(f"solve_snapshot_{idx}.csv", "x,rho,u", zip(nodes, rho.tolist(), u.tolist()))

@@ -39,11 +39,12 @@ The multipliers (i*w, 1 + w**2, M_u and the kept band) and the
 centre-node weights of the defect D below are built once per
 grid, in one cached table.  Blowup is detected, never resolved: once
 the minimum slope falls below the configured threshold the run stops
-and reports diagnostics only.  A blowup run lives on the period
-L = LENGTH = 2*pi, starts from the odd bump of width L/16
-(``odd_gaussian_derivative``) and compares its crossing with the M = 0
-bound T = -1/slope; a crossing at most (1 + MARGIN)*T, MARGIN = 0.2, is
-``within_margin``.  None of these numbers is a setting.
+and reports diagnostics only, from one structured array with a row per
+state, whose row format RECORD declares (see ``run_blowup_experiment``).
+A blowup run lives on the period L = LENGTH = 2*pi, starts from the odd
+bump of width L/16 (``odd_gaussian_derivative``) and compares its
+crossing with the M = 0 bound T = -1/slope; a crossing at most
+(1 + MARGIN)*T, MARGIN = 0.2, is ``within_margin``.  None of these numbers is a setting.
 
 A blowup run's ``n`` is its finest grid.  It starts on the coarsest
 grid n/2**j that is at least START_N_MIN = 1024 points and whose kept
@@ -99,6 +100,11 @@ UNIFORM_RTOL = 64 * np.finfo(float).eps
 START_N_MIN = 1024
 START_BAND_RTOL = 1e-13
 DEFECT_TOL = 1e-6
+# A blowup run's row format, one row per state in time order: its t and grid n,
+# min u_x, max rho, parity defect, and the centre defect D of the step taken from
+# it (see run_blowup_experiment).
+RECORD = np.dtype([("t", float), ("n", int), ("min_ux", float), ("max_rho", float),
+                   ("parity", float), ("defect", float)])
 # States one RunSampler run may hold, and landed times whose interpolation
 # coefficients it keeps (the oldest time goes first).  A state is 43.7 KB at
 # n = 1024 and a landed time's coefficients 16.4 KB (2*(n/2 + 1) complex
@@ -446,16 +452,42 @@ class BlowupExperimentConfig:
 
 @dataclass(frozen=True)
 class BlowupExperimentResult:
-    times: np.ndarray
-    min_ux: np.ndarray
-    max_rho: np.ndarray
+    """What run_blowup_experiment found, all of it read from ``record``.
+
+    record holds one RECORD row per state, in time order.  times, min_ux
+    and max_rho are views of its columns t, min_ux and max_rho;
+    parity_residual_max and refinements are computed from it.
+    crossing_time and resolved_until are the driver's, since they read
+    the run's threshold and finest grid, which the result does not keep.
+    """
+
+    record: np.ndarray
     crossing_time: Optional[float]
     bound: float
-    parity_residual_max: float
     snapshots: tuple  # (t, rho, u) per captured time, in time order
-    refinements: tuple  # (t, n): the start grid at t = 0, then each doubling
     resolved_until: Optional[float]  # first step time with D > DEFECT_TOL on grid n
     margin: ClassVar[float] = MARGIN
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.record["t"]
+
+    @property
+    def min_ux(self) -> np.ndarray:
+        return self.record["min_ux"]
+
+    @property
+    def max_rho(self) -> np.ndarray:
+        return self.record["max_rho"]
+
+    @property
+    def parity_residual_max(self) -> float:
+        return float(self.record["parity"].max())
+
+    @property
+    def refinements(self) -> tuple:
+        """(t, n): the start grid at t = 0, then each doubling."""
+        return tuple(self.record[["t", "n"]][np.diff(self.record["n"], prepend=0) != 0].tolist())
 
     @property
     def blowup_detected(self) -> bool:
@@ -463,9 +495,8 @@ class BlowupExperimentResult:
 
     @property
     def within_margin(self) -> Optional[bool]:
-        if self.crossing_time is None:
-            return None
-        return self.crossing_time <= self.bound * (1.0 + self.margin)
+        crossing = self.crossing_time
+        return None if crossing is None else crossing <= self.bound * (1.0 + self.margin)
 
 
 def _start_grid(fine: Grid1D, rho0: np.ndarray, u0: np.ndarray) -> Grid1D:
@@ -500,6 +531,7 @@ def _centre_defect(state: SolverState, p_hat: np.ndarray, tendency_hat: np.ndarr
     spectra), v and P are nodal, so D = |v' + v**2 + G*P - P|/v**2 is
     the part of the identity the 2/3-rule band drops: round-off while
     the band resolves the products, and O(1) once they reach its edge.
+    D is inf where v**2 is 0, v = 0 or an underflow.
     """
     ops = _operators(state.grid)
     k3 = state.params.k3
@@ -509,11 +541,11 @@ def _centre_defect(state: SolverState, p_hat: np.ndarray, tendency_hat: np.ndarr
     if len(p_hat) > 1:
         green_p += 0.5 * k3 * float(np.dot(p_hat[1].real, ops.centre_green))
     p = 1.5 * u * u + 0.5 * k3 * rho * rho
-    return abs(v_dot + v * v + green_p - p) / (v * v) if v else math.inf
+    return abs(v_dot + v * v + green_p - p) / (v * v) if v * v else math.inf
 
 
 def _record_row(state: SolverState, defect: float) -> tuple:
-    """(t, n, min_ux, max_rho, parity, D) of one state of a blowup run.
+    """One state's row of a blowup run's record, a tuple in the column order of RECORD.
 
     The parity of a rho-free state is u's alone: all-zero rho has none.
     """
@@ -532,7 +564,9 @@ def run_blowup_experiment(
     Preconditions: the initial velocity is odd and ``rho0`` even, so
     u = 0 at the symmetry point and the bound is the M = 0 criterion's
     T = -1/slope (the gated ``parity_residual_max`` measures both
-    parities; a negative slope is all M = 0 asks).  The run stops
+    parities, the start state's in the first row; a negative slope is
+    all M = 0 asks).  A slope whose start state leaves the float range
+    raises NonFinite, with no numpy warning.  The run stops
     at the first step with min u_x < threshold, or at t_max, in which
     case no blowup is reported (the bound is one-sided, so this is a
     reported outcome, not a failure).
@@ -546,12 +580,16 @@ def run_blowup_experiment(
     steps of a run on grid n alone; a run with n <= START_N_MIN is that
     run.  Snapshots are returned on grid n.
 
-    The loop keeps one record row per state, (t, n, min_ux, max_rho,
-    parity, D), with D that of the step taken from the state (nan on
-    the last row), and every result field is derived from it: the
-    crossing is the last row's t if its min_ux is below the threshold,
-    ``refinements`` the rows where n changes, the first included, and
-    ``resolved_until`` the first row on grid n with D > DEFECT_TOL.
+    The loop keeps one row per state (``_record_row``), and the result
+    carries them as ``record``, a structured array of dtype RECORD with
+    the columns t, n, min_ux, max_rho, parity and defect, D of the step
+    taken from the state (nan on the last row).  Every result field is
+    read from it.  times, min_ux and max_rho are views of its columns,
+    ``parity_residual_max`` is the largest parity and ``refinements``
+    the (t, n) rows where n changes, the first included (see
+    ``BlowupExperimentResult``); the driver derives ``crossing_time``,
+    the last row's t if its min_ux is below the threshold, and
+    ``resolved_until``, the first t on grid n with D > DEFECT_TOL.
 
     The initial velocity is ``odd_gaussian_derivative`` of width L/16.
     Each snapshot time must lie in [0, t_max], and len(snapshot_times)*n
@@ -571,26 +609,20 @@ def run_blowup_experiment(
             f" per field, over the cap {SNAPSHOT_POINTS_MAX}"
         )
     params = SystemParams(k1=config.k1, k2=config.k2, k3=config.k3)
-    u0 = odd_gaussian_derivative(fine, config.slope, LENGTH / 16.0)
-    rho0 = (
-        np.zeros(fine.n)
-        if config.rho0 is None
-        else dealias(fine, np.asarray(config.rho0, dtype=float))
-    )
-    if parity_residual(u0) > 1e-12 * max(1.0, float(np.max(np.abs(u0)))):
-        raise ValidationError("initial velocity is not odd")
-
-    bound = check(BlowupCriterion(M=0.0, v0=config.slope))
-
-    grid = _start_grid(fine, rho0, u0)
-    stride = fine.n // grid.n  # the coarse nodes are every stride-th fine node
-    state = SolverState.make(0.0, rho0[::stride], u0[::stride], params, grid)
+    # A start state past the float range fails as a NonFinite, from make or from the
+    # first step's tendency, not with numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0 = odd_gaussian_derivative(fine, config.slope, LENGTH / 16.0)
+        rho0 = np.zeros(fine.n) if config.rho0 is None else dealias(fine, config.rho0)
+        grid = _start_grid(fine, rho0, u0)
+        stride = fine.n // grid.n  # the coarse nodes are every stride-th fine node
+        state = SolverState.make(0.0, rho0[::stride], u0[::stride], params, grid)
     u0_max = max(float(np.max(np.abs(u0))), CFL_VELOCITY_FLOOR)
     dt0 = CFL * fine.dx / u0_max
 
     snapshots = []
     pending = sorted(snapshot_times)
-    record = []  # one _record_row per state
+    rows = []  # one _record_row per state
 
     while True:
         while pending and state.t >= pending[0]:
@@ -598,7 +630,7 @@ def run_blowup_experiment(
             snapshots.append((state.t, shot.rho.copy(), shot.u.copy()))
             pending.pop(0)
         # t_max > 0, so the run takes at least one step: the start state never ends it
-        if record and (state.min_ux < config.threshold or state.t >= config.t_max):
+        if rows and (state.min_ux < config.threshold or state.t >= config.t_max):
             break
         # Halve dt each time max|u| doubles relative to the start.
         u_max = max(state.max_abs_u, CFL_VELOCITY_FLOOR)
@@ -607,25 +639,19 @@ def run_blowup_experiment(
         dt = min(dt0 * (fine.n // state.grid.n) / 2**doublings, config.t_max - state.t)
         spectra: list = []
         advanced = step(state, dt, spectra_out=spectra)
-        record.append(_record_row(state, _centre_defect(state, *spectra)))
-        if record[-1][-1] > DEFECT_TOL and state.grid.n < fine.n:  # the D just recorded
+        defect = _centre_defect(state, *spectra)
+        rows.append(_record_row(state, defect))
+        if defect > DEFECT_TOL and state.grid.n < fine.n:
             advanced = _padded(advanced, Grid1D(n=2 * state.grid.n, length=fine.length))
         state = advanced
-    record.append(_record_row(state, math.nan))
-
-    times, grid_n, min_ux, max_rho, parity, defect = zip(*record)
+    record = np.array(rows + [_record_row(state, math.nan)], dtype=RECORD)  # no step, so D is nan
+    unresolved = record["t"][(record["defect"] > DEFECT_TOL) & (record["n"] == fine.n)]
     return BlowupExperimentResult(
-        times=np.asarray(times),
-        min_ux=np.asarray(min_ux),
-        max_rho=np.asarray(max_rho),
-        crossing_time=times[-1] if min_ux[-1] < config.threshold else None,
-        bound=bound,
-        parity_residual_max=max(parity),
+        record=record,
+        crossing_time=float(record[-1]["t"]) if record[-1]["min_ux"] < config.threshold else None,
+        bound=check(BlowupCriterion(M=0.0, v0=config.slope)),
         snapshots=tuple(snapshots),
-        refinements=tuple((t, n) for t, n, m in zip(times, grid_n, (0,) + grid_n) if n != m),
-        resolved_until=next(
-            (t for t, n, d in zip(times, grid_n, defect) if d > DEFECT_TOL and n == fine.n), None
-        ),
+        resolved_until=float(unresolved[0]) if unresolved.size else None,
     )
 
 

@@ -26,16 +26,19 @@ class OutsideInterior(ValidationError):
 
 @dataclass(frozen=True)
 class Profile:
-    """Semi-ellipse density shape with amplitude ``alpha`` and ratio ``beta``."""
+    """Semi-ellipse density shape with amplitude ``alpha`` and ratio ``beta``.
+
+    alpha is refused when beta*alpha**2, the radicand of f, is not finite.
+    """
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ValidationError(f"alpha must be >= 0, got alpha={self.alpha}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValidationError(f"beta must be > 0, got beta={self.beta}")
+        if not (self.alpha >= 0.0 and math.isfinite(self.alpha * self.alpha * self.beta)):
+            raise ValidationError(f"alpha must be >= 0 with beta*alpha**2 finite, got alpha={self.alpha}")
 
     @classmethod
     def from_params(cls, k3: float, xi: float, alpha: float, mu: float = 4.0) -> "Profile":

@@ -35,14 +35,18 @@ MAX_TRAJECTORY_ROWS = 10**6
 
 @dataclass(frozen=True)
 class BlowupCriterion:
-    """Velocity bound M >= 0 at a point and the initial slope there."""
+    """Velocity bound M >= 0 at a point and the initial slope there.
+
+    M is refused when c**2 = 3/2*M**2, which the comparison trajectory
+    integrates, is not finite.
+    """
 
     M: float
     v0: float
 
     def __post_init__(self) -> None:
-        if not (self.M >= 0.0 and math.isfinite(self.M)):
-            raise ValidationError(f"M must be >= 0 and finite, got M={self.M}")
+        if not (self.M >= 0.0 and math.isfinite(self.c * self.c)):
+            raise ValidationError(f"M must be >= 0 with c**2 = 3/2*M**2 finite, got M={self.M}")
         if not math.isfinite(self.v0):
             raise ValidationError(f"v0 must be finite, got v0={self.v0}")
 

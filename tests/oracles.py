@@ -5,13 +5,15 @@ fixed-step RK4 loops, plain quadrature rules and a table-driven DOP853
 step only.  The one exception is ``LandingSampler``, the reference for
 ``RunSampler``: it reads a solver run through the library's public
 ``step``, ``cfl_dt`` and ``trig_interp`` and keeps nothing it derives.
+``blowup_record_fields`` reads no library code: it is the former
+derivation of a blowup run's result fields from its record rows.
 """
 
 import math
 
 import numpy as np
 
-from dp2.pdesolver import cfl_dt, step, trig_interp
+from dp2.pdesolver import DEFECT_TOL, cfl_dt, step, trig_interp
 
 
 def rk4_scale_factor(xi, kappa, mu, a0, a1, s_end, n_steps):
@@ -93,3 +95,26 @@ class LandingSampler:
         landed = base if base.t >= t - 1e-15 else step(base, t - base.t)
         rho, u = trig_interp(landed.grid, landed.rows[:2], xs)
         return rho, u
+
+
+def blowup_record_fields(rows, threshold, fine_n):
+    """A blowup run's result fields from its (t, n, min_ux, max_rho, parity, D) rows.
+
+    The derivation run_blowup_experiment made by unzipping a list of
+    tuples, kept as it was: times, min_ux and max_rho as arrays, the
+    crossing as the last row's t when its min_ux is below the threshold,
+    the largest parity, the (t, n) rows where n changes (the first
+    included) and the first t on grid fine_n whose D exceeds DEFECT_TOL.
+    """
+    times, grid_n, min_ux, max_rho, parity, defect = zip(*rows)
+    return dict(
+        times=np.asarray(times),
+        min_ux=np.asarray(min_ux),
+        max_rho=np.asarray(max_rho),
+        crossing_time=times[-1] if min_ux[-1] < threshold else None,
+        parity_residual_max=max(parity),
+        refinements=tuple((t, n) for t, n, m in zip(times, grid_n, (0,) + grid_n) if n != m),
+        resolved_until=next(
+            (t for t, n, d in zip(times, grid_n, defect) if d > DEFECT_TOL and n == fine_n), None
+        ),
+    )

@@ -445,6 +445,30 @@ def test_emden_refuses_an_energy_that_left_the_float_range(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, code, message", [
+    # exit 3 after numpy RuntimeWarnings from odd_gaussian_derivative and pocketfft
+    (("solve", "--slope=-1.7e308"), 3, "numerical failure: u contains non-finite entries at t=0.0"),
+    # the smallest |slope| that warned, bisected over the float's bits: an irfft in SolverState.make
+    (("solve", "--slope=-1.7555597020139428e+305"), 3,
+     "numerical failure: tendency produced non-finite entries"),
+    # exit 1 with an OverflowError traceback at crit.c**2 (comparison_trajectory)
+    (("riccati", "--m", "1e300", "--v0=-1e300"), 2,
+     "error: M must be >= 0 with c**2 = 3/2*M**2 finite, got M=1e+300"),
+    (("riccati", "--m", "1e300", "--v0", "1e8"), 2,
+     "error: M must be >= 0 with c**2 = 3/2*M**2 finite, got M=1e+300"),
+    # exit 1 with an OverflowError traceback at self.alpha**2 (Profile.eval_f, mass_eta)
+    (("verify", "--alpha", "1e300"), 2,
+     "error: alpha must be >= 0 with beta*alpha**2 finite, got alpha=1e+300"),
+    (("selfsim", "--k3", "1", "--xi", "1", "--alpha", "1e300"), 2,
+     "error: alpha must be >= 0 with beta*alpha**2 finite, got alpha=1e+300"),
+])
+def test_inputs_past_the_float_range_exit_with_one_message(tmp_path, capsys, args, code, message):
+    # the suite turns warnings into errors, so a warning on the way fails the run here
+    assert run_cli(args[0], "--out", str(tmp_path), *args[1:]) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_never_reads_an_energy_that_left_the_float_range(tmp_path, capsys):
     code = run_cli("sweep", "--out", str(tmp_path), "--grid", "xi=-1e308:-1e307:2",
                    "--a0", "1e300", "--a1=-1e300")

@@ -13,6 +13,7 @@ from dp2.errors import ValidationError
 from dp2.grid import Grid1D
 from dp2.pdesolver import (
     DEFECT_TOL,
+    RECORD,
     START_N_MIN,
     BlowupExperimentConfig,
     NonFinite,
@@ -29,7 +30,7 @@ from dp2.pdesolver import (
 )
 from dp2.residual import convergence_study, equation_residuals
 from dp2.selfsim import SystemParams
-from oracles import LandingSampler
+from oracles import LandingSampler, blowup_record_fields
 
 PARAMS = SystemParams(k1=1.0, k2=1.0, k3=1.0)
 TWO_PI = 2.0 * math.pi
@@ -1017,3 +1018,41 @@ def test_coarse_snapshots_are_zero_padded_to_grid_n():
     spectrum = np.abs(np.fft.rfft(u))
     assert np.max(spectrum[1024 // 3 + 1 :]) <= 1e-13 * np.max(spectrum)
     assert parity_residual(u) < 1e-12 * np.max(np.abs(u))
+
+
+def same_bits(got, want):
+    """Equal arrays by dtype, shape and bytes; anything else by type and repr."""
+    if isinstance(want, np.ndarray):
+        return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("config", [
+    dict(n=256, t_max=1e-4),
+    dict(n=1024),  # resolved_until is not None
+    dict(n=2048),  # starts on 1024 points and doubles once
+    dict(n=256, k3=-2.0, t_max=0.05, rho0=0.5 + 0.2 * np.cos(Grid1D(n=256, length=TWO_PI).nodes)),
+], ids=["clipped", "n1024", "n2048", "coupled"])
+def test_result_fields_are_the_former_derivation_of_the_record(config):
+    config = BlowupExperimentConfig(**config)
+    result = run_blowup_experiment(config)
+    assert RECORD.names == ("t", "n", "min_ux", "max_rho", "parity", "defect")
+    assert result.record.dtype == RECORD
+    want = blowup_record_fields(result.record.tolist(), config.threshold, config.n)
+    for name, value in want.items():
+        assert same_bits(getattr(result, name), value), name
+    for view in (result.times, result.min_ux, result.max_rho):
+        assert np.shares_memory(view, result.record)
+    if config.n == 1024:
+        assert result.resolved_until is not None
+    if config.n == 2048:
+        assert [n for _, n in result.refinements] == [1024, 2048]
+    if config.rho0 is not None:
+        assert result.max_rho[0] > 0.6 and result.parity_residual_max < 1e-10
+
+
+def test_a_centre_slope_whose_square_underflows_has_an_infinite_defect():
+    # v = u_x(L/2) is not 0 but v*v is: D divided by it (ZeroDivisionError)
+    result = run_blowup_experiment(BlowupExperimentConfig(n=64, slope=-1e-320, t_max=0.01))
+    assert result.record["defect"][0] == math.inf and result.resolved_until == 0.0
+    assert not result.blowup_detected
