@@ -440,8 +440,12 @@ class BlowupExperimentConfig:
     rho0: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.slope) and self.slope < 0.0):
-            raise ValidationError(f"slope must be finite and negative, got slope={self.slope}")
+        # the bound T = -1/slope and the centre defect's v**2 must be floats too
+        slope = self.slope
+        if not (math.isfinite(slope) and slope < 0.0 and math.isfinite(-1.0 / slope) and slope * slope > 0.0):
+            raise ValidationError(
+                f"slope must be finite and negative with -1/slope finite and slope**2 > 0, got slope={slope}"
+            )
         if not (math.isfinite(self.threshold) and self.threshold < 0.0):
             raise ValidationError(
                 f"threshold must be finite and negative, got threshold={self.threshold}"

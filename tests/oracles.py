@@ -7,6 +7,8 @@ step only.  The one exception is ``LandingSampler``, the reference for
 ``step``, ``cfl_dt`` and ``trig_interp`` and keeps nothing it derives.
 ``blowup_record_fields`` reads no library code: it is the former
 derivation of a blowup run's result fields from its record rows.
+``touchdown_time_mpmath`` is the touchdown time at 30 digits, by
+``mpmath.quad`` of the energy integral.
 """
 
 import math
@@ -54,6 +56,35 @@ def dop853_step(force, a, a_dot, f, h):
         fs.append(force(a + dot(tables.A[i, :i], vs) * h))
     return (a + h * dot(tables.B, vs), a_dot + h * dot(tables.B, fs),
             dot(tables.E3, vs), dot(tables.E5, vs), dot(tables.E3, fs), dot(tables.E5, fs))
+
+
+def touchdown_time_mpmath(xi, kappa, mu, a0, a1, dps=30):
+    """Touchdown time S of a'' = xi/(mu*a**kappa), xi < 0, by mpmath.quad at dps digits.
+
+    S = integral of da/|a'| with a'^2 = v_top^2 + c*G(y), c = 2|xi|/mu,
+    G(y) the integral of s^-kappa over [top - y, top] and y = top - a the
+    depth below the start (a1 <= 0, v_top = a1) or below the turning point
+    a_t (a1 > 0, v_top = 0; the rise from a0 to a_t takes as long as the
+    fall back).  G is formed from y/top with log1p and expm1, so the depths
+    near the top, where the integrand is largest, keep all their digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        xi, kappa, mu, a0, a1 = (mpmath.mpf(x) for x in (xi, kappa, mu, a0, a1))
+        c, om = -2 * xi / mu, 1 - kappa
+
+        def speed2(y, top, v2):
+            ell = mpmath.log1p(-y / top)
+            return v2 + c * (-ell if om == 0 else top**om * -mpmath.expm1(om * ell) / om)
+
+        if a1 <= 0:
+            # the integrand turns from |a1|- to pull-dominated at this depth
+            knee = min(a0 / 2, a1**2 * a0**kappa / c) if a1 else a0 / 2
+            return float(mpmath.quad(lambda y: 1 / mpmath.sqrt(speed2(y, a0, a1**2)), [0, knee, a0]))
+        a_t = a0 * mpmath.exp(a1**2 / c) if om == 0 else (a0**om + om * a1**2 / c) ** (1 / om)
+        f = lambda y: 1 / mpmath.sqrt(speed2(y, a_t, 0))
+        return float(2 * mpmath.quad(f, [0, a_t - a0]) + mpmath.quad(f, [a_t - a0, a_t]))
 
 
 def quadrature_mass(beta, alpha, n=20001):

@@ -461,6 +461,10 @@ def test_emden_refuses_an_energy_that_left_the_float_range(tmp_path, capsys):
      "error: alpha must be >= 0 with beta*alpha**2 finite, got alpha=1e+300"),
     (("selfsim", "--k3", "1", "--xi", "1", "--alpha", "1e300"), 2,
      "error: alpha must be >= 0 with beta*alpha**2 finite, got alpha=1e+300"),
+    # exit 0 with "bound": Infinity in solve_summary.json, which is not JSON, and
+    # "unresolved from t = 0" since v*v underflowed at the centre
+    (("solve", "--slope=-1e-320", "--n", "64", "--t-max", "0.01"), 2,
+     "error: slope must be finite and negative with -1/slope finite and slope**2 > 0, got slope=-1e-320"),
 ])
 def test_inputs_past_the_float_range_exit_with_one_message(tmp_path, capsys, args, code, message):
     # the suite turns warnings into errors, so a warning on the way fails the run here

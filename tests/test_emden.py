@@ -1,12 +1,13 @@
 """Scale-factor dynamics: events, classification, energy, oracles."""
 
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
-from oracles import dop853_step
+from oracles import dop853_step, touchdown_time_mpmath
 
 from dp2 import emden
 from dp2.emden import (
@@ -218,6 +219,69 @@ def test_quadrature_rejects_repulsive_forcing():
         touchdown_time_quadrature(
             EmdenProblem(xi=1.0, kappa=0.5, mu=4.0, a0=1.0, a1=0.0)
         )
+
+
+def _mpmath_cells():
+    """(xi, kappa, mu, a0, a1): fixed corners, then seeded draws, 16 in all."""
+    cells = [
+        (-1.0, 0.5, 4.0, 1.0, 0.0),  # canonical, S = 8/3
+        (-1.5, 0.05, 4.0, 2.0, -3.0),  # the adaptive-Simpson oracle's budget corner
+        # betaincc's route was 1.2e-12 off here
+        (-1.1772919564781863, 0.9994167416397947, 4.0, 1.9227726400930245, -0.6233612243472906),
+        (-1.0, 1.0, 4.0, 1.3, 0.7),
+        (-1.0, 1.0, 4.0, 1.3, -0.7),
+        (-1.0, 1.0 - 1e-12, 4.0, 1.3, 0.7),
+        (-1.0, 1.0 - 1e-12, 4.0, 1.3, -0.7),
+        (-2.0, 0.3, 1.0, 1.5, -0.7),
+        (-0.8, 0.7, 1.0, 1.2, 0.9),
+        (-2.5, 0.02, 4.0, 0.4, 2.5),
+        # the slowest fall summed directly, z = |a1|/v = 0.063 (1.4e-14 off at h = 1/10)
+        (-1.0, 1.0, 4.0, 1.0, -0.0445),
+        # slow starts: a direct sum of the fall from a0 is 2e-14 off at these
+        (-1.0, 0.5, 4.0, 1.0, 1e-3),
+        (-1.0, 0.5, 4.0, 1.0, -1e-3),
+        (-1.0, 1.0, 1.0, 0.5, -1e-6),
+    ]
+    rng = np.random.default_rng(12)
+    while len(cells) < 16:
+        cells.append((rng.uniform(-3.0, -0.1), rng.uniform(0.01, 1.0), float(rng.choice([1.0, 4.0])),
+                      rng.uniform(0.3, 3.0), rng.uniform(-3.0, 3.0)))
+    return cells
+
+
+@pytest.mark.parametrize("xi,kappa,mu,a0,a1", _mpmath_cells())
+def test_quadrature_matches_mpmath_at_30_digits(xi, kappa, mu, a0, a1):
+    # a third route to S, sharing no code with either oracle: mpmath.quad at 30 digits
+    s = touchdown_time_quadrature(EmdenProblem(xi=xi, kappa=kappa, mu=mu, a0=a0, a1=a1))
+    reference = touchdown_time_mpmath(xi, kappa, mu, a0, a1)
+    assert abs(s - reference) <= 1e-14 * reference  # pytest.approx would allow 1e-12 absolute too
+
+
+@pytest.mark.parametrize("xi,kappa,a1", [
+    (-1.0, 0.5, 1e200),  # was nan: a1**2 overflowed inside betaincc
+    (-0.01, 0.999, 3.0),  # raised OverflowError: the turning point is e^1030 * a0
+    (-1e-300, 0.5, 1.0),  # raised OverflowError
+    (-1.0, 1.0, 1e200),  # erfcx gave inf already
+])
+def test_quadrature_past_the_float_range_is_inf(xi, kappa, a1):
+    assert touchdown_time_quadrature(EmdenProblem(xi=xi, kappa=kappa, a1=a1)) == math.inf
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0])
+def test_quadrature_fast_fall_factors_out_a1(kappa):
+    # was nan at kappa = 0.5; S = a0/|a1| to first order once |a1| dwarfs the pull
+    s = touchdown_time_quadrature(EmdenProblem(xi=-1.0, kappa=kappa, a1=-1e200))
+    assert abs(s - 1e-200) <= 1e-15 * 1e-200
+
+
+def test_quadrature_never_returns_nan():
+    extremes = [5e-324, 1e-300, 1e-3, 1.0, 1e300, 1.7e308]
+    for xi, a0, a1, kappa, mu in itertools.product(
+        extremes, extremes, [0.0, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300],
+        [1e-300, 0.5, 1.0 - 1e-12, 1.0], [1.0, 4.0],
+    ):
+        s = touchdown_time_quadrature(EmdenProblem(xi=-xi, kappa=kappa, mu=mu, a0=a0, a1=a1))
+        assert s >= 0.0, (xi, a0, a1, kappa, mu)
 
 
 @pytest.mark.parametrize(

@@ -418,6 +418,10 @@ def test_characteristic_density_factor_matches_pointwise_density():
     pytest.param({"slope": -math.inf}, id="kwargs10"),
     pytest.param({"slope": math.nan}, id="kwargs11"),
     pytest.param({"threshold": -math.inf}, id="kwargs12"),
+    # slope**2 underflows: the centre defect's v*v was 0 from t = 0
+    pytest.param({"slope": -1e-320}, id="slope_square_underflows"),
+    # -1/slope overflows: the bound T was inf, written as Infinity
+    pytest.param({"slope": -1e-309}, id="slope_bound_overflows"),
 ])
 def test_blowup_config_rejects_bad_step_and_horizon(kwargs):
     with pytest.raises(ValidationError):
@@ -1052,7 +1056,12 @@ def test_result_fields_are_the_former_derivation_of_the_record(config):
 
 
 def test_a_centre_slope_whose_square_underflows_has_an_infinite_defect():
-    # v = u_x(L/2) is not 0 but v*v is: D divided by it (ZeroDivisionError)
-    result = run_blowup_experiment(BlowupExperimentConfig(n=64, slope=-1e-320, t_max=0.01))
-    assert result.record["defect"][0] == math.inf and result.resolved_until == 0.0
-    assert not result.blowup_detected
+    # v = u_x(L/2) is not 0 but v*v is: D divided by it (ZeroDivisionError).
+    # BlowupExperimentConfig refuses such a slope, so the state is built directly.
+    grid = Grid1D(n=64, length=pdesolver.LENGTH)
+    u = odd_gaussian_derivative(grid, -1e-170, pdesolver.LENGTH / 16.0)
+    state = SolverState.make(0.0, np.zeros(grid.n), u, PARAMS, grid)
+    spectra = []
+    step(state, 1e-3, spectra_out=spectra)
+    assert state.rows[3, grid.n // 2] ** 2 == 0.0 < abs(state.rows[3, grid.n // 2])
+    assert pdesolver._centre_defect(state, *spectra) == math.inf
