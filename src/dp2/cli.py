@@ -15,15 +15,19 @@ SWEEP_TOL = 1e-8; verify's grids span VERIFY_LENGTH = 4.096 centred at
 s_max: it integrates the scale factor up to s = 4*(t + dt_over_h*h), h
 the coarsest level's spacing, which is the last time its stencils read,
 and refuses a t whose stencils reach below t = 0 or to the collapse
-time, or whose s is not finite.  ``solve`` has no width or margin setting (the bump is L/16 wide
-and the margin pdesolver.MARGIN); it refuses a snapshot time outside
-[0, t_max] or more snapshot nodes than pdesolver.SNAPSHOT_POINTS_MAX,
-and its summary lists the t of each snapshot file.  Every grid (solve's
-n, each verify level, selfsim's grid_n) is refused above grid.N_MAX =
-2**20 points before anything is allocated; verify names --n-base or
---levels when it refuses one.  ``sweep`` refuses a lattice of more than
-SWEEP_CELLS_MAX = 2**16 cells, the product of its --grid counts, before
-it builds any axis.
+time, or whose s is not finite; it exits 1 when an order estimate is
+missing or below VERIFY_MIN_ORDER = 1.7.  ``riccati`` runs the comparison
+trajectory of an inconclusive criterion to comparison_trajectory's
+default t = 10.  ``solve`` has no width or margin setting (the bump is
+L/16 wide and the margin pdesolver.MARGIN), and no k1, k2 or k3: every
+run starts from rho0 = 0, and a run from rho0 = 0 never reads them.  It
+refuses a snapshot time outside [0, t_max] or more snapshot nodes than
+pdesolver.SNAPSHOT_POINTS_MAX, and its summary lists the t of each
+snapshot file.  Every grid (solve's n, each verify level, selfsim's
+grid_n) is refused above grid.N_MAX = 2**20 points before anything is
+allocated; verify names --n-base or --levels when it refuses one.
+``sweep`` refuses a lattice of more than SWEEP_CELLS_MAX = 2**16 cells,
+the product of its --grid counts, before it builds any axis.
 
 Exit codes: 0 success, 1 verification criterion failed, 2 validation
 error, 3 numerical failure.
@@ -60,6 +64,7 @@ SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
 # about a minute.
 SWEEP_CELLS_MAX = 2**16
 VERIFY_LENGTH = 4.096  # dp2 verify's grids span [-VERIFY_LENGTH/2, VERIFY_LENGTH/2)
+VERIFY_MIN_ORDER = 1.7  # dp2 verify exits 1 when an order estimate is below this
 
 
 def _fmt(x) -> str:
@@ -132,19 +137,16 @@ SCHEMAS = {
         "levels": (int, 4),
         "dt_over_h": (float, 1.0),
         "delta_in_h": (float, 5.0),
-        "min_order": (float, 1.7),
     },
     "riccati": {
         "m": (float, None),
         "v0": (float, None),
         "dt": (float, 1e-4),
-        "t_max": (float, 10.0),
     },
-    "solve": {  # pdesolver.BlowupExperimentConfig's fields, and snapshot_times
+    # pdesolver.BlowupExperimentConfig's fields but k1, k2, k3 and rho0, and
+    # snapshot_times: every run starts from rho0 = 0, which never reads k1, k2 or k3
+    "solve": {
         "n": (int, 2048),
-        "k1": (float, 1.0),
-        "k2": (float, 1.0),
-        "k3": (float, 1.0),
         "slope": (float, -5.0),
         "threshold": (float, -1e3),
         "t_max": (float, 0.5),
@@ -318,8 +320,8 @@ def cmd_verify(run: Run) -> int:
     mass, momentum = (_fmt(order) if order is not None else "NotApplicable" for order in orders)
     print(f"order_mass = {mass}, order_momentum = {momentum}")
     for order in orders:
-        if order is None or order < params["min_order"]:
-            print(f"verification failed: order below {params['min_order']}", file=sys.stderr)
+        if order is None or order < VERIFY_MIN_ORDER:
+            print(f"verification failed: order below {VERIFY_MIN_ORDER}", file=sys.stderr)
             return EXIT_CRITERION
     return EXIT_OK
 
@@ -328,7 +330,7 @@ def cmd_riccati(run: Run) -> int:
     params = run.params
     crit = riccati.BlowupCriterion(M=params["m"], v0=params["v0"])
     if run.wants("csv"):  # first, so a refused trajectory leaves no summary behind
-        traj = riccati.comparison_trajectory(crit, params["dt"], t_max=params["t_max"])
+        traj = riccati.comparison_trajectory(crit, params["dt"])
         run.csv("riccati_trajectory.csv", "t,v", traj.tolist())
     run.json("riccati_summary.json", crit.summary())
     t_bound = riccati.check(crit)
@@ -425,10 +427,7 @@ def cmd_sweep(run: Run) -> int:
 
 def _add_schema_flags(parser: argparse.ArgumentParser, command: str) -> None:
     for key, (typ, _default) in SCHEMAS[command].items():
-        flags = [f"--{key.replace('_', '-')}"]
-        if key == "m":
-            flags.append("--M")
-        parser.add_argument(*flags, dest=key, type=typ, default=None)
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)
 
 
 @functools.cache  # built on the first main(), once per process (~2 ms)

@@ -160,7 +160,7 @@ def stencil_reach(grids: Sequence[Grid1D], dt_over_h: float) -> float:
     """
     if len(grids) < 3:
         raise InsufficientGrids(f"need >= 3 grids, got {len(grids)}")
-    # dt = 0 divides by zero, and the nan orders that follow pass `order < min_order`
+    # dt = 0 divides by zero, and the nan orders that follow pass `order < cli.VERIFY_MIN_ORDER`
     if not 0.0 < dt_over_h < np.inf:
         raise ValidationError(f"dt_over_h must be finite and > 0, got {dt_over_h}")
     return dt_over_h * max(grid.dx for grid in grids)

@@ -188,7 +188,7 @@ def test_riccati_inconclusive(tmp_path, capsys):
 
 def test_riccati_refuses_an_oversized_trajectory(tmp_path, capsys):
     # 5e6 RK4 rows held as tuples: several hundred MB before the CSV is written
-    code = run_cli("riccati", "--out", str(tmp_path), "--M", "0", "--v0", "-2", "--dt", "1e-7")
+    code = run_cli("riccati", "--out", str(tmp_path), "--m", "0", "--v0", "-2", "--dt", "1e-7")
     assert code == 2
     assert "cap" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -298,19 +298,24 @@ def test_grids_above_the_cap_are_refused_before_allocating(tmp_path, capsys, arg
 
 
 # (command, key): tolerances and domain lengths that no run set to anything
-# but the default are constants, not settings
+# but the default are constants, not settings; solve's k1, k2 and k3 never
+# reached a run (it starts from rho0 = 0), verify's min_order and riccati's t_max
+# were set by no caller, and --M was a second spelling of riccati's --m
 CONSTANT_SETTINGS = [
     ("emden", "tol"), ("selfsim", "tol"), ("verify", "tol"), ("sweep", "tol"),
     ("verify", "length"), ("solve", "length"),
+    ("solve", "k1"), ("solve", "k2"), ("solve", "k3"), ("verify", "min_order"),
+    ("riccati", "t_max"), ("riccati", "M"),
 ]
 
 
 @pytest.mark.parametrize("command, key", CONSTANT_SETTINGS)
 def test_constant_settings_have_no_flag(tmp_path, capsys, command, key):
+    flag = f"--{key.replace('_', '-')}"  # spelled as cli._add_schema_flags spells a key
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, "--out", str(tmp_path), f"--{key}", "1e-10")
+        run_cli(command, "--out", str(tmp_path), flag, "1e-10")
     assert exc.value.code == 2
-    assert f"unrecognized arguments: --{key} 1e-10" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 1e-10" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -365,8 +370,8 @@ def test_verify_accepts_a_finest_level_at_the_cap(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("args,key", [
-    # order < nan is false, so the verification gate never failed
-    (("verify", "--n-base", "64", "--levels", "3", "--min-order", "nan"), "min_order"),
+    # dt_over_h = nan would have reached stencil_reach, where 0 < nan < inf is false too
+    (("verify", "--n-base", "64", "--levels", "3", "--dt-over-h", "nan"), "dt_over_h"),
     # ended in a raw ValueError traceback from the empty interior band
     (("verify", "--n-base", "64", "--levels", "3", "--delta-in-h", "nan"), "delta_in_h"),
     # echoed into solve_summary.json, where NaN is not JSON
@@ -582,10 +587,10 @@ def test_solve_says_when_the_run_is_unresolved(tmp_path, capsys, n, crossing, wi
 
 def test_non_finite_config_value_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n_base = 64\nlevels = 3\nmin_order = nan\n")
+    cfg.write_text("n_base = 64\nlevels = 3\ndt_over_h = nan\n")
     code = run_cli("verify", "--out", str(tmp_path / "run"), "--config", str(cfg))
     assert code == 2
-    assert "min_order" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: dt_over_h must be finite, got nan\n"
 
 
 @pytest.mark.parametrize("dt_over_h", ["0", "-0.5"])
@@ -848,7 +853,9 @@ def test_schema_names_match_constructor_fields():
         return {f.name for f in dataclasses.fields(cls)}
 
     assert fields(EmdenProblem) == set(SCHEMAS["emden"])
-    assert fields(BlowupExperimentConfig) - {"rho0"} == set(SCHEMAS["solve"]) - {"snapshot_times"}
+    # solve starts every run from rho0 = 0, which never reads the coupling constants
+    coupling = {"rho0", "k1", "k2", "k3"}
+    assert fields(BlowupExperimentConfig) - coupling == set(SCHEMAS["solve"]) - {"snapshot_times"}
     # tol is library-only: every CLI run integrates to the library's default
     builder = set(inspect.signature(build_solution).parameters) - {"params", "rho0", "tol"}
     solution = fields(SystemParams) | builder
@@ -878,7 +885,69 @@ def test_schema_names_match_constructor_fields():
             schema_default = SCHEMAS[command][key][1]
             assert schema_default == exempt.get((command, key), default), (command, key)
             shared += 1
-    assert shared == 25  # every shared default was compared, none skipped by a rename
+    assert shared == 21  # every shared default was compared, none skipped by a rename
+
+
+# One cheap run per command, and for each schema key a value other than that run's.
+SETTING_BASES = {
+    "emden": ("--xi", "-1"),
+    "selfsim": ("--k3", "1", "--xi", "1", "--times", "0,0.1", "--grid-n", "16"),
+    "verify": ("--n-base", "64", "--levels", "3"),
+    "riccati": ("--m", "1", "--v0", "-3", "--dt", "1e-3"),
+    "solve": ("--n", "64", "--t-max", "0.01"),
+    "sweep": ("--grid", "xi=-1:-1:1"),
+}
+SETTING_CHANGES = {
+    ("emden", "xi"): "-2", ("emden", "kappa"): "0.7", ("emden", "mu"): "1",
+    ("emden", "a0"): "2", ("emden", "a1"): "0.5", ("emden", "s_max"): "1",
+    ("selfsim", "k1"): "1.5", ("selfsim", "k2"): "0.5", ("selfsim", "k3"): "2",
+    ("selfsim", "xi"): "2", ("selfsim", "alpha"): "0.5", ("selfsim", "a0"): "2",
+    ("selfsim", "a1"): "0.5", ("selfsim", "mu"): "1",
+    ("selfsim", "s_max"): "0.2",  # bounds --times: t = 0.1 is s = 0.4
+    ("selfsim", "times"): "0,0.05", ("selfsim", "grid_n"): "32",
+    ("verify", "k1"): "1.5", ("verify", "k2"): "0.5", ("verify", "k3"): "2",
+    ("verify", "xi"): "2", ("verify", "alpha"): "0.5", ("verify", "a0"): "2",
+    ("verify", "a1"): "0.5", ("verify", "mu"): "1", ("verify", "t"): "0.2",
+    ("verify", "n_base"): "128", ("verify", "levels"): "4", ("verify", "dt_over_h"): "0.5",
+    ("verify", "delta_in_h"): "3",
+    ("riccati", "m"): "0.5", ("riccati", "v0"): "-4", ("riccati", "dt"): "2e-3",
+    ("solve", "n"): "128", ("solve", "slope"): "-4", ("solve", "threshold"): "-1",
+    ("solve", "t_max"): "0.02", ("solve", "snapshot_times"): "0.005",
+    ("sweep", "xi"): "-2", ("sweep", "kappa"): "0.7", ("sweep", "mu"): "1",
+    ("sweep", "a0"): "2", ("sweep", "a1"): "0.5", ("sweep", "s_max"): "1",
+}
+
+
+def test_every_setting_has_a_probe():
+    assert set(SETTING_CHANGES) == {(command, key) for command in SCHEMAS for key in SCHEMAS[command]}
+
+
+def _setting_outcome(out, argv):
+    """The exit code and every artefact, JSON summaries without their config echo."""
+    code = run_cli(argv[0], "--out", str(out), *argv[1:])
+    artefacts = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            summary = read_json(path)
+            summary.pop("config")
+            artefacts[path.name] = summary
+        else:
+            artefacts[path.name] = path.read_bytes()
+    return code, artefacts
+
+
+@pytest.mark.parametrize("command, key", list(SETTING_CHANGES),
+                         ids=[f"{command}-{key}" for command, key in SETTING_CHANGES])
+def test_every_setting_reaches_its_run(tmp_path, capsys, command, key):
+    # a setting whose change leaves every artefact and the exit code alone is dead
+    base = SETTING_BASES[command]
+    if command == "sweep" and key == "xi":  # a --grid axis overrides its key's flag
+        base = ("--grid", "kappa=0.5:0.5:1")
+    flag = f"--{key.replace('_', '-')}={SETTING_CHANGES[command, key]}"
+    before = _setting_outcome(tmp_path / "base", (command, *base))
+    after = _setting_outcome(tmp_path / "changed", (command, *base, flag))
+    assert before[0] == 0
+    assert after != before, f"{command} {flag} changed no artefact and not the exit code"
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -926,7 +995,7 @@ ROUND_TRIPS = {
         "verify_report.json", ("verify_norms.csv", "verify_residuals.csv", "verify_report.json"),
     ),
     "riccati": (
-        ("riccati", "--M", "1", "--v0", "-3", "--dt", "1e-3"),
+        ("riccati", "--m", "1", "--v0", "-3", "--dt", "1e-3"),
         "riccati_summary.json", ("riccati_trajectory.csv", "riccati_summary.json"),
     ),
     "solve": (
@@ -963,7 +1032,7 @@ FORMAT_RUNS = {
                 "selfsim_snapshot_0.csv", "selfsim_summary.json"),
     "verify": (("verify", "--n-base", "64", "--levels", "3"),
                "verify_norms.csv", "verify_report.json"),
-    "riccati": (("riccati", "--M", "0", "--v0", "-2", "--dt", "1e-3"),
+    "riccati": (("riccati", "--m", "0", "--v0", "-2", "--dt", "1e-3"),
                 "riccati_trajectory.csv", "riccati_summary.json"),
     "solve": (("solve", "--n", "256", "--t-max", "0.02", "--snapshot-times", "0.01"),
               "solve_snapshot_0.csv", "solve_summary.json"),
