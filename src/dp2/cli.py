@@ -58,10 +58,10 @@ EXIT_NUMERICAL = 3
 
 CSV_BLOCK_ROWS = 4096  # rows formatted per write; bounds the template and its text
 SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
-# Most cells dp2 sweep runs: at 0.9-1.0 ms of CPU a cell (the 16x16 xi x kappa
+# Most cells dp2 sweep runs: at 0.6-0.75 ms of CPU a cell (the 16x16 xi x kappa
 # touchdown lattice xi=-2:-0.2:16 kappa=0.2:1:16, its CSV included; 2-core x86_64
 # Intel Xeon virtual machine, Python 3.11.7, numpy 2.4.6), a full lattice takes
-# about a minute.
+# under a minute.
 SWEEP_CELLS_MAX = 2**16
 VERIFY_LENGTH = 4.096  # dp2 verify's grids span [-VERIFY_LENGTH/2, VERIFY_LENGTH/2)
 VERIFY_MIN_ORDER = 1.7  # dp2 verify exits 1 when an order estimate is below this

@@ -16,8 +16,10 @@ Two independent routes to the touchdown time are provided:
   stepped on plain floats, with event detection at the touchdown
   threshold, S being where the crossing step's landing map meets it.
   The step is straight-line code whose literals are scipy's DOP853
-  coefficients; the test suite compares it bit for bit with a step
-  driven by scipy's coefficient tables;
+  coefficients, with the force law written out at each stage; the test
+  suite compares it bit for bit with a step driven by scipy's
+  coefficient tables and the law's one definition, ``_force``.  A
+  trajectory's energy drift is computed on first read;
 * :func:`touchdown_time_quadrature` - the energy reduction
   a'^2 = a1^2 + 2*xi*(a^(1-kappa) - a0^(1-kappa))/(mu*(1-kappa))
   (logarithmic at kappa = 1), whose time integral S = integral of
@@ -137,20 +139,30 @@ class EmdenTrajectory:
     ending at the touchdown state when ``fate`` is TOUCHDOWN.
     ``touchdown_s`` is then the touchdown time S, else None.
     :meth:`state` reads (a, a') at any s of the trajectory.
-    ``energy_drift_max`` is the largest |E - E(0)| over the samples,
-    relative to max(1, |E(0)|), and inf when an energy E leaves the
-    float range.  ``nfev`` and ``rejected_steps`` count the
-    right-hand-side evaluations and the rejected step attempts of the
-    run that built the trajectory.
+    ``nfev`` and ``rejected_steps`` count the right-hand-side
+    evaluations and the rejected step attempts of the run that built
+    the trajectory.  :attr:`energy_drift_max` is computed on first read,
+    so a caller that never reads it, such as ``dp2 sweep``, pays nothing
+    for it.
     """
 
     problem: EmdenProblem
     samples: np.ndarray
     fate: Fate
     touchdown_s: Optional[float]
-    energy_drift_max: float
     nfev: int
     rejected_steps: int
+
+    @functools.cached_property
+    def energy_drift_max(self) -> float:
+        """The largest |E - E(0)| over the samples, relative to max(1, |E(0)|);
+        inf when an energy E leaves the float range."""
+        problem = self.problem
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed energy reads inf or nan
+            e0 = float(problem.energy(problem.a0, problem.a1))
+            energies = problem.energy(self.samples[:, 1], self.samples[:, 2])
+            drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
+        return drift if math.isfinite(drift) else math.inf
 
     @property
     def s_end(self) -> float:
@@ -169,8 +181,7 @@ class EmdenTrajectory:
         s = min(s, self.s_end)
         k = int(np.searchsorted(self.samples[:, 0], s, side="right")) - 1
         s_k, a, a_dot = self.samples[k].tolist()
-        force = _force(self.problem)
-        a, a_dot, *_ = _dop853_step(force, a, a_dot, force(a), s - s_k)
+        a, a_dot, *_ = _dop853_step(_law(self.problem), a, a_dot, _force(self.problem)(a), s - s_k)
         return a, a_dot
 
     def summary(self) -> dict:
@@ -187,12 +198,16 @@ class EmdenTrajectory:
         }
 
 
-def _force(problem: EmdenProblem):
-    """a'' as a function of a."""
-    xi, mu, kappa = problem.xi, problem.mu, problem.kappa
+def _law(problem: EmdenProblem):
+    """The force law's constants (xi, mu, kappa, floor): a'' = xi / (mu * max(a, floor)**kappa)."""
     # Trial stages may probe below the touchdown level; pin the force
     # there so the stepper never sees a NaN from a <= 0.
-    floor = 1e-3 * TOUCHDOWN_FRACTION * problem.a0
+    return problem.xi, problem.mu, problem.kappa, 1e-3 * TOUCHDOWN_FRACTION * problem.a0
+
+
+def _force(problem: EmdenProblem):
+    """a'' as a function of a: the force law's one definition."""
+    xi, mu, kappa, floor = _law(problem)
 
     def force(a):
         return xi / (mu * (a if a > floor else floor) ** kappa)
@@ -209,8 +224,8 @@ ATOL = 1e-30  # keeps error control purely relative, even near a ~ 1e-8 * a0
 LANDING_NEWTON_MAX = 16  # Newton iterations on the crossing step; 1-3 converge
 
 
-def _dop853_step(force, a: float, a_dot: float, f: float, h: float):
-    """One DOP853 step of length h from (a, a') with a'' = f there.
+def _dop853_step(law, a: float, a_dot: float, f: float, h: float):
+    """One DOP853 step of length h from (a, a') with a'' = f there, under the force law ``law``.
 
     Returns (a, a') at the step's end and the 3rd- and 5th-order error
     estimates of each component, (e3_a, e5_a, e3_adot, e5_adot), not yet
@@ -220,55 +235,71 @@ def _dop853_step(force, a: float, a_dot: float, f: float, h: float):
     sec. II.10), written out stage by stage as in their dop853.f.  The
     literals are the nonzero A[i, j], B[j], E3[j] and E5[j] of scipy's
     dop853_coefficients; stage i's a' and a'' are v_i and f_i, and each sum
-    adds its terms in ascending j.
+    adds its terms in ascending j.  Each f_i is :func:`_force`'s expression
+    written out on the stage's a, x, with the constants of ``law`` (see
+    :func:`_law`), which spares a call per stage; the test suite drives a
+    step by scipy's tables with ``_force`` and compares it with this one
+    bit for bit, starts below the force floor included.
     """
+    xi, mu, kappa, floor = law
     v0, f0 = a_dot, f
     v1 = a_dot + (0.05260015195876773 * f0) * h
-    f1 = force(a + (0.05260015195876773 * v0) * h)
+    x = a + (0.05260015195876773 * v0) * h
+    f1 = xi / (mu * (x if x > floor else floor) ** kappa)
     v2 = a_dot + (0.0197250569845379 * f0 + 0.0591751709536137 * f1) * h
-    f2 = force(a + (0.0197250569845379 * v0 + 0.0591751709536137 * v1) * h)
+    x = a + (0.0197250569845379 * v0 + 0.0591751709536137 * v1) * h
+    f2 = xi / (mu * (x if x > floor else floor) ** kappa)
     v3 = a_dot + (0.02958758547680685 * f0 + 0.08876275643042054 * f2) * h
-    f3 = force(a + (0.02958758547680685 * v0 + 0.08876275643042054 * v2) * h)
+    x = a + (0.02958758547680685 * v0 + 0.08876275643042054 * v2) * h
+    f3 = xi / (mu * (x if x > floor else floor) ** kappa)
     v4 = a_dot + (0.2413651341592667 * f0 - 0.8845494793282861 * f2 + 0.924834003261792 * f3) * h
-    f4 = force(a + (0.2413651341592667 * v0 - 0.8845494793282861 * v2
-                    + 0.924834003261792 * v3) * h)
+    x = a + (0.2413651341592667 * v0 - 0.8845494793282861 * v2
+             + 0.924834003261792 * v3) * h
+    f4 = xi / (mu * (x if x > floor else floor) ** kappa)
     v5 = a_dot + (0.037037037037037035 * f0 + 0.17082860872947386 * f3
                   + 0.12546768756682242 * f4) * h
-    f5 = force(a + (0.037037037037037035 * v0 + 0.17082860872947386 * v3
-                    + 0.12546768756682242 * v4) * h)
+    x = a + (0.037037037037037035 * v0 + 0.17082860872947386 * v3
+             + 0.12546768756682242 * v4) * h
+    f5 = xi / (mu * (x if x > floor else floor) ** kappa)
     v6 = a_dot + (0.037109375 * f0 + 0.17025221101954405 * f3 + 0.06021653898045596 * f4
                   - 0.017578125 * f5) * h
-    f6 = force(a + (0.037109375 * v0 + 0.17025221101954405 * v3 + 0.06021653898045596 * v4
-                    - 0.017578125 * v5) * h)
+    x = a + (0.037109375 * v0 + 0.17025221101954405 * v3 + 0.06021653898045596 * v4
+             - 0.017578125 * v5) * h
+    f6 = xi / (mu * (x if x > floor else floor) ** kappa)
     v7 = a_dot + (0.03709200011850479 * f0 + 0.17038392571223998 * f3 + 0.10726203044637328 * f4
                   - 0.015319437748624402 * f5 + 0.008273789163814023 * f6) * h
-    f7 = force(a + (0.03709200011850479 * v0 + 0.17038392571223998 * v3 + 0.10726203044637328 * v4
-                    - 0.015319437748624402 * v5 + 0.008273789163814023 * v6) * h)
+    x = a + (0.03709200011850479 * v0 + 0.17038392571223998 * v3 + 0.10726203044637328 * v4
+             - 0.015319437748624402 * v5 + 0.008273789163814023 * v6) * h
+    f7 = xi / (mu * (x if x > floor else floor) ** kappa)
     v8 = a_dot + (0.6241109587160757 * f0 - 3.3608926294469414 * f3 - 0.868219346841726 * f4
                   + 27.59209969944671 * f5 + 20.154067550477894 * f6 - 43.48988418106996 * f7) * h
-    f8 = force(a + (0.6241109587160757 * v0 - 3.3608926294469414 * v3 - 0.868219346841726 * v4
-                    + 27.59209969944671 * v5 + 20.154067550477894 * v6
-                    - 43.48988418106996 * v7) * h)
+    x = a + (0.6241109587160757 * v0 - 3.3608926294469414 * v3 - 0.868219346841726 * v4
+             + 27.59209969944671 * v5 + 20.154067550477894 * v6
+             - 43.48988418106996 * v7) * h
+    f8 = xi / (mu * (x if x > floor else floor) ** kappa)
     v9 = a_dot + (0.47766253643826434 * f0 - 2.4881146199716677 * f3 - 0.590290826836843 * f4
                   + 21.230051448181193 * f5 + 15.279233632882423 * f6 - 33.28821096898486 * f7
                   - 0.020331201708508627 * f8) * h
-    f9 = force(a + (0.47766253643826434 * v0 - 2.4881146199716677 * v3 - 0.590290826836843 * v4
-                    + 21.230051448181193 * v5 + 15.279233632882423 * v6 - 33.28821096898486 * v7
-                    - 0.020331201708508627 * v8) * h)
+    x = a + (0.47766253643826434 * v0 - 2.4881146199716677 * v3 - 0.590290826836843 * v4
+             + 21.230051448181193 * v5 + 15.279233632882423 * v6 - 33.28821096898486 * v7
+             - 0.020331201708508627 * v8) * h
+    f9 = xi / (mu * (x if x > floor else floor) ** kappa)
     v10 = a_dot + (-0.9371424300859873 * f0 + 5.186372428844064 * f3 + 1.0914373489967295 * f4
                    - 8.149787010746927 * f5 - 18.52006565999696 * f6 + 22.739487099350505 * f7
                    + 2.4936055526796523 * f8 - 3.0467644718982196 * f9) * h
-    f10 = force(a + (-0.9371424300859873 * v0 + 5.186372428844064 * v3 + 1.0914373489967295 * v4
-                     - 8.149787010746927 * v5 - 18.52006565999696 * v6 + 22.739487099350505 * v7
-                     + 2.4936055526796523 * v8 - 3.0467644718982196 * v9) * h)
+    x = a + (-0.9371424300859873 * v0 + 5.186372428844064 * v3 + 1.0914373489967295 * v4
+             - 8.149787010746927 * v5 - 18.52006565999696 * v6 + 22.739487099350505 * v7
+             + 2.4936055526796523 * v8 - 3.0467644718982196 * v9) * h
+    f10 = xi / (mu * (x if x > floor else floor) ** kappa)
     v11 = a_dot + (2.273310147516538 * f0 - 10.53449546673725 * f3 - 2.0008720582248625 * f4
                    - 17.9589318631188 * f5 + 27.94888452941996 * f6 - 2.8589982771350235 * f7
                    - 8.87285693353063 * f8 + 12.360567175794303 * f9
                    + 0.6433927460157636 * f10) * h
-    f11 = force(a + (2.273310147516538 * v0 - 10.53449546673725 * v3 - 2.0008720582248625 * v4
-                     - 17.9589318631188 * v5 + 27.94888452941996 * v6 - 2.8589982771350235 * v7
-                     - 8.87285693353063 * v8 + 12.360567175794303 * v9
-                     + 0.6433927460157636 * v10) * h)
+    x = a + (2.273310147516538 * v0 - 10.53449546673725 * v3 - 2.0008720582248625 * v4
+             - 17.9589318631188 * v5 + 27.94888452941996 * v6 - 2.8589982771350235 * v7
+             - 8.87285693353063 * v8 + 12.360567175794303 * v9
+             + 0.6433927460157636 * v10) * h
+    f11 = xi / (mu * (x if x > floor else floor) ** kappa)
     sa = (0.054293734116568765 * v0 + 4.450312892752409 * v5 + 1.8915178993145003 * v6
           - 5.801203960010585 * v7 + 0.3111643669578199 * v8 - 0.1521609496625161 * v9
           + 0.20136540080403034 * v10 + 0.04471061572777259 * v11)
@@ -340,7 +371,8 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
 
     eps_a = TOUCHDOWN_FRACTION * problem.a0
     s_max = problem.s_max
-    force = _force(problem)
+    law, force = _law(problem), _force(problem)
+    ulp, sqrt = math.ulp, math.sqrt
     s, a, a_dot = 0.0, problem.a0, problem.a1
     samples = [(s, a, a_dot)]
     nfev, rejected_steps = 2, 0
@@ -348,27 +380,37 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
     try:
         f = force(a)
         h = _initial_step(force, problem, f, tol)
+        # Each max(x, y) below is written as the comparison it makes, y if y > x
+        # else x, and each min(x, y) as y if y < x else x, which saves a call per
+        # use and keeps the value max and min pick on ties and NaNs.
         while s < s_max:
-            min_step = 10.0 * math.ulp(s)
-            h = max(h, min_step)
+            min_step = 10.0 * ulp(s)
+            if min_step > h:
+                h = min_step
             rejected = False
             while h >= min_step:
-                s_new = min(s + h, s_max)
+                s_new = s + h
+                if s_max < s_new:
+                    s_new = s_max
                 h = s_new - s
-                a_new, a_dot_new, e3a, e5a, e3v, e5v = _dop853_step(force, a, a_dot, f, h)
+                a_new, a_dot_new, e3a, e5a, e3v, e5v = _dop853_step(law, a, a_dot, f, h)
                 nfev += _STAGE_EVALS
-                sa = ATOL + max(abs(a), abs(a_new)) * tol
-                sv = ATOL + max(abs(a_dot), abs(a_dot_new)) * tol
+                size, size_new = abs(a), abs(a_new)
+                sa = ATOL + (size_new if size_new > size else size) * tol
+                size, size_new = abs(a_dot), abs(a_dot_new)
+                sv = ATOL + (size_new if size_new > size else size) * tol
                 e5 = (e5a / sa) ** 2 + (e5v / sv) ** 2
                 e3 = (e3a / sa) ** 2 + (e3v / sv) ** 2
                 # guard on the sum: 0.01 * e3 can underflow to 0 while e5 is 0
                 norm = e5 + 0.01 * e3
-                err = h * e5 / math.sqrt(2.0 * norm) if norm else 0.0
+                err = h * e5 / sqrt(2.0 * norm) if norm else 0.0
                 if err < 1.0:
-                    factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
-                    h *= min(1.0, factor) if rejected else factor
+                    factor = SAFETY * err**ERROR_EXPONENT if err else MAX_FACTOR
+                    factor = factor if factor < MAX_FACTOR else MAX_FACTOR
+                    h *= (factor if factor < 1.0 else 1.0) if rejected else factor
                     break
-                h *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
+                factor = SAFETY * err**ERROR_EXPONENT
+                h *= factor if factor > MIN_FACTOR else MIN_FACTOR
                 rejected = True
                 rejected_steps += 1
             else:
@@ -399,7 +441,7 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
                     if abs(t_next - t) <= 4.0 * math.ulp(t):
                         break
                     t = t_next
-                    a_new, a_dot_new, *_ = _dop853_step(force, a, a_dot, f, t - s)
+                    a_new, a_dot_new, *_ = _dop853_step(law, a, a_dot, f, t - s)
                     nfev += _STAGE_EVALS
                 samples.append((t, a_new, a_dot_new))
                 fate, touchdown_s = Fate.TOUCHDOWN, t
@@ -412,20 +454,11 @@ def integrate(problem: EmdenProblem, tol: float = 1e-10) -> EmdenTrajectory:
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalError(f"a(s) left the float range at xi={problem.xi}, kappa={problem.kappa}: {exc}") from exc
 
-    samples = np.array(samples)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed energy reads inf or nan
-        e0 = float(problem.energy(problem.a0, problem.a1))
-        energies = problem.energy(samples[:, 1], samples[:, 2])
-        drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
-    if not math.isfinite(drift):
-        drift = math.inf
-
     return EmdenTrajectory(
         problem=problem,
-        samples=samples,
+        samples=np.array(samples),
         fate=fate,
         touchdown_s=touchdown_s,
-        energy_drift_max=drift,
         nfev=nfev,
         rejected_steps=rejected_steps,
     )

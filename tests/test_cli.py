@@ -1,6 +1,7 @@
 """CLI: dispatch, validation exit codes, determinism, round-trip."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -761,6 +762,41 @@ def test_sweep_emits_grid_rows(tmp_path, capsys):
     header, rows = read_csv_rows(tmp_path / "sweep.csv")
     assert len(rows) == 16
     assert all(row[6] == "TouchdownAt" for row in rows)
+
+
+# Both signs of xi and a1, kappa < 1 and kappa = 1, touchdown and global cells;
+# tests/test_emden.py's PIN_LATTICE runs the same cells through integrate.
+SWEEP_PIN_GRID = ("xi=-1:1:4", "kappa=0.5:1:2", "a1=-1.5:1.5:3")
+# sha256 of its sweep.csv, recorded before integrate's step inlined the force law
+SWEEP_PIN_SHA256 = "041834c2bb47fae130f076b5002a42a05964ad87bf18c9806a520a7991bfabec"
+
+
+def _pinned_sweep(out):
+    assert run_cli("sweep", "--out", str(out), "--grid", *SWEEP_PIN_GRID) == 0
+    return (out / "sweep.csv").read_bytes()
+
+
+def test_sweep_csv_is_pinned_bit_for_bit(tmp_path, capsys):
+    csv = _pinned_sweep(tmp_path)
+    fates = {line.split(b",")[-2] for line in csv.splitlines()[1:]}
+    assert fates == {b"TouchdownAt", b"GlobalOnHorizon"}
+    assert hashlib.sha256(csv).hexdigest() == SWEEP_PIN_SHA256
+
+
+def _no_energy(self, a, a_dot):
+    raise AssertionError("the energy was computed")
+
+
+def test_sweep_computes_no_energy(tmp_path, capsys, monkeypatch):
+    # every cell computed its trajectory's energy drift, which the sweep never reads
+    monkeypatch.setattr(EmdenProblem, "energy", _no_energy)
+    assert hashlib.sha256(_pinned_sweep(tmp_path)).hexdigest() == SWEEP_PIN_SHA256
+
+
+def test_emden_reports_the_energy_drift(tmp_path, capsys):
+    # recorded before the drift was computed on first read
+    assert run_cli("emden", "--out", str(tmp_path), "--xi", "-1", "--a1", "0.3") == 0
+    assert read_json(tmp_path / "emden_summary.json")["energy_drift_max"] == 1.3166601142700074e-10
 
 
 def test_sweep_rejects_unknown_axis(tmp_path, capsys):

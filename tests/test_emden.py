@@ -1,5 +1,6 @@
 """Scale-factor dynamics: events, classification, energy, oracles."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -121,12 +122,14 @@ def _step_inputs(count=3000, seed=24):
 
 
 def test_step_is_the_table_driven_dop853_step_bit_for_bit():
-    # The step's literals and order of summation, against scipy's tables: a
-    # mistyped coefficient or a reordered sum changes the last bits here.
+    # The step's literals, order of summation and inlined force law, against
+    # scipy's tables driven by the law's one definition, _force: a mistyped
+    # coefficient, a reordered sum or a stage's law that strays from _force's
+    # changes the last bits here.
     floored = 0
     for problem, a, a_dot, h in _step_inputs():
         force = emden._force(problem)
-        got = emden._dop853_step(force, a, a_dot, force(a), h)
+        got = emden._dop853_step(emden._law(problem), a, a_dot, force(a), h)
         want = dop853_step(force, a, a_dot, force(a), h)
         assert [x.hex() for x in got] == [x.hex() for x in want], (problem, a, a_dot, h)
         floored += a < 1e-11 * problem.a0
@@ -517,3 +520,45 @@ def test_summary_emission():
     assert summary["fate"] == "TouchdownAt"
     assert summary["S"] == pytest.approx(8.0 / 3.0, rel=1e-6)
     assert summary["energy_drift_max"] < 1e-8
+
+
+# The sweep lattice of tests/test_cli.py's sweep.csv pin, as integrate's inputs: both
+# signs of xi and a1, kappa < 1 and kappa = 1, touchdown and global cells.
+PIN_LATTICE = [dict(xi=xi, kappa=kappa, a1=a1, s_max=20.0)
+               for xi, kappa, a1 in itertools.product(np.linspace(-1.0, 1.0, 4).tolist(),
+                                                      (0.5, 1.0), (-1.5, 0.0, 1.5))]
+FLOAT_RANGE_MAGNITUDES = (0.0, 1e-320, 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e300, 1.7e308)
+
+
+def _float_range_inputs(count=50, seed=29):
+    """Seeded problems with xi, a0, a1 and every other kappa drawn from +-FLOAT_RANGE_MAGNITUDES."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return float(rng.choice((-1.0, 1.0)) * rng.choice(FLOAT_RANGE_MAGNITUDES))
+
+    for i in range(count):
+        kappa = draw() if i % 2 else float(rng.uniform(0.0, 1.0))
+        yield dict(xi=draw(), kappa=kappa, mu=float(rng.choice((1.0, 4.0))), a0=abs(draw()),
+                   a1=draw(), s_max=float(rng.choice((1e-8, 1.0, 10.0))))
+
+
+def _outcome(kwargs, tol):
+    """integrate's whole result as bytes, or the type and message of the error it raised."""
+    try:
+        traj = integrate(EmdenProblem(**kwargs), tol=tol)
+    except (ValidationError, NumericalError) as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    head = (traj.fate.value, traj.touchdown_s, traj.nfev, traj.rejected_steps, traj.energy_drift_max)
+    return repr(head).encode() + traj.samples.tobytes()
+
+
+@pytest.mark.parametrize("inputs, digest", [
+    (PIN_LATTICE, "aad969c18a88d84e86ac4fb5914a840c6d6865e24be8c6d35006585d73390d7f"),
+    (list(_float_range_inputs()), "cd913fb33f1a3c2e9c40426f144ae44e8c8273d9f6655a2cfa379d0813f951b4"),
+])
+def test_integrate_results_are_pinned_bit_for_bit(inputs, digest):
+    # Recorded before integrate's step inlined the force law and its drift became
+    # lazy: any change to a sample, fate, S, a counter, the drift or an error shows.
+    outcomes = [_outcome(kwargs, tol) for tol in (1e-10, 1e-8) for kwargs in inputs]
+    assert hashlib.sha256(b"|".join(outcomes)).hexdigest() == digest

@@ -546,6 +546,9 @@ def test_study_takes_one_coefficient_rfft_per_landed_time(monkeypatch):
     # rho != 0 here, so each step transform has 3 or 4 rows: the 2-row
     # calls are the rffts of a landed (rho, u), one per distinct time
     assert rows.count(2) == len(times) == len(sampler._landed)
+    # the nodes shifted by 0, +-h and +-2h on each level: 20 starts, 11 distinct,
+    # as each level's 2h is the next coarser level's h
+    assert len(sampler._phases) == 11
 
 
 def test_run_sampler_keeps_at_most_run_states_max_landed_times():
@@ -566,6 +569,19 @@ def test_run_sampler_keeps_at_most_run_states_max_landed_times():
     # 2*(n/2 + 1) complex numbers per landed time: 16.4 KB at n = 1024
     assert sum(c.nbytes for c in sampler._landed.values()) == cap * 2 * (grid.n // 2 + 1) * 16
     again = sampler(times[0], grid.nodes)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, first))
+
+
+def test_run_sampler_keeps_at_most_run_states_max_phases(monkeypatch):
+    grid = Grid1D(n=64, length=TWO_PI)
+    sampler = RunSampler(make_state(grid, 1.0 + 0.5 * np.cos(grid.nodes), 0.01 * np.sin(grid.nodes)))
+    monkeypatch.setattr(pdesolver, "RUN_STATES_MAX", 4)
+    starts = [0.1 * k for k in range(6)]
+    first = sampler(0.0, grid.nodes + starts[0])
+    for start in starts[1:]:
+        sampler(0.0, grid.nodes + start)
+    assert list(sampler._phases) == starts[-4:]  # the oldest went first
+    again = sampler(0.0, grid.nodes + starts[0])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(again, first))
 
 
