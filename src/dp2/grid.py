@@ -18,7 +18,7 @@ from .errors import ValidationError
 
 # Largest n of any grid (solve's n, each verify level, selfsim's grid_n),
 # refused above it before anything is allocated: a dp2 verify whose finest
-# level has 2**20 nodes peaks at 454 MB RSS.
+# level has 2**20 nodes peaks at 142 MB RSS (x86_64, Python 3.11, numpy 2.4).
 N_MAX = 2**20
 
 

@@ -65,9 +65,11 @@ class Profile:
     def eval_f(self, eta):
         """Evaluate f(eta); total function, 0 outside the support."""
         eta_arr = np.asarray(eta, dtype=float)
-        rad = self.beta * self.alpha**2 - eta_arr**2
-        vals = np.sqrt(np.maximum(rad, 0.0) / self.beta)
-        vals = np.where(rad >= 0.0, vals, 0.0)
+        vals = np.square(eta_arr, out=np.empty_like(eta_arr))  # one array, formed in place
+        np.subtract(self.beta * self.alpha**2, vals, out=vals)
+        np.fmax(vals, 0.0, out=vals)  # 0 outside the support and for a nan eta
+        vals /= self.beta
+        np.sqrt(vals, out=vals)
         if np.isscalar(eta) or eta_arr.ndim == 0:
             return float(vals)
         return vals

@@ -18,6 +18,7 @@ differences with their own dt, read from the sampler like any stencil point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -85,40 +86,86 @@ def equation_residuals(
 
     All derivatives are central: (t, x), (t, x +- h), (t, x +- 2h),
     (t +- dt, x) and (t +- dt, x +- h); u_xxt uses the cross stencil and
-    u_xxx the 5-point third-derivative stencil.
+    u_xxx the 5-point third-derivative stencil.  Each difference is formed
+    as soon as its samples exist and the samples are dropped; R1 and R2
+    accumulate in place, with the operations of the formulas in the module
+    docstring in their order, so the residuals are bit for bit those of the
+    plain expressions while at most about 12 arrays of n floats are alive
+    (the sampler's own temporaries aside).  A sampler's arrays are only
+    read, never written.
     """
     x = grid.nodes
+    two_dt, two_h, h_sq = 2.0 * dt, 2.0 * h, h**2
     rho_p, up = sol_eval(t + dt, x)
     rho_m, um = sol_eval(t - dt, x)
+    r1 = rho_p - rho_m  # rho_t, then R1 accumulated onto it
+    del rho_p, rho_m
+    r1 /= two_dt
     rho, u = sol_eval(t, x)
     rho_r, u_r = sol_eval(t, x + h)
     rho_l, u_l = sol_eval(t, x - h)
-    _, u_rr = sol_eval(t, x + 2.0 * h)
-    _, u_ll = sol_eval(t, x - 2.0 * h)
-    _, up_r = sol_eval(t + dt, x + h)
-    _, up_l = sol_eval(t + dt, x - h)
-    _, um_r = sol_eval(t - dt, x + h)
-    _, um_l = sol_eval(t - dt, x - h)
+    rho_x = rho_r - rho_l
+    del rho_r, rho_l
+    rho_x /= two_h
+    u_x = u_r - u_l
+    u_x /= two_h
+    term = params.k2 * u
+    term *= rho_x
+    r1 += term
+    np.multiply(params.k1 + params.k2, rho, out=term)
+    term *= u_x
+    r1 += term
+    del term
 
-    rho_t = (rho_p - rho_m) / (2.0 * dt)
-    rho_x = (rho_r - rho_l) / (2.0 * h)
-    u_t = (up - um) / (2.0 * dt)
-    u_x = (u_r - u_l) / (2.0 * h)
-    u_xx = (u_r - 2.0 * u + u_l) / h**2
-    u_xxx = (u_rr - 2.0 * u_r + 2.0 * u_l - u_ll) / (2.0 * h**3)
-    uxx_p = (up_r - 2.0 * up + up_l) / h**2
-    uxx_m = (um_r - 2.0 * um + um_l) / h**2
-    u_xxt = (uxx_p - uxx_m) / (2.0 * dt)
+    # R2's spatial terms, each kept until u_t - u_xxt exists: A = 4*u*u_x,
+    # B = 3*u_x*u_xx, C = u*u_xxx and D = k3*rho*rho_x
+    u_rr = sol_eval(t, x + 2.0 * h)[1]
+    u_xx = 2.0 * u
+    np.subtract(u_r, u_xx, out=u_xx)
+    u_xx += u_l
+    u_xx /= h_sq
+    a_term = 4.0 * u
+    a_term *= u_x
+    b_term = u_x
+    b_term *= 3.0
+    b_term *= u_xx
+    d_term = u_xx
+    np.multiply(params.k3, rho, out=d_term)
+    d_term *= rho_x
+    u_xxx = rho_x
+    np.multiply(2.0, u_r, out=u_xxx)
+    np.subtract(u_rr, u_xxx, out=u_xxx)
+    del u_x, u_xx, rho_x, u_r, u_rr
+    u_xxx += 2.0 * u_l
+    del u_l
+    u_xxx -= sol_eval(t, x - 2.0 * h)[1]
+    u_xxx /= 2.0 * h**3
+    c_term = u_xxx
+    c_term *= u
+    del u, u_xxx
 
-    r1 = rho_t + params.k2 * u * rho_x + (params.k1 + params.k2) * rho * u_x
-    r2 = (
-        u_t
-        - u_xxt
-        + 4.0 * u * u_x
-        - 3.0 * u_x * u_xx
-        - u * u_xxx
-        + params.k3 * rho * rho_x
-    )
+    r2 = up - um  # u_t, then R2 accumulated onto it
+    r2 /= two_dt
+    uxx_p = 2.0 * up
+    del up
+    np.subtract(sol_eval(t + dt, x + h)[1], uxx_p, out=uxx_p)
+    uxx_p += sol_eval(t + dt, x - h)[1]
+    uxx_p /= h_sq
+    uxx_m = 2.0 * um
+    del um
+    np.subtract(sol_eval(t - dt, x + h)[1], uxx_m, out=uxx_m)
+    uxx_m += sol_eval(t - dt, x - h)[1]
+    uxx_m /= h_sq
+    u_xxt = uxx_p
+    u_xxt -= uxx_m
+    del uxx_m
+    u_xxt /= two_dt
+
+    r2 -= u_xxt
+    r2 += a_term
+    r2 -= b_term
+    r2 -= c_term
+    r2 += d_term
     return r1, r2, rho
 
 
@@ -138,18 +185,35 @@ def interior_mask(x: np.ndarray, rho: np.ndarray, delta: float) -> np.ndarray:
     if flips.size == 0:
         return np.ones_like(x, dtype=bool)
     edges = 0.5 * (x[flips] + x[flips + 1])
-    dist = np.min(np.abs(x[:, None] - edges[None, :]), axis=1)
-    return supported & (dist > delta)
+    return supported & (_edge_distance(x, edges) > delta)
+
+
+def _edge_distance(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """|x - e| to the nearest of ``edges``, for every (finite) node of ``x``.
+
+    A rounded difference x - e is monotone in e, so the nearest edge is the
+    last one below x or the first one at or above it.  Those two neighbours,
+    found by ``np.searchsorted`` on the sorted edges, give the minimum over
+    all edges bit for bit, in a few arrays of n floats whatever the number
+    of edges.
+    """
+    bounded = np.concatenate(([-np.inf], np.sort(edges), [np.inf]))
+    right = np.searchsorted(bounded, x)  # bounded[right - 1] < x <= bounded[right]
+    dist = np.subtract(bounded[right], x)
+    right -= 1
+    np.minimum(dist, np.subtract(x, bounded[right]), out=dist)
+    return dist
 
 
 def _fit_order(hs: Sequence[float], norms: Sequence[float]) -> Optional[float]:
-    norms = np.asarray(norms, dtype=float)
-    if np.any(norms <= 0.0) or np.max(norms) < 1e-14:
+    """Least-squares slope of log(norm) over log(h), from centred sums."""
+    if any(norm <= 0.0 for norm in norms) or all(norm < 1e-14 for norm in norms):
         return None  # exact-zero residual: order not applicable
-    logs_h = np.log(np.asarray(hs, dtype=float))
-    logs_n = np.log(norms)
-    slope = np.polyfit(logs_h, logs_n, 1)[0]
-    return float(slope)
+    logs_h = [math.log(h) for h in hs]
+    logs_n = [math.log(norm) for norm in norms]
+    mean_h, mean_n = sum(logs_h) / len(logs_h), sum(logs_n) / len(logs_n)
+    dev_h = [log_h - mean_h for log_h in logs_h]
+    return sum(d * (log_n - mean_n) for d, log_n in zip(dev_h, logs_n)) / sum(d * d for d in dev_h)
 
 
 def stencil_reach(grids: Sequence[Grid1D], dt_over_h: float) -> float:
@@ -191,8 +255,10 @@ def convergence_study(
     hs, mass_norms, mom_norms = [], [], []
     for grid in sorted(grids, key=lambda g: g.dx, reverse=True):
         h = grid.dx
+        finest = ()  # the coarser level's residuals go before this level is sampled
         r1, r2, rho = equation_residuals(sol_eval, params, t, grid, h, dt_over_h * h)
         mask = interior_mask(grid.nodes, rho, delta)
+        del rho
         if not mask.any():
             raise ValidationError(
                 f"interior band of the level h={h} has no node (delta={delta})"
@@ -200,6 +266,8 @@ def convergence_study(
         hs.append(h)
         mass_norms.append(float(np.max(np.abs(r1[mask]))))
         mom_norms.append(float(np.max(np.abs(r2[mask]))))
+        finest = (grid.nodes, r1, r2)
+        del r1, r2, mask
 
     return ResidualReport(
         dt=dt_over_h * hs[-1],
@@ -209,5 +277,5 @@ def convergence_study(
         hs=tuple(hs),
         mass_norms=tuple(mass_norms),
         momentum_norms=tuple(mom_norms),
-        finest_residuals=(grid.nodes, r1, r2),  # the loop ends on the finest level
+        finest_residuals=finest,  # the loop ends on the finest level
     )

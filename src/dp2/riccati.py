@@ -18,6 +18,7 @@ slope, not an exact time.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +30,8 @@ from .errors import ValidationError
 # one more RK4 step would be meaningless and the closed form governs.
 ESCAPE_THRESHOLD = 1e6
 
-# Rows of (t, v) tuples a comparison trajectory may keep, about 100 MB.
+# Rows of (t, v) a comparison trajectory may keep: 16 MB of float64 at the cap,
+# 32 MB traced while it is built (x86_64, Python 3.11, numpy 2.4).
 MAX_TRAJECTORY_ROWS = 10**6
 
 
@@ -105,12 +107,13 @@ def comparison_trajectory(
     horizon = t_max if t_bound is None else 10.0 * t_bound
     c2 = crit.c**2
     t, v = 0.0, crit.v0
-    out = [(t, v)]
+    ts, vs = array("d", [t]), array("d", [v])  # 16 bytes a row
     while abs(v) <= ESCAPE_THRESHOLD and t < horizon:
         v = _rk4_step(v, dt, c2)
         t += dt
-        out.append((t, v))
-    return np.asarray(out)
+        ts.append(t)
+        vs.append(v)
+    return np.column_stack((np.frombuffer(ts), np.frombuffer(vs)))
 
 
 def escape_time(crit: BlowupCriterion, dt: float, t_max: float = 10.0) -> Optional[float]:

@@ -132,8 +132,9 @@ class SelfSimilarSolution:
         """Density and velocity at (t, x); x may be a scalar or array."""
         a, a_dot = self._scale_at(t)
         x_arr = np.asarray(x, dtype=float)
-        eta = x_arr / a ** (0.25 * self.params.k2)
-        rho = self.profile.eval_f(eta) / a ** (0.25 * (self.params.k1 + self.params.k2))
+        # eta = x / a**(k2/4) goes unnamed, so it is freed as soon as f(eta) exists
+        rho = self.profile.eval_f(x_arr / a ** (0.25 * self.params.k2))
+        rho = rho / a ** (0.25 * (self.params.k1 + self.params.k2))
         u = (a_dot / a) * x_arr
         if np.isscalar(x) or x_arr.ndim == 0:
             return float(rho), float(u)

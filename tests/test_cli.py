@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,16 +543,47 @@ def test_write_csv_matches_the_per_value_writer(tmp_path, rows):
 
 
 def test_write_csv_blocks_match_the_per_value_writer(tmp_path, monkeypatch):
-    # several blocks, one of them mixed, plus a short last block
+    # float columns over several blocks and a short last one: random bit patterns
+    # (nan payloads, infinities, subnormals, both zeros) and normal draws
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2**63, size=(300, 3), dtype=np.uint64) | (
         rng.integers(0, 2, size=(300, 3), dtype=np.uint64) << np.uint64(63)
     )
-    rows = bits.view(np.float64).tolist() + [[1.0, "", 2]] + rng.normal(size=(130, 3)).tolist()
-    write_csv(tmp_path / "new.csv", "x,y,z", zip(*zip(*rows)))
-    write_csv_reference(tmp_path / "ref.csv", "x,y,z", rows)
+    table = np.concatenate([bits.view(np.float64), rng.normal(size=(130, 3))])
+    write_csv(tmp_path / "new.csv", "x,y,z", columns=table.T)
+    write_csv_reference(tmp_path / "ref.csv", "x,y,z", table.tolist())
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("length", [1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
+                                    cli.CSV_BLOCK_ROWS + 1])
+def test_write_csv_columns_match_the_per_value_writer(tmp_path, length):
+    values = np.array([-0.0, 5e-324, 1e308, 3.0, -7.0, 2.0**53, 0.1])  # integral floats among them
+    columns = (np.resize(values, length), np.resize(values[::-1], length),
+               np.arange(length, dtype=float))
+    write_csv(tmp_path / "new.csv", "a,b,c", columns=columns)
+    write_csv_reference(tmp_path / "ref.csv", "a,b,c", zip(*(c.tolist() for c in columns)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_takes_columns_of_one_length(tmp_path):
+    write_csv(tmp_path / "empty.csv", "a,b", columns=(np.empty(0), ()))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+    with pytest.raises(ValueError, match="unequal length"):
+        write_csv(tmp_path / "bad.csv", "a,b", columns=(np.zeros(3), np.zeros(2)))
+
+
+def test_write_csv_formats_columns_in_bounded_memory(tmp_path):
+    # each column became 2**17 Python floats first: 13.6 MB traced
+    columns = np.random.default_rng(3).normal(size=(3, 2**17))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", "a,b,c", columns=columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_solve_reports_the_crossing(tmp_path, capsys):
@@ -774,6 +806,30 @@ SWEEP_PIN_SHA256 = "041834c2bb47fae130f076b5002a42a05964ad87bf18c9806a520a7991bf
 def _pinned_sweep(out):
     assert run_cli("sweep", "--out", str(out), "--grid", *SWEEP_PIN_GRID) == 0
     return (out / "sweep.csv").read_bytes()
+
+
+# sha256 of each float CSV of the ROUND_TRIPS runs, recorded before write_csv took
+# columns as arrays
+CSV_PIN_SHA256 = {
+    "emden_trajectory.csv": "38454cc9711e014a4c6af4534da95479b4366bce467fc62f5a5b0c435478304d",
+    "selfsim_snapshot_1.csv": "5cf256230315b863e1d5566fe686f2d8218e283f827217bb4b23e347e0f2ad29",
+    "selfsim_mass.csv": "aa4bd350ca073406f743289a9cfd2dd2bccc2898e0c1f55e7acfb58ea86ced9a",
+    "verify_norms.csv": "5c560f8e97448f266205d7679caf0b7b93c2bc0ebd36a92b251b02c52b84e3b4",
+    "verify_residuals.csv": "b5b6f03bfd9314db9e555e11f7273f4c4dac79336fc32710a36aca983923d2c5",
+    "riccati_trajectory.csv": "7d0f4c7e7d22cacb78dabe3d2ddbc76912a2b3a6fb63716bd6a60d058ca54c1f",
+    "solve_diagnostics.csv": "8a95b187e6953972cc1e42cdc7acbe78d3e976f908d0ac76e512a4d1a652e550",
+    "solve_snapshot_0.csv": "7d287f6e80d18bab559190a1611bed91d4f3ba3a7ba8a07d67247819f6ce2f56",
+}
+
+
+@pytest.mark.parametrize("command", ["emden", "selfsim", "verify", "riccati", "solve"])
+def test_float_csvs_are_pinned_bit_for_bit(tmp_path, capsys, command):
+    argv, _, compared = ROUND_TRIPS[command]
+    assert run_cli(argv[0], "--out", str(tmp_path), *argv[1:]) == 0
+    for name in compared:
+        if name.endswith(".csv"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == CSV_PIN_SHA256[name], name
 
 
 def test_sweep_csv_is_pinned_bit_for_bit(tmp_path, capsys):

@@ -121,3 +121,11 @@ def test_benchmark_names_exist(module, path):
     for part in path.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+def test_dp2_source_calls_no_lapack():
+    # the first np.polyfit of a verify run mapped about 1 MB of BLAS/LAPACK
+    # buffers to fit a line through three to five points
+    for path in Path(dp2.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "polyfit" not in text and "linalg" not in text, path.name

@@ -1,6 +1,7 @@
 """Density shape: closed form, support, mass, shape-ODE residual."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,3 +135,27 @@ def test_rejects_bad_shape_parameters():
         Profile(alpha=-1.0, beta=1.0)
     with pytest.raises(ValidationError):
         Profile(alpha=1.0, beta=0.0)
+
+
+def test_eval_f_is_the_where_form_bit_for_bit():
+    # eval_f computes in one array what sqrt(maximum(rad, 0)/beta) masked by
+    # where(rad >= 0) computed in four
+    p = Profile.from_params(1.3, 0.7, 0.9)
+    rng = np.random.default_rng(17)
+    w = p.half_width
+    eta = np.concatenate([rng.normal(scale=2.0 * w, size=4000),
+                          [np.nan, np.inf, -np.inf, 0.0, -0.0, w, -w, np.nextafter(w, 0.0),
+                           np.nextafter(w, 2.0 * w), 5e-324]])
+    rad = p.beta * p.alpha**2 - eta**2
+    with np.errstate(invalid="ignore"):
+        expected = np.where(rad >= 0.0, np.sqrt(np.maximum(rad, 0.0) / p.beta), 0.0)
+    assert p.eval_f(eta).tobytes() == expected.tobytes()
+    assert [p.eval_f(float(e)) for e in eta[-10:]] == expected[-10:].tolist()
+    assert type(p.eval_f(np.array(0.2))) is float and p.eval_f(np.array(0.2)) == p.eval_f(0.2)
+    tracemalloc.start()
+    try:
+        p.eval_f(eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * eta.nbytes

@@ -1,6 +1,7 @@
 """Residual lab: stencils, interior band, convergence orders, parity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from dp2.grid import Grid1D
 from dp2.pdesolver import RunSampler, SolverState, dealias
 from dp2.residual import (
     InsufficientGrids,
+    _edge_distance,
+    _fit_order,
     convergence_study,
     equation_residuals,
     interior_mask,
@@ -195,6 +198,145 @@ def test_perturbation_response_scales_like_eps_over_h():
     assert response(2e-6, 4e-3) / response(1e-6, 4e-3) == pytest.approx(2.0, rel=0.2)
     # ~1/h at fixed eps for white noise
     assert response(1e-6, 2e-3) / response(1e-6, 4e-3) == pytest.approx(2.0, rel=0.35)
+
+
+def plain_residuals(sol_eval, params, t, grid, h, dt):
+    """Reference: the one-pass stencil as plain array expressions, every sample kept."""
+    x = grid.nodes
+    rho_p, up = sol_eval(t + dt, x)
+    rho_m, um = sol_eval(t - dt, x)
+    rho, u = sol_eval(t, x)
+    rho_r, u_r = sol_eval(t, x + h)
+    rho_l, u_l = sol_eval(t, x - h)
+    _, u_rr = sol_eval(t, x + 2.0 * h)
+    _, u_ll = sol_eval(t, x - 2.0 * h)
+    _, up_r = sol_eval(t + dt, x + h)
+    _, up_l = sol_eval(t + dt, x - h)
+    _, um_r = sol_eval(t - dt, x + h)
+    _, um_l = sol_eval(t - dt, x - h)
+    rho_t = (rho_p - rho_m) / (2.0 * dt)
+    rho_x = (rho_r - rho_l) / (2.0 * h)
+    u_t = (up - um) / (2.0 * dt)
+    u_x = (u_r - u_l) / (2.0 * h)
+    u_xx = (u_r - 2.0 * u + u_l) / h**2
+    u_xxx = (u_rr - 2.0 * u_r + 2.0 * u_l - u_ll) / (2.0 * h**3)
+    uxx_p = (up_r - 2.0 * up + up_l) / h**2
+    uxx_m = (um_r - 2.0 * um + um_l) / h**2
+    u_xxt = (uxx_p - uxx_m) / (2.0 * dt)
+    r1 = rho_t + params.k2 * u * rho_x + (params.k1 + params.k2) * rho * u_x
+    r2 = u_t - u_xxt + 4.0 * u * u_x - 3.0 * u_x * u_xx - u * u_xxx + params.k3 * rho * rho_x
+    return r1, r2, rho
+
+
+class ReadOnlySampler:
+    """Hands out read-only arrays and records (t, first node) of every call."""
+
+    def __init__(self, sampler):
+        self.sampler, self.calls = sampler, []
+
+    def __call__(self, t, x):
+        self.calls.append((t, x[0]))
+        rho, u = self.sampler(t, x)
+        rho.setflags(write=False)
+        u.setflags(write=False)
+        return rho, u
+
+
+@pytest.mark.parametrize("case", ["branch2", "k3<0", "gauss", "trig"])
+def test_in_place_residuals_match_the_plain_expressions_bit_for_bit(case):
+    params = SystemParams(k1=0.7, k2=1.2, k3=-0.4)
+    if case == "branch2":
+        sol = branch2_solution()
+        sampler, params, t = sol.evaluate, sol.params, 0.1
+    elif case == "k3<0":
+        sol = build_solution(SystemParams(k1=1.3, k2=0.8, k3=-1.0), xi=-1.0, alpha=0.9, s_max=2.0)
+        sampler, params, t = sol.evaluate, sol.params, 0.05
+    elif case == "gauss":
+        sampler, t = (lambda t, x: (np.exp(-(x**2)), x * np.exp(-(x**2)) * (1.0 + t))), 0.3
+    else:
+        sampler, t = (lambda t, x: (np.sin(37.0 * x + t), np.cos(3.0 * x) * t)), 0.3
+    grid = Grid1D(n=1024, length=4.096, x0=-2.048)
+    h, dt = 3e-3, 2e-3
+    reading = ReadOnlySampler(sampler)  # a write into a sampler's array raises
+    got = equation_residuals(reading, params, t, grid, h, dt)
+    expected = plain_residuals(sampler, params, t, grid, h, dt)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+    x0 = grid.nodes[0]
+    assert reading.calls == [
+        (t + dt, x0), (t - dt, x0), (t, x0), (t, x0 + h), (t, x0 - h), (t, x0 + 2.0 * h),
+        (t, x0 - 2.0 * h), (t + dt, x0 + h), (t + dt, x0 - h), (t - dt, x0 + h), (t - dt, x0 - h),
+    ]
+
+
+def test_equation_residuals_keep_about_a_dozen_arrays_alive():
+    # every sample and difference stayed alive to the end: 30 arrays of n floats
+    sol = branch2_solution()
+    grid = Grid1D(n=2**14, length=4.096, x0=-2.048)
+    h = grid.dx
+    equation_residuals(sol.evaluate, sol.params, 0.1, grid, h, h)  # grid.nodes and the trajectory's caches
+    tracemalloc.start()
+    try:
+        residuals = equation_residuals(sol.evaluate, sol.params, 0.1, grid, h, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(residuals) == 3
+    assert peak <= 14 * 8 * grid.n
+
+
+def test_interior_mask_takes_the_nearest_edge_from_its_two_neighbours():
+    # the (n x edges) distance matrix of this density peaked at 250 MB
+    x = np.linspace(-2.0, 2.0, 2**14)
+    rho = np.sin(250.0 * np.pi * x + 0.1)
+    supported = rho > 0.0
+    flips = np.nonzero(supported[:-1] != supported[1:])[0]
+    assert flips.size == 1000
+    edges = 0.5 * (x[flips] + x[flips + 1])
+    matrix = np.concatenate([np.min(np.abs(chunk[:, None] - edges[None, :]), axis=1)
+                             for chunk in np.array_split(x, 64)])
+    assert _edge_distance(x, edges).tobytes() == matrix.tobytes()
+    assert _edge_distance(x, edges[::-1]).tobytes() == matrix.tobytes()
+    delta = 1.5 * (x[1] - x[0])
+    tracemalloc.start()
+    try:
+        mask = interior_mask(x, rho, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mask, supported & (matrix > delta))
+    assert 0 < mask.sum() < supported.sum()
+    assert peak <= 6 * 8 * x.size
+
+
+def test_fit_order_is_the_least_squares_slope():
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        levels = int(rng.integers(3, 8))
+        hs = 4.096 / (int(rng.integers(16, 1024)) * 2.0 ** np.arange(levels))
+        norms = hs ** rng.uniform(0.5, 4.0) * np.exp(rng.normal(scale=0.1, size=levels))
+        expected = np.polyfit(np.log(hs), np.log(norms), 1)[0]
+        assert _fit_order(tuple(hs.tolist()), tuple(norms.tolist())) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("norms,order", [
+    ((0.0, 1e-3, 1e-4), None),  # an exact-zero level
+    ((-1e-3, 1e-3, 1e-4), None),
+    ((1e-15, 1e-16, 1e-20), None),  # every level below 1e-14
+    ((1e-15, 1e-13, 1e-15), "fit"),  # one level at 1e-13 is enough to fit
+    ((1e-3, math.nan, 1e-5), "nan"),
+    ((math.nan, 1e-20, 1e-20), "nan"),
+    ((math.inf, 1e-3, 1e-5), "nan"),
+])
+def test_fit_order_edge_cases_as_the_polyfit_gave(norms, order):
+    hs = (0.01, 0.005, 0.0025)
+    got = _fit_order(hs, norms)
+    if order is None:
+        assert got is None
+    elif order == "nan":
+        assert math.isnan(got)
+    else:
+        assert got == pytest.approx(np.polyfit(np.log(hs), np.log(norms), 1)[0], rel=1e-12)
 
 
 def test_interior_mask_detects_support():

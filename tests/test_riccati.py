@@ -1,6 +1,7 @@
 """Blowup-time bound: closed form vs RK4 oracle, limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,3 +106,51 @@ def test_small_m_limit_continuity():
 def test_rejects_negative_m():
     with pytest.raises(ValidationError):
         BlowupCriterion(M=-1.0, v0=-2.0)
+
+
+def tuple_trajectory(crit, dt, t_max=10.0):
+    """Reference: the comparison RK4 run kept as a list of (t, v) tuples."""
+    t_bound = check(crit)
+    horizon = t_max if t_bound is None else 10.0 * t_bound
+    c2 = crit.c**2
+    t, v = 0.0, crit.v0
+    rows = [(t, v)]
+    while abs(v) <= ESCAPE_THRESHOLD and t < horizon:
+        k1 = -v * v + c2
+        v2 = v + 0.5 * dt * k1
+        k2 = -v2 * v2 + c2
+        v3 = v + 0.5 * dt * k2
+        k3 = -v3 * v3 + c2
+        v4 = v + dt * k3
+        k4 = -v4 * v4 + c2
+        v = v + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        t += dt
+        rows.append((t, v))
+    return np.asarray(rows)
+
+
+@pytest.mark.parametrize("m,v0,dt,t_max", [
+    (0.0, -2.0, 1e-4, 10.0), (1.0, -3.0, 1e-3, 10.0), (1.0, 5.0, 1e-3, 5.0),
+    (2.0, -1.0, 1e-2, 3.0), (0.0, -2e6, 1e-4, 10.0),
+])
+def test_trajectory_is_the_tuple_runs_bit_for_bit(m, v0, dt, t_max):
+    crit = BlowupCriterion(M=m, v0=v0)
+    traj = comparison_trajectory(crit, dt, t_max)
+    expected = tuple_trajectory(crit, dt, t_max)
+    assert traj.shape == expected.shape and traj.dtype == expected.dtype
+    assert traj.tobytes() == expected.tobytes()
+    escaped = abs(expected[-1, 1]) > ESCAPE_THRESHOLD
+    assert escape_time(crit, dt, t_max) == (float(expected[-1, 0]) if escaped else None)
+
+
+def test_trajectory_keeps_two_floats_a_row():
+    # a list of (t, v) tuples took about 112 bytes a row
+    crit = BlowupCriterion(M=0.0, v0=-1.0)
+    tracemalloc.start()
+    try:
+        traj = comparison_trajectory(crit, dt=1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) > 99_000
+    assert peak < 40 * len(traj)
