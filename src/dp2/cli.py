@@ -56,9 +56,11 @@ EXIT_CRITERION = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# Rows formatted per write.  Three float columns of 2**17 rows are written in
-# 0.85 MB of traced memory, against 13.6 MB for the same rows as Python floats.
-CSV_BLOCK_ROWS = 4096
+# Rows formatted per write.  A block's text, values and template stay a few KB,
+# far below glibc's 128 KB mmap threshold: with 4096-row blocks (about 270 KB of
+# text) a process that ran dp2 verify 400 times at n_base 1024 grew by 1.0-2.7 MB
+# of RSS after its first run, with 64-row blocks by 0.6 MB, at the same speed.
+CSV_BLOCK_ROWS = 64
 SWEEP_TOL = 1e-8  # emden.integrate's tol in each sweep cell
 # Most cells dp2 sweep runs: at 0.6-0.75 ms of CPU a cell (the 16x16 xi x kappa
 # touchdown lattice xi=-2:-0.2:16 kappa=0.2:1:16, its CSV included; 2-core x86_64

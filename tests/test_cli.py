@@ -545,7 +545,7 @@ def test_write_csv_matches_the_per_value_writer(tmp_path, rows):
 def test_write_csv_blocks_match_the_per_value_writer(tmp_path, monkeypatch):
     # float columns over several blocks and a short last one: random bit patterns
     # (nan payloads, infinities, subnormals, both zeros) and normal draws
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2**63, size=(300, 3), dtype=np.uint64) | (
         rng.integers(0, 2, size=(300, 3), dtype=np.uint64) << np.uint64(63)
