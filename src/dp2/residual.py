@@ -141,7 +141,7 @@ def equation_residuals(
     u_xxx -= sol_eval(t, x - 2.0 * h)[1]
     u_xxx /= 2.0 * h**3
     c_term = u_xxx
-    c_term *= u
+    c_term *= u  # a rounded product commutes: u_xxx*u is u*u_xxx bit for bit
     del u, u_xxx
 
     r2 = up - um  # u_t, then R2 accumulated onto it
