@@ -1,33 +1,40 @@
 """Command-line entry point.
 
 Subcommands: emden, selfsim, verify, riccati, solve, sweep.  Each run
-resolves its parameters from defaults, then an optional flat key=value
-config file, then command-line flags (flags win), validates them
-against the owning module's preconditions, and emits CSV/JSON
-artifacts into --out.  Reals are written with 17 significant digits
-('.' decimal separator, no locale) so outputs are byte-identical across
-repeated runs and round-trip safely; every JSON summary embeds the
-resolved config, which can be fed back via --config to reproduce the
-run.  No subcommand has a tol or a domain length: emden, selfsim and
-verify integrate to emden.integrate's default 1e-10, each sweep cell to
-SWEEP_TOL = 1e-8; verify's grids span VERIFY_LENGTH = 4.096 centred at
-0, and solve's period is pdesolver.LENGTH = 2*pi.  ``verify`` has no
-s_max: it integrates the scale factor up to s = 4*(t + dt_over_h*h), h
-the coarsest level's spacing, which is the last time its stencils read,
-and refuses a t whose stencils reach below t = 0 or to the collapse
-time, or whose s is not finite; it exits 1 when an order estimate is
-missing or below VERIFY_MIN_ORDER = 1.7.  ``riccati`` runs the comparison
-trajectory of an inconclusive criterion to comparison_trajectory's
-default t = 10.  ``solve`` has no width or margin setting (the bump is
-L/16 wide and the margin pdesolver.MARGIN), and no k1, k2 or k3: every
-run starts from rho0 = 0, and a run from rho0 = 0 never reads them.  It
-refuses a snapshot time outside [0, t_max] or more snapshot nodes than
+resolves its parameters from defaults, then an optional --config file,
+then command-line flags (flags win), validates them against the owning
+module's preconditions, and emits CSV/JSON artifacts into --out.  Reals
+are written with 17 significant digits ('.' decimal separator, no
+locale) so outputs are byte-identical across repeated runs and
+round-trip safely.  Every JSON summary embeds the resolved config: a
+"config" object with the subcommand under "command" and every setting.
+--config reads exactly that, so a summary of the same subcommand, passed
+as written, reproduces its run byte for byte.  A config value must have
+its setting's JSON type (a float setting takes an int too; no setting
+takes true or false).  An unreadable --config, or an --out that cannot
+be made a directory, exits 2.  No subcommand has a tol or a domain
+length: emden, selfsim and verify integrate to emden.integrate's default
+1e-10, each sweep cell to SWEEP_TOL = 1e-8; verify's grids span
+VERIFY_LENGTH = 4.096 centred at 0, and solve's period is
+pdesolver.LENGTH = 2*pi.  ``verify`` has no s_max: it integrates the
+scale factor up to s = 4*(t + dt_over_h*h), h the coarsest level's
+spacing, which is the last time its stencils read, and refuses a t whose
+stencils reach below t = 0 or to the collapse time, or whose s is not
+finite; it exits 1 when an order estimate is missing or below
+VERIFY_MIN_ORDER = 1.7.  ``riccati`` runs the comparison trajectory of
+an inconclusive criterion to comparison_trajectory's default t = 10.
+``solve`` has no width or margin setting (the bump is L/16 wide and the
+margin pdesolver.MARGIN), and no k1, k2 or k3: every run starts from
+rho0 = 0, and a run from rho0 = 0 never reads them.  It refuses a
+snapshot time outside [0, t_max] or more snapshot nodes than
 pdesolver.SNAPSHOT_POINTS_MAX, and its summary lists the t of each
-snapshot file.  Every grid (solve's n, each verify level, selfsim's
-grid_n) is refused above grid.N_MAX = 2**20 points before anything is
-allocated; verify names --n-base or --levels when it refuses one.
-``sweep`` refuses a lattice of more than SWEEP_CELLS_MAX = 2**16 cells,
-the product of its --grid counts, before it builds any axis.
+snapshot file; selfsim refuses more snapshot nodes (times by grid_n)
+than that cap too, before it writes anything.  Every grid (solve's n,
+each verify level, selfsim's grid_n) is refused above grid.N_MAX = 2**20
+points before anything is allocated; verify names --n-base or --levels
+when it refuses one.  ``sweep`` refuses a lattice of more than
+SWEEP_CELLS_MAX = 2**16 cells, the product of its --grid counts, before
+it builds any axis.
 
 Exit codes: 0 success, 1 verification criterion failed, 2 validation
 error, 3 numerical failure.
@@ -176,38 +183,38 @@ SCHEMAS = {
 }
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
+def _load_config(path: str, command: str) -> dict:
+    """The settings in the "config" object of a dp2 JSON summary written by ``command``."""
+    try:
+        settings = dict(json.loads(Path(path).read_text(encoding="utf-8"))["config"])
+    # ValueError: not UTF-8, or not JSON; RecursionError: JSON nested too deep to load
+    except (OSError, ValueError, RecursionError, KeyError, TypeError) as exc:
+        raise ValidationError(f"--config {path}: not a dp2 summary: {type(exc).__name__}: {exc}") from exc
+    if (written_by := settings.pop("command", None)) != command:
+        raise ValidationError(f"--config {path} holds a config of {written_by!r}, not of {command!r}")
+    return settings
 
 
 def _resolve_params(command: str, args: argparse.Namespace) -> dict:
-    """defaults <- config file <- flags, rejecting unknown config keys."""
+    """defaults <- --config <- flags, refusing unknown keys and values of another type."""
     schema = SCHEMAS[command]
     resolved = {key: default for key, (_, default) in schema.items()}
 
     if args.config:
-        for key, raw in _load_config_file(args.config).items():
+        for key, value in _load_config(args.config, command).items():
             if key not in schema:
                 raise ValidationError(f"unknown config key: {key}")
             typ = schema[key][0]
+            # by type(), not isinstance(): a JSON true or false loads as a bool, which is an int
+            if type(value) not in ((int, float) if typ is float else (typ,)):
+                raise ValidationError(f"config key {key}: expected {typ.__name__}, got {json.dumps(value)}")
             try:
-                resolved[key] = typ(raw)
-            except ValueError as exc:
+                resolved[key] = typ(value)
+            except OverflowError as exc:  # an int past the float range
                 raise ValidationError(f"config key {key}: {exc}") from exc
 
-    for key in schema:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
+    # flags win; a flag not given is no attribute of args (default=argparse.SUPPRESS)
+    resolved.update((key, getattr(args, key)) for key in schema if hasattr(args, key))
 
     for key, value in resolved.items():
         if value is None:
@@ -222,7 +229,7 @@ class Run:
     """One subcommand run: its resolved params and its output directory.
 
     Artifacts go through :meth:`csv` and :meth:`json`, which honour --format; every
-    JSON summary gets the config echo (command, seed, params) that --config can replay.
+    JSON summary gets the config echo (command and params) that --config replays.
     """
 
     def __init__(self, args: argparse.Namespace, params: dict, out: Path):
@@ -237,7 +244,7 @@ class Run:
 
     def json(self, name: str, summary: dict) -> None:
         if self.wants("json"):
-            echo = {"command": self.args.command, "seed": self.args.seed, **self.params}
+            echo = {"command": self.args.command, **self.params}
             write_json(self.out / name, {**summary, "config": echo})
 
 
@@ -277,6 +284,9 @@ def cmd_selfsim(run: Run) -> int:
         raise ValidationError("times: need at least one sample time")
     if not 2 <= params["grid_n"] <= N_MAX:
         raise ValidationError(f"grid_n must be in [2, {N_MAX}], got {params['grid_n']}")
+    if (nodes := len(times) * params["grid_n"]) > pdesolver.SNAPSHOT_POINTS_MAX:
+        raise ValidationError(f"{len(times)} snapshot times on grid_n={params['grid_n']} would write"
+                              f" {nodes} nodes per field, over the cap {pdesolver.SNAPSHOT_POINTS_MAX}")
     if params["k3"] == 0.0:
         raise ValidationError("k3 = 0 (free-profile branch) is library-only; pass k3 != 0")
     sol = _solution(params, params["s_max"])
@@ -441,25 +451,20 @@ def cmd_sweep(run: Run) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    for key, (typ, _default) in SCHEMAS[command].items():
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None)
-
-
 @functools.cache  # built on the first main(), once per process (~2 ms)
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--config", default=None, help="replay a dp2 JSON summary's config")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="emit only this artifact kind (default: both)")
 
     parser = argparse.ArgumentParser(prog="dp2")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SCHEMAS:
+    for name, schema in SCHEMAS.items():
         p = sub.add_parser(name, parents=[common])
-        _add_schema_flags(p, name)
+        for key, (typ, _default) in schema.items():
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=argparse.SUPPRESS)
         if name == "sweep":
             p.add_argument("--grid", nargs="+", metavar="KEY=START:STOP:COUNT")
     return parser
@@ -470,7 +475,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         params = _resolve_params(args.command, args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out {out}: {exc}") from exc
         # Looked up at dispatch, so a handler rebound on this module runs.
         return globals()[f"cmd_{args.command}"](Run(args, params, out))
     except ValidationError as exc:

@@ -36,6 +36,12 @@ def read_csv_rows(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
+def write_config(path, command, **settings):
+    """A file laid out as a dp2 JSON summary whose config echo holds ``settings``."""
+    path.write_text(json.dumps({"config": {"command": command, **settings}}))
+    return str(path)
+
+
 def test_emden_touchdown_run(tmp_path, capsys):
     code = run_cli(
         "emden", "--out", str(tmp_path), "--xi", "-1", "--kappa", "0.5",
@@ -271,9 +277,8 @@ def test_solve_has_no_width_or_margin_flag(tmp_path, capsys, flag):
 
 def test_solve_config_key_sigma_is_unknown(tmp_path, capsys):
     # a solve_summary.json echo from before the width and margin settings went
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 256\nsigma = 0\n")
-    code = run_cli("solve", "--out", str(tmp_path / "run"), "--config", str(cfg))
+    cfg = write_config(tmp_path / "run.json", "solve", n=256, sigma=0.0)
+    code = run_cli("solve", "--out", str(tmp_path / "run"), "--config", cfg)
     assert code == 2
     assert capsys.readouterr().err == "error: unknown config key: sigma\n"
     assert not (tmp_path / "run").exists()
@@ -291,7 +296,10 @@ def test_solve_config_key_sigma_is_unknown(tmp_path, capsys):
     # 16 MB of (rho, u) per snapshot at n = 2**20, with nothing to limit the count
     (("solve", "--n", "1048576", "--t-max", "0.01", "--snapshot-times", ",".join(["0"] * 17)),
      "17 snapshot times on n=1048576 would keep 17825792 nodes per field, over the cap 16777216"),
-], ids=["verify", "solve", "selfsim", "solve-snapshots"])
+    # 4 times took 5.89 s and wrote 159 MB; 1000 would have written about 40 GB
+    (("selfsim", "--k3", "1", "--xi", "1", "--grid-n", "1048576", "--times", ",".join(["0"] * 17)),
+     "17 snapshot times on grid_n=1048576 would write 17825792 nodes per field, over the cap 16777216"),
+], ids=["verify", "solve", "selfsim", "solve-snapshots", "selfsim-snapshots"])
 def test_grids_above_the_cap_are_refused_before_allocating(tmp_path, capsys, args, message):
     code = run_cli(args[0], "--out", str(tmp_path), *args[1:])
     assert code == 2
@@ -302,18 +310,19 @@ def test_grids_above_the_cap_are_refused_before_allocating(tmp_path, capsys, arg
 # (command, key): tolerances and domain lengths that no run set to anything
 # but the default are constants, not settings; solve's k1, k2 and k3 never
 # reached a run (it starts from rho0 = 0), verify's min_order and riccati's t_max
-# were set by no caller, and --M was a second spelling of riccati's --m
+# were set by no caller, --M was a second spelling of riccati's --m, and every
+# subcommand's seed was read by no run (nothing in dp2 is random)
 CONSTANT_SETTINGS = [
     ("emden", "tol"), ("selfsim", "tol"), ("verify", "tol"), ("sweep", "tol"),
     ("verify", "length"), ("solve", "length"),
     ("solve", "k1"), ("solve", "k2"), ("solve", "k3"), ("verify", "min_order"),
-    ("riccati", "t_max"), ("riccati", "M"),
+    ("riccati", "t_max"), ("riccati", "M"), ("emden", "seed"),
 ]
 
 
 @pytest.mark.parametrize("command, key", CONSTANT_SETTINGS)
 def test_constant_settings_have_no_flag(tmp_path, capsys, command, key):
-    flag = f"--{key.replace('_', '-')}"  # spelled as cli._add_schema_flags spells a key
+    flag = f"--{key.replace('_', '-')}"  # spelled as cli.build_parser spells a key
     with pytest.raises(SystemExit) as exc:
         run_cli(command, "--out", str(tmp_path), flag, "1e-10")
     assert exc.value.code == 2
@@ -324,9 +333,8 @@ def test_constant_settings_have_no_flag(tmp_path, capsys, command, key):
 @pytest.mark.parametrize("command, key", CONSTANT_SETTINGS)
 def test_constant_settings_are_unknown_config_keys(tmp_path, capsys, command, key):
     # a summary echo written while these were settings
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key} = 1e-10\n")
-    code = run_cli(command, "--out", str(tmp_path / "run"), "--config", str(cfg))
+    cfg = write_config(tmp_path / "run.json", command, **{key: 1e-10})
+    code = run_cli(command, "--out", str(tmp_path / "run"), "--config", cfg)
     assert code == 2
     assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
     assert not (tmp_path / "run").exists()
@@ -387,10 +395,14 @@ def test_non_finite_float_flags_rejected(tmp_path, capsys, args, key):
 
 
 @pytest.mark.parametrize("args, config, code, message", [
-    (("emden",), "xi = -1\nkappa 0.5\n", 2, ":2: expected 'key = value', got 'kappa 0.5'"),
-    (("emden",), "xi = -1\nkappa = abc\n", 2,
-     "config key kappa: could not convert string to float: 'abc'"),
-    (("emden",), "# pulled in\n\nxi = -1  # xi < 0\n\n  # indented\nkappa = 0.5\n", 0, ""),
+    # the flat key = value format that --config read before it read dp2's summaries
+    (("emden",), "xi = -1\nkappa = 0.5\n", 2,
+     ": not a dp2 summary: JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+    (("emden",), '{"config": {"command": "emden", "xi": -1, "kappa": "abc"}}', 2,
+     'config key kappa: expected float, got "abc"'),
+    # a summary's results beside its config are not settings
+    (("emden",), '{"fate": "TouchdownAt", "S": 2.7, "config": {"command": "emden", "xi": -1,'
+                 ' "kappa": 0.5}}', 0, ""),
     (("emden",), None, 2, "missing required parameter: xi"),
     (("riccati", "--v0", "-2"), None, 2, "missing required parameter: m"),
     (("selfsim", "--k3", "-1", "--xi", "-1", "--times", "0,abc"), None, 2,
@@ -410,8 +422,8 @@ def test_non_finite_float_flags_rejected(tmp_path, capsys, args, key):
 def test_validation_messages(tmp_path, capsys, args, config, code, message):
     argv = [args[0], "--out", str(tmp_path / "run"), *args[1:]]
     if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
-        argv += ["--config", str(tmp_path / "run.cfg")]
+        (tmp_path / "run.json").write_text(config)
+        argv += ["--config", str(tmp_path / "run.json")]
     assert run_cli(*argv) == code
     err = capsys.readouterr().err
     if code == 0:
@@ -619,9 +631,9 @@ def test_solve_says_when_the_run_is_unresolved(tmp_path, capsys, n, crossing, wi
 
 
 def test_non_finite_config_value_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n_base = 64\nlevels = 3\ndt_over_h = nan\n")
-    code = run_cli("verify", "--out", str(tmp_path / "run"), "--config", str(cfg))
+    # json writes nan as NaN, which json reads back as nan
+    cfg = write_config(tmp_path / "run.json", "verify", n_base=64, levels=3, dt_over_h=math.nan)
+    code = run_cli("verify", "--out", str(tmp_path / "run"), "--config", cfg)
     assert code == 2
     assert capsys.readouterr().err == "error: dt_over_h must be finite, got nan\n"
 
@@ -1043,27 +1055,99 @@ def test_every_setting_reaches_its_run(tmp_path, capsys, command, key):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("xi = -1\nkappa = 0.5\nnonsense = 3\n")
-    code = run_cli("emden", "--out", str(tmp_path), "--config", str(cfg))
+    cfg = write_config(tmp_path / "run.json", "emden", xi=-1.0, kappa=0.5, nonsense=3)
+    code = run_cli("emden", "--out", str(tmp_path), "--config", cfg)
     assert code == 2
     assert "nonsense" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("xi = -1\nkappa = 0.5\na1 = 0  # comment\n")
+    cfg = write_config(tmp_path / "run.json", "emden", xi=-1.0, kappa=0.5, a1=0.0)
     out = tmp_path / "run"
-    code = run_cli("emden", "--out", str(out), "--config", str(cfg), "--xi", "0")
+    code = run_cli("emden", "--out", str(out), "--config", cfg, "--xi", "0")
     assert code == 0
-    assert read_json(out / "emden_summary.json")["fate"] == "GlobalOnHorizon"
+    summary = read_json(out / "emden_summary.json")
+    assert summary["fate"] == "GlobalOnHorizon"
+    assert summary["config"]["xi"] == 0.0
+
+
+def test_config_of_another_command_is_refused(tmp_path, capsys):
+    assert run_cli("emden", "--out", str(tmp_path / "a"), "--xi", "-1") == 0
+    summary = tmp_path / "a" / "emden_summary.json"
+    code = run_cli("verify", "--out", str(tmp_path / "b"), "--config", str(summary))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --config {summary} holds a config of 'emden', not of 'verify'\n")
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    # float() of an int past the float range raises OverflowError
+    ("emden", {"xi": 10**400}, "config key xi: int too large to convert to float"),
+    ("solve", {"n": 256.5}, "config key n: expected int, got 256.5"),
+    ("selfsim", {"k3": 1, "xi": 1, "times": 0.1}, "config key times: expected str, got 0.1"),
+    ("selfsim", {"k3": 1, "xi": 1, "grid_n": "16"}, 'config key grid_n: expected int, got "16"'),
+    ("riccati", {"m": None, "v0": -2}, "config key m: expected float, got null"),
+], ids=["huge-int-float", "float-int", "number-str", "str-int", "null-float"])
+def test_config_values_of_another_type_are_refused(tmp_path, capsys, command, settings, message):
+    cfg = write_config(tmp_path / "run.json", command, **settings)
+    assert run_cli(command, "--out", str(tmp_path / "run"), "--config", cfg) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in SCHEMAS
+                                          for key in SCHEMAS[command]])
+def test_config_takes_no_bool(tmp_path, capsys, command, key):
+    # a JSON true loads as a Python bool, which is an int: float(True) would read 1.0
+    cfg = write_config(tmp_path / "run.json", command, **{key: True})
+    assert run_cli(command, "--out", str(tmp_path / "run"), "--config", cfg) == 2
+    typ = SCHEMAS[command][key][0].__name__
+    assert capsys.readouterr().err == f"error: config key {key}: expected {typ}, got true\n"
+
+
+def test_config_takes_an_int_for_a_float(tmp_path):
+    cfg = write_config(tmp_path / "run.json", "emden", xi=-1, a0=2)
+    assert run_cli("emden", "--out", str(tmp_path / "a"), "--config", cfg) == 0
+    assert run_cli("emden", "--out", str(tmp_path / "b"), "--xi", "-1", "--a0", "2") == 0
+    for name in ("emden_trajectory.csv", "emden_summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# Each exited 1, the criterion-failed code, with a traceback.
+@pytest.mark.parametrize("argv, message", [
+    (("--config", "{tmp}/nope.cfg"),
+     "--config {tmp}/nope.cfg: not a dp2 summary: FileNotFoundError: [Errno 2]"
+     " No such file or directory: '{tmp}/nope.cfg'"),
+    (("--config", "{tmp}"),
+     "--config {tmp}: not a dp2 summary: IsADirectoryError: [Errno 21]"
+     " Is a directory: '{tmp}'"),
+    (("--config", "{tmp}/bom.json"),
+     "--config {tmp}/bom.json: not a dp2 summary: UnicodeDecodeError: 'utf-8'"
+     " codec can't decode byte 0xff in position 0: invalid start byte"),
+    (("--config", "{tmp}/deep.json"),
+     "--config {tmp}/deep.json: not a dp2 summary: RecursionError: maximum recursion depth"
+     " exceeded while decoding a JSON array from a unicode string"),
+    (("--xi", "-1", "--out", "{tmp}/afile"), "--out {tmp}/afile: [Errno 17] File exists: '{tmp}/afile'"),
+    (("--xi", "-1", "--out", "{tmp}/afile/sub"),
+     "--out {tmp}/afile/sub: [Errno 20] Not a directory: '{tmp}/afile/sub'"),
+], ids=["config-missing", "config-directory", "config-not-utf8", "config-nested-too-deep",
+        "out-a-file", "out-under-a-file"])
+def test_an_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, argv, message):
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "deep.json").write_text('{"config": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_cli("emden", "--out", str(tmp_path / "run"), *argv) == 2
+    assert capsys.readouterr().err == "error: " + message.format(tmp=tmp_path) + "\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "bom.json", "deep.json"]
 
 
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
         assert run_cli(
-            "emden", "--out", str(out), "--seed", "7",
+            "emden", "--out", str(out),
             "--xi", "-1", "--kappa", "0.5",
         ) == 0
     for name in ("emden_trajectory.csv", "emden_summary.json"):
@@ -1100,20 +1184,17 @@ ROUND_TRIPS = {
 
 @pytest.mark.parametrize("command", list(ROUND_TRIPS))
 def test_round_trip_config_reproduces_run(tmp_path, command):
-    argv, summary, compared = ROUND_TRIPS[command]
-    out1 = tmp_path / "a"
+    argv, summary, _ = ROUND_TRIPS[command]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(argv[0], "--out", str(out1), *argv[1:]) == 0
-    echo = read_json(out1 / summary)["config"]
-    cfg = tmp_path / "replay.cfg"
-    cfg.write_text(
-        "".join(
-            f"{k} = {v!r}\n" for k, v in echo.items() if k not in ("command", "seed")
-        ).replace("'", "")
-    )
-    out2 = tmp_path / "b"
-    assert run_cli(command, "--out", str(out2), "--config", str(cfg)) == 0
-    for name in compared:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # the echo holds the command and every setting, and nothing else
+    assert set(read_json(out1 / summary)["config"]) == {"command", *SCHEMAS[command]}
+    # the summary, as written, is the config
+    assert run_cli(command, "--out", str(out2), "--config", str(out1 / summary)) == 0
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 # (argv, one CSV artifact, the JSON summary) per JSON-writing subcommand.
