@@ -26,9 +26,10 @@ an inconclusive criterion to comparison_trajectory's default t = 10.
 ``solve`` has no width or margin setting (the bump is L/16 wide and the
 margin pdesolver.MARGIN), and no k1, k2 or k3: every run starts from
 rho0 = 0, and a run from rho0 = 0 never reads them.  It refuses a
-snapshot time outside [0, t_max] or more snapshot nodes than
-pdesolver.SNAPSHOT_POINTS_MAX, and its summary lists the t of each
-snapshot file; selfsim refuses more snapshot nodes (times by grid_n)
+snapshot time outside [0, t_max], more snapshot nodes than
+pdesolver.SNAPSHOT_POINTS_MAX, and a t_max of more than
+pdesolver.STEPS_MAX steps of its start dt, and its summary lists the t
+of each snapshot file; selfsim refuses more snapshot nodes (times by grid_n)
 than that cap too, before it writes anything.  Every grid (solve's n,
 each verify level, selfsim's grid_n) is refused above grid.N_MAX = 2**20
 points before anything is allocated; verify names --n-base or --levels
@@ -37,7 +38,8 @@ SWEEP_CELLS_MAX = 2**16 cells, the product of its --grid counts, before
 it builds any axis.
 
 Exit codes: 0 success, 1 verification criterion failed, 2 validation
-error, 3 numerical failure.
+error, 3 numerical failure.  Every exit-2 refusal, argparse's own
+included, is one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -451,16 +453,26 @@ def cmd_sweep(run: Run) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals are one ``error: ...`` line, as dp2's own are.
+
+    argparse's own ``error`` prints the usage block first; help output is unchanged.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 @functools.cache  # built on the first main(), once per process (~2 ms)
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--config", default=None, help="replay a dp2 JSON summary's config")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="emit only this artifact kind (default: both)")
 
-    parser = argparse.ArgumentParser(prog="dp2")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="dp2")
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too
     for name, schema in SCHEMAS.items():
         p = sub.add_parser(name, parents=[common])
         for key, (typ, _default) in schema.items():

@@ -24,17 +24,19 @@ u*u_x is d/dx(u**2)/2 exactly and the momentum tendency is
 A stage costs one 4-row irfft for the nodal (rho, u, rho_x, u_x) and one
 3-row rfft for the products, so a step costs 28 transforms in 8 batched
 numpy.fft calls, on one CPU.  rho = 0 is invariant (the rho equation is
-linear and homogeneous in rho), and a state whose rho is all exact zeros
-is stepped on u alone: one 1-row irfft and one rfft of u**2 per stage,
-9 transforms in 8 calls per step, which is what every blowup run from
-rho0 = 0 costs; the step's last irfft writes the new (u, u_x) straight
-into the new state's rows.  Each stage band s + c*dt*k is formed in the
-buffer its irfft reads, and a state's scans (max|u|, min u_x, max rho
-and whether rho is all zeros) are taken once each, on first use; a
-state a rho-free step made is known rho-free without a scan.  The
-transforms are numpy.fft's, called as module attributes so that a
-patched numpy.fft (perfbench's tracer, the transform-count tests) sees
-every one; numpy is the only third-party library this module imports.
+linear and homogeneous in rho), so a state whose rho is all exact zeros
+holds u alone, its u band and the rows (u, u_x), and is stepped on u
+alone: one 1-row irfft and one rfft of u**2 per stage, 9 transforms in
+8 calls per step, which is what every blowup run from rho0 = 0 costs.
+``SolverState.make`` chooses the layout once, from the rho it is
+given, and every step keeps it.  A step allocates its stage buffers
+once, the band each stage irfft reads, the nodal rows it writes, the
+products and their spectrum, and stages 2-4 reuse them (see ``step``);
+a state's scans (max|u|, min u_x and a coupled state's max rho) are
+taken once each, on first use.  The transforms are numpy.fft's, called
+as module attributes so that a patched numpy.fft (perfbench's tracer,
+the transform-count tests) sees every one; numpy is the only
+third-party library this module imports.
 The multipliers (i*w, 1 + w**2, M_u and the kept band) and the
 centre-node weights of the defect D below are built once per
 grid, in one cached table.  Blowup is detected, never resolved: once
@@ -45,6 +47,8 @@ A blowup run lives on the period L = LENGTH = 2*pi, starts from the odd
 bump of width L/16 (``odd_gaussian_derivative``) and compares its
 crossing with the M = 0 bound T = -1/slope; a crossing at most
 (1 + MARGIN)*T, MARGIN = 0.2, is ``within_margin``.  None of these numbers is a setting.
+A run that would take more than STEPS_MAX = 10**6 steps on grid n at
+its start dt (t_max/dt0) is refused after its first step.
 
 A blowup run's ``n`` is its finest grid.  It starts on the coarsest
 grid n/2**j that is at least START_N_MIN = 1024 points and whose kept
@@ -66,7 +70,7 @@ slope-blowup criterion applicable there.
 ``RunSampler`` reads a run at (t, x) for the residual lab, through the
 trigonometric interpolant of the state t lands on.  It keeps, per
 landed time, that state's interpolation coefficients, 2*(n/2 + 1)
-complex numbers (16.4 KB at n = 1024, against 43.7 KB for a state),
+complex numbers (16.4 KB at n = 1024, against 43.7 KB for a coupled state),
 for the latest RUN_STATES_MAX times: a query costs one inverse FFT,
 plus one rfft and the landing step when its time is not kept.
 """
@@ -93,6 +97,9 @@ LENGTH = 2.0 * math.pi
 # Nodes all snapshots of one blowup run may hold, per field: 16 grids at the
 # cap, 256 MB of (rho, u).
 SNAPSHOT_POINTS_MAX = 16 * N_MAX
+# Steps a blowup run may take on grid n alone at its start dt, t_max/dt0, a
+# record row each.  The default slope -5 and t_max 0.5 take 3.3e5 at N_MAX.
+STEPS_MAX = 10**6
 CFL_VELOCITY_FLOOR = 1e-12
 # How far xs may lie from one uniform period before trig_interp refuses it.
 UNIFORM_RTOL = 64 * np.finfo(float).eps
@@ -106,11 +113,12 @@ DEFECT_TOL = 1e-6
 RECORD = np.dtype([("t", float), ("n", int), ("min_ux", float), ("max_rho", float),
                    ("parity", float), ("defect", float)])
 # States one RunSampler run may hold, and landed times whose interpolation
-# coefficients it keeps (the oldest time goes first).  A state is 43.7 KB at
-# n = 1024 and a landed time's coefficients 16.4 KB (2*(n/2 + 1) complex
-# numbers), so 44.8 MB and 16.8 MB at the cap; a convergence study over four
-# levels holds 8-25 states and 9 landed times.  The phases of distinct xs[0]
-# are kept to the same cap, 8.2 KB each at n = 1024 (8.4 MB at the cap).
+# coefficients it keeps (the oldest time goes first).  A coupled state is
+# 43.7 KB at n = 1024 (a rho-free one 21.9 KB) and a landed time's
+# coefficients 16.4 KB (2*(n/2 + 1) complex numbers), so 44.8 MB and 16.8 MB
+# at the cap; a convergence study over four levels holds 8-25 states and 9
+# landed times.  The phases of distinct xs[0] are kept to the same cap, 8.2 KB
+# each at n = 1024 (8.4 MB at the cap).
 RUN_STATES_MAX = 1024
 
 
@@ -189,33 +197,31 @@ def helmholtz_inverse(grid: Grid1D, w: np.ndarray) -> np.ndarray:
     return np.fft.irfft(w_hat, n=grid.n)
 
 
-def _nodal_rows(
-    grid: Grid1D, spectrum: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _nodal_rows(grid: Grid1D, spectrum: np.ndarray) -> np.ndarray:
     """Nodal fields and their x-derivatives from kept bands, by one irfft.
 
     A (rho, u) band, shape (2, n//3 + 1), gives (rho, u, rho_x, u_x),
     shape (4, n); a u band alone, shape (1, n//3 + 1), gives (u, u_x).
-    ``out``, if given, receives the rows.
     """
     ops = _operators(grid)
     m = len(spectrum)
     stacked = np.empty((2 * m, ops.keep), dtype=complex)
     stacked[:m] = spectrum
     np.multiply(spectrum, ops.ik_kept, out=stacked[m:])
-    return np.fft.irfft(stacked, n=grid.n, out=out)
+    return np.fft.irfft(stacked, n=grid.n)
 
 
 def _stage_rows(
-    grid: Grid1D, s: np.ndarray, c: float, k: np.ndarray, band: np.ndarray
+    grid: Grid1D, s: np.ndarray, c: float, k: np.ndarray, band: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """The nodal rows a stage's tendency reads, from its kept bands s + c*k.
+    """The nodal rows a stage's tendency reads, from its kept bands s + c*k, in out.
 
     The stage band is formed in band[:len(s)], with the operations of
-    s + c*k, and the irfft reads band itself.  (rho, u) bands take a
-    band of 4 rows, whose last two receive the x-derivatives, and give
-    (rho, u, rho_x, u_x); the u band of a rho-free stage takes a band of
-    1 row and gives u alone, shape (1, n), since u**2 needs no u_x.
+    s + c*k, and the irfft reads band itself and writes out.  (rho, u)
+    bands take a band of 4 rows, whose last two receive the
+    x-derivatives, and give (rho, u, rho_x, u_x); the u band of a
+    rho-free stage takes a band of 1 row and gives u alone, shape
+    (1, n), since u**2 needs no u_x.
     """
     m = len(s)
     stage = band[:m]
@@ -223,24 +229,28 @@ def _stage_rows(
     np.add(s, stage, out=stage)
     if len(band) > m:
         np.multiply(stage, _operators(grid).ik_kept, out=band[m:])
-    return np.fft.irfft(band, n=grid.n)
+    return np.fft.irfft(band, n=grid.n, out=out)
 
 
 @dataclass(frozen=True)
 class SolverState:
-    """One solver time level.
+    """One solver time level, in one of two layouts.
 
-    spectrum holds the (rho, u) half-spectra on the band the 2/3 rule
-    keeps, shape (2, n//3 + 1); it is what step advances.  rows holds
-    the nodal (rho, u, rho_x, u_x), shape (4, n); rho and u are views
-    of its first two rows.  max_abs_u, min_ux, max_rho and rho_free are
-    scanned from rows on first use and kept, so each row is scanned at
-    most once per state.  make keeps the nodal rho and u it is given
-    value for value; the first step projects them onto the kept band
-    (every dp2 caller passes dealiased data, where that is a no-op to
-    round-off).  A state reached by a rho-free step has the same layout,
-    with exact zeros in its rho and rho_x rows and rho band, and is
-    rho_free without a scan.
+    spectrum holds the half-spectra step advances, on the band the 2/3
+    rule keeps, and rows the nodal fields and their x-derivatives.  A
+    state whose rho is all exact zeros holds u alone: spectrum is the u
+    band, shape (1, n//3 + 1), and rows are (u, u_x), shape (2, n).
+    Any other state holds the (rho, u) bands, shape (2, n//3 + 1), and
+    the rows (rho, u, rho_x, u_x), shape (4, n).  make chooses the
+    layout once and every step keeps it (rho = 0 is invariant), so
+    rho_free is len(spectrum) == 1, read without a scan.  u is a view of
+    its row; rho is a coupled state's row and fresh zeros of a rho-free
+    one.  max_abs_u and min_ux are scanned from rows on first use and
+    kept, and so is a coupled state's max_rho; a rho-free state's is 0.0
+    without a scan.  make keeps the nodal rho and u it is given value
+    for value; the first step projects them onto the kept band (every
+    dp2 caller passes dealiased data, where that is a no-op to
+    round-off).
     """
 
     t: float
@@ -250,29 +260,29 @@ class SolverState:
     rows: np.ndarray = field(repr=False)
 
     @property
+    def rho_free(self) -> bool:
+        """rho is all exact zeros, so the state holds u alone and step advances u alone."""
+        return len(self.spectrum) == 1
+
+    @property
     def rho(self) -> np.ndarray:
-        return self.rows[0]
+        return np.zeros(self.grid.n) if self.rho_free else self.rows[0]
 
     @property
     def u(self) -> np.ndarray:
-        return self.rows[1]
+        return self.rows[len(self.spectrum) - 1]
 
     @functools.cached_property
     def max_abs_u(self) -> float:
-        return float(np.abs(self.rows[1]).max())
+        return float(np.abs(self.u).max())
 
     @functools.cached_property
     def min_ux(self) -> float:
-        return float(self.rows[3].min())
+        return float(self.rows[-1].min())
 
     @functools.cached_property
     def max_rho(self) -> float:
-        return float(self.rows[0].max())
-
-    @functools.cached_property
-    def rho_free(self) -> bool:
-        """rho is all exact zeros, so step advances u alone (see ``step``)."""
-        return not self.rows[0].any()
+        return 0.0 if self.rho_free else float(self.rows[0].max())
 
     @classmethod
     def make(
@@ -283,37 +293,34 @@ class SolverState:
         params: SystemParams,
         grid: Grid1D,
     ) -> "SolverState":
-        rows = np.empty((4, grid.n))
-        for row, name, arr in ((rows[0], "rho", rho), (rows[1], "u", u)):
+        fields = []
+        for name, arr in (("rho", rho), ("u", u)):
             arr = np.asarray(arr, dtype=float)
             if arr.shape != (grid.n,):
                 raise ValidationError(f"{name} length {arr.shape} does not match grid")
             if not np.all(np.isfinite(arr)):
                 raise NonFinite(f"{name} contains non-finite entries at t={t}")
+            fields.append(arr)
+        if not fields[0].any():
+            del fields[0]  # rho-free: the state holds u alone
+        m = len(fields)
+        rows = np.empty((2 * m, grid.n))
+        for row, arr in zip(rows, fields):
             row[:] = arr
         ops = _operators(grid)
-        spectrum = np.fft.rfft(rows[:2])[:, : ops.keep]
-        np.fft.irfft(spectrum * ops.ik_kept, n=grid.n, out=rows[2:])
+        spectrum = np.fft.rfft(rows[:m])[:, : ops.keep]
+        np.fft.irfft(spectrum * ops.ik_kept, n=grid.n, out=rows[m:])
         return cls(t, params, grid, spectrum, rows)
 
     @classmethod
     def _advanced(
         cls, t: float, spectrum: np.ndarray, params: SystemParams, grid: Grid1D
     ) -> "SolverState":
-        """State from the kept (rho, u) bands, or from the u band alone of a rho-free step."""
-        rho_free = len(spectrum) == 1
-        if rho_free:
-            rows = np.zeros((4, grid.n))
-            _nodal_rows(grid, spectrum, out=rows[1::2])
-            spectrum = np.concatenate((np.zeros_like(spectrum), spectrum))
-        else:
-            rows = _nodal_rows(grid, spectrum)
-        if not np.isfinite(rows[:2]).all():
+        """State from the kept (rho, u) bands, or from the u band alone of a rho-free state."""
+        rows = _nodal_rows(grid, spectrum)
+        if not np.isfinite(rows[: len(spectrum)]).all():
             raise NonFinite(f"state contains non-finite entries at t={t}")
-        state = cls(t, params, grid, spectrum, rows)
-        if rho_free:
-            state.__dict__["rho_free"] = True  # the cached_property's value, known without a scan
-        return state
+        return cls(t, params, grid, spectrum, rows)
 
 
 def _tendency_arrays(
@@ -321,30 +328,40 @@ def _tendency_arrays(
     params: SystemParams,
     rows: np.ndarray,
     spectra_out: Optional[list] = None,
+    products: Optional[np.ndarray] = None,
+    product_spectrum: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Kept-band spectral tendency of one RK4 stage, on the band k <= n//3.
 
     rows are the stage's nodal (rho, u, rho_x, u_x); the products u**2,
     rho**2 and -k2*u*rho_x - (k1+k2)*rho*u_x go through one batched
     rfft, and the result is (d rho_hat/dt, d u_hat/dt), shape
-    (2, n//3 + 1).  A rho-free stage passes u alone, shape (1, n): its
-    rho rows are dropped, only u**2 is transformed, and the result is
-    d u_hat/dt alone, shape (1, n//3 + 1).  ``spectra_out``, if given,
-    is extended by the kept-band product spectra and the result.
+    (2, n//3 + 1).  A rho-free stage passes u alone, shape (1, n): only
+    u**2 is transformed, and the result is d u_hat/dt alone, shape
+    (1, n//3 + 1).  ``products`` (shape (3, n), or (1, n) for u alone,
+    which may be rows itself, squared in place) and ``product_spectrum``
+    (its rfft, n//2 + 1 columns), if given, receive the products and
+    their spectrum; the result is always a fresh array.
+    ``spectra_out``, if given, is extended by the kept-band product
+    spectra and the result.
     """
     ops = _operators(grid)
     if len(rows) == 1:
-        products = rows * rows
+        products = np.multiply(rows, rows, out=products)
     else:
         rho, u, rho_x, u_x = rows
-        products = np.empty((3, grid.n))
+        if products is None:
+            products = np.empty((3, grid.n))
         u_sq, rho_sq, mass = products
         np.multiply(u, u, out=u_sq)
-        np.multiply(rho, rho, out=rho_sq)
         np.multiply(u, rho_x, out=mass)
         mass *= -params.k2
-        mass -= (params.k1 + params.k2) * rho * u_x
-    p_hat = np.fft.rfft(products)[:, : ops.keep]
+        # (k1+k2)*rho*u_x, formed in rho_sq's row before rho**2 takes it
+        np.multiply(params.k1 + params.k2, rho, out=rho_sq)
+        rho_sq *= u_x
+        mass -= rho_sq
+        np.multiply(rho, rho, out=rho_sq)
+    p_hat = np.fft.rfft(products, out=product_spectrum)[:, : ops.keep]
     if len(p_hat) == 1:
         out = ops.momentum_u * p_hat
     else:
@@ -369,28 +386,41 @@ def step(state: SolverState, dt: float, spectra_out: Optional[list] = None) -> S
     Stage 1 reads the state's own nodal rows; stages 2-4 get theirs
     from one irfft each, and the new state's rows come from a fourth.
     With rho != 0 the irffts have 4 rows and the rffts 3: 28 transforms
-    in 8 calls.  When the state's rho is all exact zeros it stays so,
-    and the step advances u alone: 1-row irffts and rffts in the
-    stages and a 2-row irfft for the new (u, u_x), 9 transforms in 8
-    calls.  Negative dt is accepted for time-reversal consistency
-    checks.  ``spectra_out``, if given, is extended by the first
-    stage's product spectra and tendency, which belong to ``state``
-    itself (see ``_tendency_arrays``).
+    in 8 calls.  A rho-free state holds u alone and the step advances u
+    alone: 1-row irffts and rffts in the stages and a 2-row irfft for
+    the new (u, u_x), 9 transforms in 8 calls.  Besides the stage band
+    (see ``_stage_rows``), the step allocates three buffers once: the
+    stage's nodal rows, its products (on the rho-free path the nodal
+    row itself, squared in place) and their spectrum.  Stage 1 writes
+    its products into the second and keeps its own product spectrum;
+    stages 2-4 write all three, the transforms through numpy.fft's
+    ``out=``, and only each stage's tendency is a fresh array.  ``state`` is only read.  Negative dt is accepted for
+    time-reversal consistency checks.  ``spectra_out``, if given, is
+    extended by the first stage's product spectra and tendency, which
+    belong to ``state`` itself (see ``_tendency_arrays``).
     """
     if abs(dt) > (limit := cfl_dt(state)) * (1.0 + 1e-12):
         raise ValidationError(f"dt={dt} violates the CFL bound {limit} at t={state.t}")
     grid, params = state.grid, state.params
+    s = state.spectrum
     if state.rho_free:
-        s, rows = state.spectrum[1:], state.rows[1:2]
+        rows = state.rows[:1]  # u alone: u**2 needs no u_x
+        nodal = products = np.empty((1, grid.n))
     else:
-        s, rows = state.spectrum, state.rows
+        rows = state.rows
+        nodal, products = np.empty((4, grid.n)), np.empty((3, grid.n))
     band = np.empty((len(rows), s.shape[1]), dtype=complex)  # one row per nodal row; see _stage_rows
+    product_spectrum = np.empty((len(products), grid.n // 2 + 1), dtype=complex)
+    buffers = dict(products=products, product_spectrum=product_spectrum)
     # Overflow surfaces as the NonFinite the finiteness checks raise, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _tendency_arrays(grid, params, rows, spectra_out)
-        k2 = _tendency_arrays(grid, params, _stage_rows(grid, s, 0.5 * dt, k1, band))
-        k3 = _tendency_arrays(grid, params, _stage_rows(grid, s, 0.5 * dt, k2, band))
-        k4 = _tendency_arrays(grid, params, _stage_rows(grid, s, dt, k3, band))
+        k1 = _tendency_arrays(grid, params, rows, spectra_out, products=products)
+        k2 = _tendency_arrays(grid, params, _stage_rows(grid, s, 0.5 * dt, k1, band, nodal), **buffers)
+        k3 = _tendency_arrays(grid, params, _stage_rows(grid, s, 0.5 * dt, k2, band, nodal), **buffers)
+        k4 = _tendency_arrays(grid, params, _stage_rows(grid, s, dt, k3, band, nodal), **buffers)
+        # freed before the new state's rows are made, which a step's peak memory
+        # would otherwise hold beside them
+        del band, nodal, products, product_spectrum, buffers
         # s + dt/6*(k1 + 2*k2 + 2*k3 + k4) with the same operations, so the
         # same bits, summed in k2's array; k1 may be held by spectra_out.
         spectrum = k2
@@ -521,7 +551,7 @@ def _start_grid(fine: Grid1D, rho0: np.ndarray, u0: np.ndarray) -> Grid1D:
 
 def _padded(state: SolverState, grid: Grid1D) -> SolverState:
     """The state on a finer grid, its kept band zero-padded, which is exact."""
-    s = state.spectrum[1:] if state.rho_free else state.spectrum
+    s = state.spectrum  # a rho-free state's u band alone
     band = np.zeros((len(s), _operators(grid).keep), dtype=complex)
     band[:, : s.shape[1]] = s * (grid.n // state.grid.n)
     return SolverState._advanced(state.t, band, state.params, grid)
@@ -540,7 +570,9 @@ def _centre_defect(state: SolverState, p_hat: np.ndarray, tendency_hat: np.ndarr
     """
     ops = _operators(state.grid)
     k3 = state.params.k3
-    rho, u, _, v = (float(x) for x in state.rows[:, state.grid.n // 2])
+    centre = state.grid.n // 2
+    u, v = float(state.u[centre]), float(state.rows[-1, centre])
+    rho = 0.0 if state.rho_free else float(state.rows[0, centre])
     v_dot = float(np.dot(tendency_hat[-1].imag, ops.centre_dx))
     green_p = 1.5 * float(np.dot(p_hat[0].real, ops.centre_green))
     if len(p_hat) > 1:
@@ -571,7 +603,9 @@ def run_blowup_experiment(
     T = -1/slope (the gated ``parity_residual_max`` measures both
     parities, the start state's in the first row; a negative slope is
     all M = 0 asks).  A slope whose start state leaves the float range
-    raises NonFinite, with no numpy warning.  The run stops
+    raises NonFinite, with no numpy warning, from its start state or its
+    first step; after that step, a t_max that is more than STEPS_MAX
+    steps of dt0 on grid n raises ValidationError.  The run stops
     at the first step with min u_x < threshold, or at t_max, in which
     case no blowup is reported (the bound is one-sided, so this is a
     reported outcome, not a failure).
@@ -624,6 +658,7 @@ def run_blowup_experiment(
         state = SolverState.make(0.0, rho0[::stride], u0[::stride], params, grid)
     u0_max = max(float(np.max(np.abs(u0))), CFL_VELOCITY_FLOOR)
     dt0 = CFL * fine.dx / u0_max
+    steps = config.t_max / dt0  # on grid n alone, at dt0
 
     snapshots = []
     pending = sorted(snapshot_times)
@@ -644,6 +679,12 @@ def run_blowup_experiment(
         dt = min(dt0 * (fine.n // state.grid.n) / 2**doublings, config.t_max - state.t)
         spectra: list = []
         advanced = step(state, dt, spectra_out=spectra)
+        # after the first step, whose tendency finds a start state past the float range
+        if not rows and steps > STEPS_MAX:
+            raise ValidationError(
+                f"t_max={config.t_max} is {steps:.3g} steps of the start dt {dt0:.3g} on n={fine.n},"
+                f" over the cap {STEPS_MAX}"
+            )
         defect = _centre_defect(state, *spectra)
         rows.append(_record_row(state, defect))
         if defect > DEFECT_TOL and state.grid.n < fine.n:
@@ -734,6 +775,11 @@ def trig_interp(grid: Grid1D, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return _eval_one_period(coeffs, _phase(grid, xs[0]), xs.size)
 
 
+def _rho_u(state: SolverState) -> np.ndarray:
+    """A state's nodal (rho, u), shape (2, n): a coupled state's rows themselves, not a copy."""
+    return np.stack((state.rho, state.u)) if state.rho_free else state.rows[:2]
+
+
 def _cached(cache: dict, key, make):
     """cache[key], made by make() and kept when missing; past RUN_STATES_MAX keys the oldest goes."""
     if (value := cache.get(key)) is None:
@@ -786,7 +832,7 @@ class RunSampler:
     def __call__(self, t: float, xs):
         grid = self._run[0].grid
         xs = _one_period(grid, xs)
-        coeffs = _cached(self._landed, t, lambda: _interp_coeffs(grid, self._state_at(t).rows[:2]))
+        coeffs = _cached(self._landed, t, lambda: _interp_coeffs(grid, _rho_u(self._state_at(t))))
         phase = _cached(self._phases, xs[0], lambda: _phase(grid, xs[0]))
         rho, u = _eval_one_period(coeffs, phase, xs.size)
         return rho, u

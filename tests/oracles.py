@@ -124,7 +124,7 @@ class LandingSampler:
             run.append(step(run[-1], dt))
         base = [state for state in run if state.t <= t + 1e-15][-1]
         landed = base if base.t >= t - 1e-15 else step(base, t - base.t)
-        rho, u = trig_interp(landed.grid, landed.rows[:2], xs)
+        rho, u = trig_interp(landed.grid, np.stack((landed.rho, landed.u)), xs)
         return rho, u
 
 

@@ -1,5 +1,6 @@
 """CLI: dispatch, validation exit codes, determinism, round-trip."""
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -16,7 +17,7 @@ import pytest
 from dp2 import cli, emden, selfsim
 from dp2.cli import SCHEMAS, main, write_csv
 from dp2.emden import EmdenProblem, integrate
-from dp2.pdesolver import BlowupExperimentConfig
+from dp2.pdesolver import STEPS_MAX, BlowupExperimentConfig
 from dp2.residual import convergence_study
 from dp2.riccati import comparison_trajectory
 from dp2.selfsim import HorizonExceeded, SystemParams, build_solution
@@ -272,6 +273,44 @@ def test_solve_has_no_width_or_margin_flag(tmp_path, capsys, flag):
         run_cli("solve", "--out", str(tmp_path), "--n", "256", *flag)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (("emden", "--seed", "7", "--xi", "-1"), "unrecognized arguments: --seed 7"),
+    (("solve", "--n", "1.5"), "argument --n: invalid int value: '1.5'"),
+])
+def test_argparse_refusals_are_one_error_line(tmp_path, capsys, args, message):
+    # each printed argparse's usage block, then "dp2 <command>: error: ..."
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args[0], "--out", str(tmp_path / "d"), *args[1:])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["sweep", "--help"]])
+def test_help_is_argparse_help(monkeypatch, capsys, argv):
+    def help_text(parser):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: dp2") and err == ""
+        return out
+
+    got = help_text(cli.build_parser())
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    assert help_text(cli.build_parser.__wrapped__()) == got
+
+
+def test_solve_refuses_a_t_max_past_the_step_cap(tmp_path, capsys):
+    # still stepping when a 5 s timeout killed it: t_max/dt0 is 4.04e301 steps here
+    code = run_cli("solve", "--out", str(tmp_path), "--n", "64", "--t-max", "1e300")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_max=1e+300 is 4.04e+301 steps of the start dt 0.0247 on n=64")
+    assert err.endswith(f", over the cap {STEPS_MAX}\n") and len(err.splitlines()) == 1
     assert not any(tmp_path.iterdir())
 
 

@@ -41,8 +41,11 @@ def make_state(grid, rho, u, params=PARAMS):
 
 
 def tendency(state):
-    """Nodal (d rho/dt, d u/dt) of the state: its kept-band tendency through one irfft."""
-    spectral = pdesolver._tendency_arrays(state.grid, state.params, state.rows)
+    """Nodal tendency of the state, its kept-band tendency through one irfft:
+    (d rho/dt, d u/dt), or d u/dt alone, shape (1, n), for a rho-free state,
+    whose stages pass u alone (the state's first row)."""
+    rows = state.rows[:1] if state.rho_free else state.rows
+    spectral = pdesolver._tendency_arrays(state.grid, state.params, rows)
     return np.fft.irfft(spectral, n=state.grid.n)
 
 
@@ -116,10 +119,11 @@ def test_helmholtz_matches_periodised_kernel_quadrature():
 def test_tendency_rest_state():
     grid = Grid1D(n=64, length=TWO_PI)
     state = make_state(grid, np.zeros(grid.n), np.zeros(grid.n))
-    drho, du = tendency(state)
-    assert np.max(np.abs(drho)) == 0.0
+    assert state.rho_free and state.max_rho == 0.0 and not state.rho.any()
+    (du,) = tendency(state)  # rho = 0 has no tendency to take: u's alone
     assert np.max(np.abs(du)) == 0.0
     stepped = step(state, 0.01)
+    assert stepped.rho_free
     assert np.max(np.abs(stepped.u)) == 0.0
 
 
@@ -129,8 +133,8 @@ def test_tendency_two_mode_hand_oracle():
     grid = Grid1D(n=128, length=TWO_PI)
     x = grid.nodes
     state = SolverState.make(0.0, np.zeros(grid.n), np.sin(x), PARAMS, grid)
-    drho, du = tendency(state)
-    assert np.max(np.abs(drho)) == 0.0
+    assert state.rho_free
+    (du,) = tendency(state)
     assert np.max(np.abs(du + 0.8 * np.sin(2.0 * x))) < 1e-13
 
 
@@ -357,6 +361,26 @@ def test_snapshot_nodes_are_capped_before_any_allocation(monkeypatch, count, ref
             run_blowup_experiment(config, times)
 
 
+def test_a_run_past_the_step_cap_is_refused_after_its_first_step(monkeypatch):
+    # the first step is taken, so a start state past the float range is still a NonFinite
+    grid = Grid1D(n=64, length=pdesolver.LENGTH)
+    u0 = odd_gaussian_derivative(grid, -5.0, pdesolver.LENGTH / 16.0)
+    dt0 = pdesolver.CFL * grid.dx / float(np.max(np.abs(u0)))
+    monkeypatch.setattr(pdesolver, "STEPS_MAX", 10)
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(args[1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(pdesolver, "step", counted)
+    with pytest.raises(ValidationError, match=r" steps of the start dt .* on n=64, over the cap 10$"):
+        run_blowup_experiment(BlowupExperimentConfig(n=64, t_max=10.5 * dt0))
+    assert steps == [dt0]
+    result = run_blowup_experiment(BlowupExperimentConfig(n=64, t_max=9.5 * dt0))
+    assert result.times[-1] >= 9.5 * dt0 and len(steps) > 10
+
+
 def test_blowup_result_margin_is_a_constant_not_a_field():
     result = run_blowup_experiment(BlowupExperimentConfig(n=256, slope=-5.0, threshold=-4.0))
     assert result.margin == pdesolver.MARGIN == 0.2
@@ -534,6 +558,21 @@ def test_run_sampler_matches_the_landing_oracle_bit_for_bit(seed):
     for name in ("mass_norms", "momentum_norms", "order_estimate_mass", "order_estimate_momentum"):
         got, want = np.atleast_1d(getattr(report, name)), np.atleast_1d(getattr(want_report, name))
         assert np.array_equal(float_bits(got), float_bits(want)), name
+
+
+def test_run_sampler_reads_a_rho_free_run_bit_for_bit():
+    # a rho-free state holds u alone; the sampler reads its rho as zeros
+    grid = Grid1D(n=256, length=TWO_PI)
+    u0 = odd_gaussian_derivative(grid, -1.0, TWO_PI / 16.0)
+    state0 = SolverState.make(0.0, np.zeros(grid.n), u0, PARAMS, grid)
+    assert state0.rho_free
+    sampler, oracle = RunSampler(state0), LandingSampler(state0)
+    xs = Grid1D(n=64, length=TWO_PI).nodes + 0.01
+    for t in (0.0, 0.03, 0.05, 0.03):
+        (rho, u), (want_rho, want_u) = sampler(t, xs), oracle(t, xs)
+        assert not rho.any() and u.any()
+        assert rho.tobytes() == want_rho.tobytes() and u.tobytes() == want_u.tobytes()
+    assert all(state.rho_free for state in sampler._run)
 
 
 def test_study_takes_one_coefficient_rfft_per_landed_time(monkeypatch):
@@ -749,6 +788,7 @@ def test_step_raises_nonfinite_when_tendency_overflows():
     # the state is finite, but u*u_x ~ 1e320 overflows inside the first stage
     grid = Grid1D(n=64, length=TWO_PI)
     state = SolverState.make(0.0, np.zeros(grid.n), 1e160 * np.sin(grid.nodes), PARAMS, grid)
+    assert state.rho_free  # tendency passes u alone, as step does
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFinite):
             tendency(state)
@@ -828,17 +868,18 @@ def test_rho_free_steps_match_physical_space_reference(k3):
         state = step(state, dt)
         rho, u = reference_step(grid, params, rho, u, dt)
     assert np.max(np.abs(state.u - u)) <= 1e-12 * np.max(np.abs(u))
-    ux_scale = np.max(np.abs(state.rows[3]))
+    ux_scale = np.max(np.abs(state.rows[-1]))
     assert abs(state.min_ux - reference_min_ux(grid, u)) <= 1e-12 * ux_scale
     assert not rho.any()
-    assert not state.rho.any() and not state.rows[2].any() and not state.spectrum[0].any()
-    assert state.max_rho == 0.0
-    assert state.rows.shape == (4, grid.n)
-    assert state.spectrum.shape == (2, grid.n // 3 + 1)
-    # the kept-band tendency of a rho-free state is (0, du)
-    drho, du = tendency(state)
-    assert not drho.any()
-    du_ref = reference_tendency(grid, params, state.rho, state.u)[1]
+    # the state holds u alone: the u band and the rows (u, u_x)
+    assert state.rho_free and not state.rho.any() and state.max_rho == 0.0
+    assert state.rows.shape == (2, grid.n)
+    assert state.spectrum.shape == (1, grid.n // 3 + 1)
+    assert np.shares_memory(state.u, state.rows[0])
+    # the kept-band tendency of a rho-free state is du alone; the reference's drho is 0
+    (du,) = tendency(state)
+    drho_ref, du_ref = reference_tendency(grid, params, state.rho, state.u)
+    assert not drho_ref.any()
     assert np.max(np.abs(du - du_ref)) <= 1e-12 * np.max(np.abs(du_ref))
 
 
@@ -860,10 +901,16 @@ def test_tiny_rho_takes_the_general_path(monkeypatch):
 
 
 def fresh_scans(state):
-    """(max|u|, min u_x, max rho, rho all zeros, CFL dt) of a state, scanned anew."""
-    u_max = float(np.max(np.abs(state.rows[1])))
+    """(max|u|, min u_x, max rho, rho all zeros, CFL dt) of a state, scanned anew.
+
+    u and u_x are the rows (rho, u, rho_x, u_x)[1::2] of a coupled state and
+    (u, u_x) of a rho-free one; a rho-free state's rho is all zeros.
+    """
+    u, u_x = state.rows[-3::2] if len(state.rows) == 4 else state.rows
+    rho = state.rows[0] if len(state.rows) == 4 else np.zeros(state.grid.n)
+    u_max = float(np.max(np.abs(u)))
     dt = pdesolver.CFL * state.grid.dx / max(u_max, pdesolver.CFL_VELOCITY_FLOOR)
-    return u_max, float(np.min(state.rows[3])), float(np.max(state.rows[0])), not np.any(state.rows[0]), dt
+    return u_max, float(np.min(u_x)), float(np.max(rho)), not np.any(rho), dt
 
 
 def test_cached_scans_equal_fresh_scans_bit_for_bit():
@@ -876,10 +923,12 @@ def test_cached_scans_equal_fresh_scans_bit_for_bit():
         "tiny rho": SolverState.make(0.0, 1e-30 * np.cos(x), u, PARAMS, grid),
     }
     states = {name: step(state, cfl_dt(state)) for name, state in starts.items()}
-    assert vars(states["rho-free"])["rho_free"] is True  # known from the step, not scanned
     for name in ("rho-free", "coupled"):
         states[f"padded {name}"] = pdesolver._padded(states[name], fine)
-    assert vars(states["padded rho-free"])["rho_free"] is True
+    for name in ("rho-free", "padded rho-free"):
+        # the layout says rho-free, and max_rho is known without a scan
+        assert len(states[name].spectrum) == 1 and len(states[name].rows) == 2, name
+        assert states[name].max_rho == 0.0 and "rho_free" not in vars(states[name]), name
     for name, state in states.items():
         want = fresh_scans(state)
         for _ in range(2):  # the first read scans, the second reads the kept value
@@ -890,37 +939,43 @@ def test_cached_scans_equal_fresh_scans_bit_for_bit():
     assert [states[name].rho_free for name in states] == [True, False, False, True, False]
 
 
-def former_advanced(cls, t, spectrum, params, grid):
-    """SolverState._advanced as it was: a rho-free state's rows stacked from its (u, u_x)."""
-    rows = pdesolver._nodal_rows(grid, spectrum)
-    if len(spectrum) == 1:
-        zeros = np.zeros(grid.n)
-        rows = np.stack((zeros, rows[0], zeros, rows[1]))
-        spectrum = np.concatenate((np.zeros_like(spectrum), spectrum))
-    if not np.all(np.isfinite(rows[:2])):
-        raise NonFinite(f"state contains non-finite entries at t={t}")
-    return cls(t, params, grid, spectrum, rows)
-
-
-def test_rho_free_rows_written_in_place_match_the_stacked_layout(monkeypatch):
+def test_rho_free_layout_matches_the_general_path_with_a_zero_rho_band():
+    # the same u band, held alone and beside an exactly zero rho band
     grid = Grid1D(n=256, length=TWO_PI)
     u = odd_gaussian_derivative(grid, -5.0, TWO_PI / 16.0)
+    alone = SolverState.make(0.0, np.zeros(grid.n), u, PARAMS, grid)
+    assert alone.rho_free and alone.rows.shape == (2, grid.n) and alone.spectrum.shape == (1, grid.n // 3 + 1)
+    for _ in range(50):
+        alone = step(alone, cfl_dt(alone))
+    zero_band = np.concatenate((np.zeros_like(alone.spectrum), alone.spectrum))
+    general = SolverState._advanced(alone.t, zero_band, PARAMS, grid)
+    assert not general.rho_free and general.rows.shape == (4, grid.n)
+    assert same_bits(alone.rows, np.ascontiguousarray(general.rows[1::2]))  # (u, u_x)
+    assert same_bits(alone.spectrum, np.ascontiguousarray(general.spectrum[1:]))
+    assert not general.rows[::2].any()
+    scans = ("max_abs_u", "min_ux", "max_rho")
+    assert [float_bits(getattr(alone, name)) for name in scans] == [
+        float_bits(getattr(general, name)) for name in scans
+    ]
+    assert np.array_equal(alone.u, general.u) and np.array_equal(alone.rho, general.rho)
+    assert alone.rows.flags.c_contiguous
 
-    def run():
-        state = SolverState.make(0.0, np.zeros(grid.n), u, PARAMS, grid)
-        for _ in range(50):
-            state = step(state, cfl_dt(state))
-        return state
 
-    got = run()
-    monkeypatch.setattr(SolverState, "_advanced", classmethod(former_advanced))
-    want = run()
-    assert got.t == want.t
-    assert np.array_equal(got.rows, want.rows)
-    assert np.array_equal(got.spectrum, want.spectrum)
-    assert float_bits(got.min_ux) == float_bits(want.min_ux)
-    assert float_bits(got.max_rho) == float_bits(want.max_rho)
-    assert not got.rows[::2].any() and got.rows.flags.c_contiguous
+@pytest.mark.parametrize("rho_scale", [0.0, 1.0])
+def test_step_leaves_its_state_bit_for_bit(rho_scale):
+    # stage 1 reads the state's rows while the step's buffers take the products
+    grid = Grid1D(n=256, length=TWO_PI)
+    x = grid.nodes
+    state = make_state(grid, rho_scale * (1.0 + 0.1 * np.cos(x)), 0.3 * np.sin(x) + 0.1 * np.cos(2 * x))
+    assert state.rho_free == (rho_scale == 0.0)
+    rows, spectrum = state.rows.copy(), state.spectrum.copy()
+    for dt in (cfl_dt(state), -0.5 * cfl_dt(state)):
+        spectra = []
+        stepped = step(state, dt, spectra_out=spectra)
+        assert same_bits(state.rows, rows) and same_bits(state.spectrum, spectrum)
+        assert stepped.rho_free == state.rho_free
+        for arr in spectra + [stepped.rows, stepped.spectrum]:
+            assert not np.shares_memory(arr, state.rows) and not np.shares_memory(arr, state.spectrum)
 
 
 def former_stage_rows(grid, spectrum):
@@ -933,10 +988,7 @@ def former_stage_rows(grid, spectrum):
 def former_step_spectrum(state, dt):
     """step's new kept bands, combined as before: s + dt/6*(k1 + 2*k2 + 2*k3 + k4)."""
     grid, params = state.grid, state.params
-    if state.rho.any():
-        s, rows = state.spectrum, state.rows
-    else:
-        s, rows = state.spectrum[1:], state.rows[1:2]
+    s, rows = state.spectrum, state.rows[:1] if state.rho_free else state.rows
     k1 = pdesolver._tendency_arrays(grid, params, rows)
     k2 = pdesolver._tendency_arrays(grid, params, former_stage_rows(grid, s + 0.5 * dt * k1))
     k3 = pdesolver._tendency_arrays(grid, params, former_stage_rows(grid, s + 0.5 * dt * k2))
@@ -952,8 +1004,8 @@ def test_in_place_rk4_sum_matches_the_former_expression(rho_scale):
     for dt in (cfl_dt(state), -0.5 * cfl_dt(state)):
         got = step(state, dt).spectrum
         want = former_step_spectrum(state, dt)
-        assert np.array_equal(got[-len(want):], want)
-        assert not got[: len(got) - len(want)].any()  # a rho-free step's rho band
+        assert got.shape == want.shape == (2 - state.rho_free, grid.n // 3 + 1)
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,8 +1067,9 @@ def test_adaptive_run_transforms_9_rows_per_step(monkeypatch):
     steps, doublings = len(result.times) - 1, len(result.refinements) - 1
     assert doublings == 1
     # start: dealias u0 (2 rows), the start-grid rfft of (rho0, u0) (2) and
-    # the n = 1024 state (4); each doubling: one irfft of (u, u_x) (2)
-    assert sum(rows) == 8 + 9 * steps + 2 * doublings
+    # the rho-free n = 1024 state (2: u's rfft, u_x's irfft); each doubling:
+    # one irfft of (u, u_x) (2)
+    assert sum(rows) == 6 + 9 * steps + 2 * doublings
 
 
 def test_start_grid_keeps_every_mode_of_the_start_state():
@@ -1079,5 +1132,5 @@ def test_a_centre_slope_whose_square_underflows_has_an_infinite_defect():
     state = SolverState.make(0.0, np.zeros(grid.n), u, PARAMS, grid)
     spectra = []
     step(state, 1e-3, spectra_out=spectra)
-    assert state.rows[3, grid.n // 2] ** 2 == 0.0 < abs(state.rows[3, grid.n // 2])
+    assert state.rows[-1, grid.n // 2] ** 2 == 0.0 < abs(state.rows[-1, grid.n // 2])
     assert pdesolver._centre_defect(state, *spectra) == math.inf
