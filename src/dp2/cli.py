@@ -230,24 +230,19 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
 class Run:
     """One subcommand run: its resolved params and its output directory.
 
-    Artifacts go through :meth:`csv` and :meth:`json`, which honour --format; every
-    JSON summary gets the config echo (command and params) that --config replays.
+    Artifacts go through :meth:`csv` and :meth:`json`; every JSON summary gets
+    the config echo (command and params) that --config replays.
     """
 
     def __init__(self, args: argparse.Namespace, params: dict, out: Path):
         self.args, self.params, self.out = args, params, out
 
-    def wants(self, kind: str) -> bool:
-        return self.args.format in (None, kind)
-
     def csv(self, name: str, header: str, *columns) -> None:
-        if self.wants("csv"):
-            write_csv(self.out / name, header, columns=columns)
+        write_csv(self.out / name, header, columns=columns)
 
     def json(self, name: str, summary: dict) -> None:
-        if self.wants("json"):
-            echo = {"command": self.args.command, **self.params}
-            write_json(self.out / name, {**summary, "config": echo})
+        echo = {"command": self.args.command, **self.params}
+        write_json(self.out / name, {**summary, "config": echo})
 
 
 def _solution(p: dict, s_max: float):
@@ -294,11 +289,10 @@ def cmd_selfsim(run: Run) -> int:
     sol = _solution(params, params["s_max"])
     metadata = [sol.snapshot_metadata(t) for t in times]  # validates every t before a write
     for idx, meta in enumerate(metadata):
-        if run.wants("csv"):
-            width = 1.2 * meta["support_halfwidth"]
-            xs = np.linspace(-width, width, params["grid_n"])
-            rho, u = sol.evaluate(meta["t"], xs)
-            run.csv(f"selfsim_snapshot_{idx}.csv", "x,rho,u", xs, rho, u)
+        width = 1.2 * meta["support_halfwidth"]
+        xs = np.linspace(-width, width, params["grid_n"])
+        rho, u = sol.evaluate(meta["t"], xs)
+        run.csv(f"selfsim_snapshot_{idx}.csv", "x,rho,u", xs, rho, u)
     run.csv("selfsim_mass.csv", "t,mass", [meta["t"] for meta in metadata],
             [meta["mass"] for meta in metadata])
     run.json("selfsim_summary.json", {"snapshots": metadata})
@@ -356,9 +350,8 @@ def cmd_verify(run: Run) -> int:
 def cmd_riccati(run: Run) -> int:
     params = run.params
     crit = riccati.BlowupCriterion(M=params["m"], v0=params["v0"])
-    if run.wants("csv"):  # first, so a refused trajectory leaves no summary behind
-        traj = riccati.comparison_trajectory(crit, params["dt"])
-        run.csv("riccati_trajectory.csv", "t,v", *traj.T)
+    traj = riccati.comparison_trajectory(crit, params["dt"])  # first, so a refusal leaves no summary
+    run.csv("riccati_trajectory.csv", "t,v", *traj.T)
     run.json("riccati_summary.json", crit.summary())
     t_bound = riccati.check(crit)
     print("inconclusive (criterion hypothesis fails)" if t_bound is None else f"T = {_fmt(t_bound)}")
@@ -442,7 +435,6 @@ def cmd_sweep(run: Run) -> int:
             [cell_params[name] for name in header]
             + [traj.fate.value, traj.touchdown_s if traj.touchdown_s is not None else ""]
         )
-    # sweep.csv is the sweep's only artifact, so --format does not gate it.
     write_csv(run.out / "sweep.csv", ",".join(header + ["fate", "S"]), rows)
     print(f"{len(rows)} rows -> {run.out / 'sweep.csv'}")
     return EXIT_OK
@@ -468,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--config", default=None, help="replay a dp2 JSON summary's config")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="emit only this artifact kind (default: both)")
 
     parser = _Parser(prog="dp2")
     sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parsers too

@@ -279,6 +279,7 @@ def test_solve_has_no_width_or_margin_flag(tmp_path, capsys, flag):
 @pytest.mark.parametrize("args, message", [
     (("emden", "--seed", "7", "--xi", "-1"), "unrecognized arguments: --seed 7"),
     (("solve", "--n", "1.5"), "argument --n: invalid int value: '1.5'"),
+    (("solve", "--format", "json"), "unrecognized arguments: --format json"),
 ])
 def test_argparse_refusals_are_one_error_line(tmp_path, capsys, args, message):
     # each printed argparse's usage block, then "dp2 <command>: error: ..."
@@ -287,6 +288,19 @@ def test_argparse_refusals_are_one_error_line(tmp_path, capsys, args, message):
     assert exc.value.code == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_every_option_is_a_setting_the_summary_echoes():
+    # an option outside SCHEMAS shapes a run that replaying its summary does not
+    # reproduce, as --format did: "solve --format json" wrote the summary alone
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(SCHEMAS)
+    for command, subparser in subparsers.choices.items():
+        options = {opt for action in subparser._actions for opt in action.option_strings}
+        settings = {"--" + key.replace("_", "-") for key in SCHEMAS[command]}
+        plumbing = {"-h", "--help", "--out", "--config"} | ({"--grid"} if command == "sweep" else set())
+        assert options ^ (settings | plumbing) == set(), command  # the options on one side only
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["sweep", "--help"]])
@@ -1234,36 +1248,6 @@ def test_round_trip_config_reproduces_run(tmp_path, command):
     assert names == sorted(path.name for path in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-
-# (argv, one CSV artifact, the JSON summary) per JSON-writing subcommand.
-FORMAT_RUNS = {
-    "emden": (("emden", "--xi", "-1", "--kappa", "0.5"),
-              "emden_trajectory.csv", "emden_summary.json"),
-    "selfsim": (("selfsim", "--k3", "1", "--xi", "1", "--times", "0,0.1", "--grid-n", "16"),
-                "selfsim_snapshot_0.csv", "selfsim_summary.json"),
-    "verify": (("verify", "--n-base", "64", "--levels", "3"),
-               "verify_norms.csv", "verify_report.json"),
-    "riccati": (("riccati", "--m", "0", "--v0", "-2", "--dt", "1e-3"),
-                "riccati_trajectory.csv", "riccati_summary.json"),
-    "solve": (("solve", "--n", "256", "--t-max", "0.02", "--snapshot-times", "0.01"),
-              "solve_snapshot_0.csv", "solve_summary.json"),
-}
-
-
-@pytest.mark.parametrize("command", list(FORMAT_RUNS))
-def test_format_flag_selects_artifacts(tmp_path, command):
-    argv, csv_name, json_name = FORMAT_RUNS[command]
-    out = tmp_path / "csv_only"
-    run_cli(argv[0], "--out", str(out), "--format", "csv", *argv[1:])
-    assert (out / csv_name).exists()
-    assert not (out / json_name).exists()
-    assert not any(out.glob("*.json"))
-    out = tmp_path / "json_only"
-    run_cli(argv[0], "--out", str(out), "--format", "json", *argv[1:])
-    assert not (out / csv_name).exists()
-    assert (out / json_name).exists()
-    assert not any(out.glob("*.csv"))
 
 
 def test_console_script_entry_point(tmp_path):

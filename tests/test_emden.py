@@ -260,6 +260,26 @@ def test_quadrature_matches_mpmath_at_30_digits(xi, kappa, mu, a0, a1):
     assert abs(s - reference) <= 1e-14 * reference  # pytest.approx would allow 1e-12 absolute too
 
 
+@pytest.mark.parametrize("xi,kappa,mu,a0,a1", _mpmath_cells())
+def test_touchdown_event_matches_mpmath_less_the_tail(xi, kappa, mu, a0, a1):
+    # integrate stops at a = 1e-8*a0, which it reaches 1.9e-10 to 9.6e-9 relative
+    # before a = 0: mpmath's S less the fall from there, at 30 digits, pins the event
+    import mpmath
+
+    reference = touchdown_time_mpmath(xi, kappa, mu, a0, a1)
+    s = integrate(EmdenProblem(xi=xi, kappa=kappa, mu=mu, a0=a0, a1=a1, s_max=2.0 * reference)).touchdown_s
+    with mpmath.workdps(30):
+        xi, kappa, mu, a0, a1 = (mpmath.mpf(x) for x in (xi, kappa, mu, a0, a1))
+        c, om = -2 * xi / mu, 1 - kappa
+
+        def speed(a):  # a'**2 = a1**2 + c*(a0**om - a**om)/om, c*log(a0/a) at om = 0
+            pull = mpmath.log(a0 / a) if om == 0 else (a0**om - a**om) / om
+            return mpmath.sqrt(a1**2 + c * pull)
+
+        tail = float(mpmath.quad(lambda a: 1 / speed(a), [0, mpmath.mpf("1e-8") * a0]))
+    assert abs(s - (reference - tail)) <= 5e-11 * reference
+
+
 @pytest.mark.parametrize("xi,kappa,a1", [
     (-1.0, 0.5, 1e200),  # was nan: a1**2 overflowed inside betaincc
     (-0.01, 0.999, 3.0),  # raised OverflowError: the turning point is e^1030 * a0

@@ -1,8 +1,8 @@
 """Import graph: no dp2 code imports scipy.
 
-``import dp2``, every subcommand (``solve``, ``riccati``, ``emden``,
-``selfsim``, ``verify``, ``sweep``), ``emden.integrate`` and the touchdown
-oracle load numpy and nothing from scipy, and emit no warning.  The
+Importing dp2's modules, every subcommand (``solve``, ``riccati``,
+``emden``, ``selfsim``, ``verify``, ``sweep``), ``emden.integrate`` and the
+touchdown oracle load numpy and nothing from scipy, and emit no warning.  The
 suite's own process has imported everything already, so each check runs
 in a fresh interpreter.
 """
@@ -33,7 +33,7 @@ stages = {}
 import dp2, dp2.cli, dp2.pdesolver, dp2.riccati
 stages["import"] = scipy_loaded()
 from dp2.cli import main
-main(["solve", "--n", "64", "--t-max", "0.01", "--format", "json", "--out", OUT])
+main(["solve", "--n", "64", "--t-max", "0.01", "--out", OUT])
 stages["solve"] = scipy_loaded()
 main(["riccati", "--m", "0", "--v0", "-2", "--out", OUT])
 stages["riccati"] = scipy_loaded()

@@ -1045,6 +1045,47 @@ def test_resolved_until_marks_where_grid_n_stops_resolving():
     assert short.refinements == ((0.0, 256),)
 
 
+def dp_energy(state):
+    """DP's invariant E = integral of m*v, m = u - u_xx, v = (4 - d2/dx2)^-1 u, from the
+    kept u band: L * sum_k c_k*|u_k/n|**2*(1 + w_k**2)/(4 + w_k**2), c_0 = 1, c_k = 2.
+
+    E is quadratic, so the 2/3-rule Galerkin system conserves it in continuous
+    time and a zero-padding doubling keeps it: a rho-free run's drift in E is
+    RK4's time error alone.
+    """
+    band = state.spectrum[-1]
+    w2 = state.grid.wavenumbers[: len(band)] ** 2
+    weights = np.full(len(band), 2.0)
+    weights[0] = 1.0
+    return state.grid.length * float(np.sum(weights * np.abs(band / state.grid.n) ** 2 * (1 + w2) / (4 + w2)))
+
+
+def test_dp_energy_drift_falls_as_cfl_to_the_fourth(monkeypatch):
+    # on n = 2048 to t = 0.12: -1.61e-12 in 155 steps at CFL 0.3, -9.90e-14 in 309 at 0.15
+    grid = Grid1D(n=2048, length=TWO_PI)
+    start = SolverState.make(0.0, np.zeros(grid.n), odd_gaussian_derivative(grid, -5.0, TWO_PI / 16),
+                             PARAMS, grid)
+    drifts = []
+    for cfl in (0.3, 0.15):
+        monkeypatch.setattr(pdesolver, "CFL", cfl)
+        state = start
+        while state.t < 0.12:
+            state = step(state, min(cfl_dt(state), 0.12 - state.t))
+        drifts.append(dp_energy(state) / dp_energy(start) - 1.0)
+    assert 12.0 <= drifts[0] / drifts[1] <= 20.0, drifts
+
+
+def test_blowup_run_keeps_the_dp_energy():
+    # criterion 10's run: -1.47e-11 at t = 0.1 and -4.51e-11 at t = 0.19, through
+    # the doublings from n = 1024 and past resolved_until
+    result = run_blowup_experiment(BlowupExperimentConfig(n=8192), snapshot_times=[0.0, 0.1, 0.19])
+    grid = Grid1D(n=8192, length=TWO_PI)
+    e0, *later = (dp_energy(SolverState.make(t, rho, u, PARAMS, grid)) for t, rho, u in result.snapshots)
+    assert len(later) == 2
+    for e in later:
+        assert abs(e / e0 - 1.0) <= 1e-10
+
+
 @pytest.mark.parametrize("rho_scale", [0.0, 1.0])
 def test_centre_defect_is_round_off_only_while_resolved(rho_scale):
     def defect(n):
