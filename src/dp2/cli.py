@@ -11,18 +11,20 @@ round-trip safely.  Every JSON summary embeds the resolved config: a
 --config reads exactly that, so a summary of the same subcommand, passed
 as written, reproduces its run byte for byte.  A config value must have
 its setting's JSON type (a float setting takes an int too; no setting
-takes true or false).  An unreadable --config, or an --out that cannot
-be made a directory, exits 2.  No subcommand has a tol or a domain
-length: emden, selfsim and verify integrate to emden.integrate's default
-1e-10, each sweep cell to SWEEP_TOL = 1e-8; verify's grids span
-VERIFY_LENGTH = 4.096 centred at 0, and solve's period is
-pdesolver.LENGTH = 2*pi.  ``verify`` has no s_max: it integrates the
-scale factor up to s = 4*(t + dt_over_h*h), h the coarsest level's
-spacing, which is the last time its stencils read, and refuses a t whose
-stencils reach below t = 0 or to the collapse time, or whose s is not
-finite; it exits 1 when an order estimate is missing or below
-VERIFY_MIN_ORDER = 1.7.  ``riccati`` runs the comparison trajectory of
-an inconclusive criterion to comparison_trajectory's default t = 10.
+takes true or false).  An unreadable --config exits 2, and so does an
+--out that cannot be made a directory; it is made when the run writes
+its first artefact, so a run its settings refuse leaves none behind.
+No subcommand has a tol or a domain length: emden, selfsim and verify
+integrate to emden.integrate's default 1e-10, each sweep cell to
+SWEEP_TOL = 1e-8; verify's grids span VERIFY_LENGTH = 4.096 centred at
+0, and solve's period is pdesolver.LENGTH = 2*pi.  ``verify`` has no
+s_max: it integrates the scale factor up to s = 4*(t + dt_over_h*h), h
+the coarsest level's spacing, which is the last time its stencils read,
+and refuses a t whose stencils reach below t = 0 or to the collapse
+time, or whose s is not finite; it exits 1 when an order estimate is
+missing or below VERIFY_MIN_ORDER = 1.7.  ``riccati`` runs the
+comparison trajectory of an inconclusive criterion to
+comparison_trajectory's default t = 10.
 ``solve`` has no width or margin setting (the bump is L/16 wide and the
 margin pdesolver.MARGIN), and no k1, k2 or k3: every run starts from
 rho0 = 0, and a run from rho0 = 0 never reads them.  It refuses a
@@ -230,19 +232,29 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
 class Run:
     """One subcommand run: its resolved params and its output directory.
 
-    Artifacts go through :meth:`csv` and :meth:`json`; every JSON summary gets
-    the config echo (command and params) that --config replays.
+    Artifacts go through :meth:`csv` and :meth:`json`, or :meth:`path` for
+    another writer; every JSON summary gets the config echo (command and params)
+    that --config replays.  The directory is made on the run's first artefact,
+    so a run refused before it writes one leaves no directory behind.
     """
 
     def __init__(self, args: argparse.Namespace, params: dict, out: Path):
         self.args, self.params, self.out = args, params, out
 
+    def path(self, name: str) -> Path:
+        """The path of artefact ``name`` in the output directory, made if it is missing."""
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out {self.out}: {exc}") from exc
+        return self.out / name
+
     def csv(self, name: str, header: str, *columns) -> None:
-        write_csv(self.out / name, header, columns=columns)
+        write_csv(self.path(name), header, columns=columns)
 
     def json(self, name: str, summary: dict) -> None:
         echo = {"command": self.args.command, **self.params}
-        write_json(self.out / name, {**summary, "config": echo})
+        write_json(self.path(name), {**summary, "config": echo})
 
 
 def _solution(p: dict, s_max: float):
@@ -435,8 +447,9 @@ def cmd_sweep(run: Run) -> int:
             [cell_params[name] for name in header]
             + [traj.fate.value, traj.touchdown_s if traj.touchdown_s is not None else ""]
         )
-    write_csv(run.out / "sweep.csv", ",".join(header + ["fate", "S"]), rows)
-    print(f"{len(rows)} rows -> {run.out / 'sweep.csv'}")
+    path = run.path("sweep.csv")
+    write_csv(path, ",".join(header + ["fate", "S"]), rows)
+    print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
 
@@ -476,13 +489,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         params = _resolve_params(args.command, args)
-        out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValidationError(f"--out {out}: {exc}") from exc
         # Looked up at dispatch, so a handler rebound on this module runs.
-        return globals()[f"cmd_{args.command}"](Run(args, params, out))
+        return globals()[f"cmd_{args.command}"](Run(args, params, Path(args.out)))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -29,10 +29,13 @@ holds u alone, its u band and the rows (u, u_x), and is stepped on u
 alone: one 1-row irfft and one rfft of u**2 per stage, 9 transforms in
 8 calls per step, which is what every blowup run from rho0 = 0 costs.
 ``SolverState.make`` chooses the layout once, from the rho it is
-given, and every step keeps it.  A step allocates its stage buffers
-once, the band each stage irfft reads, the nodal rows it writes, the
-products and their spectrum, and stages 2-4 reuse them (see ``step``);
-a state's scans (max|u|, min u_x and a coupled state's max rho) are
+given, and every step keeps it.  One helper, ``_nodal_rows``, makes
+every stage's and every new state's nodal rows from kept bands.  A
+step allocates its stage buffers once, the band each stage irfft
+reads, the nodal rows it writes, the products and their spectrum;
+stages 2-4 write all of them, and stage 1 the products and, unless
+the step keeps stage 1's spectra, their spectrum (see ``step``).  A
+state's scans (max|u|, min u_x and a coupled state's max rho) are
 taken once each, on first use.  The transforms are numpy.fft's, called
 as module attributes so that a patched numpy.fft (perfbench's tracer,
 the transform-count tests) sees every one; numpy is the only
@@ -197,38 +200,18 @@ def helmholtz_inverse(grid: Grid1D, w: np.ndarray) -> np.ndarray:
     return np.fft.irfft(w_hat, n=grid.n)
 
 
-def _nodal_rows(grid: Grid1D, spectrum: np.ndarray) -> np.ndarray:
-    """Nodal fields and their x-derivatives from kept bands, by one irfft.
+def _nodal_rows(grid: Grid1D, band: np.ndarray, m: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Nodal rows from the kept bands in band[:m], by one irfft of band into out.
 
-    A (rho, u) band, shape (2, n//3 + 1), gives (rho, u, rho_x, u_x),
-    shape (4, n); a u band alone, shape (1, n//3 + 1), gives (u, u_x).
+    Rows m: of band first receive the x-derivatives of its first
+    len(band) - m rows.  A state's band of 2m rows gives its fields and
+    all their x-derivatives: (rho, u, rho_x, u_x) from (rho, u) bands,
+    m = 2, and (u, u_x) from a u band, m = 1.  A coupled stage's band
+    of 4 rows, m = 2, gives (rho, u, rho_x, u_x) too; a rho-free
+    stage's band of 1 row, m = 1, gives u alone, shape (1, n), since
+    u**2 needs no u_x.
     """
-    ops = _operators(grid)
-    m = len(spectrum)
-    stacked = np.empty((2 * m, ops.keep), dtype=complex)
-    stacked[:m] = spectrum
-    np.multiply(spectrum, ops.ik_kept, out=stacked[m:])
-    return np.fft.irfft(stacked, n=grid.n)
-
-
-def _stage_rows(
-    grid: Grid1D, s: np.ndarray, c: float, k: np.ndarray, band: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """The nodal rows a stage's tendency reads, from its kept bands s + c*k, in out.
-
-    The stage band is formed in band[:len(s)], with the operations of
-    s + c*k, and the irfft reads band itself and writes out.  (rho, u)
-    bands take a band of 4 rows, whose last two receive the
-    x-derivatives, and give (rho, u, rho_x, u_x); the u band of a
-    rho-free stage takes a band of 1 row and gives u alone, shape
-    (1, n), since u**2 needs no u_x.
-    """
-    m = len(s)
-    stage = band[:m]
-    np.multiply(c, k, out=stage)
-    np.add(s, stage, out=stage)
-    if len(band) > m:
-        np.multiply(stage, _operators(grid).ik_kept, out=band[m:])
+    np.multiply(band[: len(band) - m], _operators(grid).ik_kept, out=band[m:])
     return np.fft.irfft(band, n=grid.n, out=out)
 
 
@@ -305,8 +288,7 @@ class SolverState:
             del fields[0]  # rho-free: the state holds u alone
         m = len(fields)
         rows = np.empty((2 * m, grid.n))
-        for row, arr in zip(rows, fields):
-            row[:] = arr
+        rows[:m] = fields
         ops = _operators(grid)
         spectrum = np.fft.rfft(rows[:m])[:, : ops.keep]
         np.fft.irfft(spectrum * ops.ik_kept, n=grid.n, out=rows[m:])
@@ -317,41 +299,36 @@ class SolverState:
         cls, t: float, spectrum: np.ndarray, params: SystemParams, grid: Grid1D
     ) -> "SolverState":
         """State from the kept (rho, u) bands, or from the u band alone of a rho-free state."""
-        rows = _nodal_rows(grid, spectrum)
-        if not np.isfinite(rows[: len(spectrum)]).all():
+        m = len(spectrum)
+        band = np.empty((2 * m, spectrum.shape[1]), dtype=complex)
+        band[:m] = spectrum
+        rows = _nodal_rows(grid, band, m)
+        del band  # before the scan, which a step's peak memory would otherwise hold it through
+        if not np.isfinite(rows[:m]).all():
             raise NonFinite(f"state contains non-finite entries at t={t}")
         return cls(t, params, grid, spectrum, rows)
 
 
 def _tendency_arrays(
-    grid: Grid1D,
-    params: SystemParams,
-    rows: np.ndarray,
-    spectra_out: Optional[list] = None,
-    products: Optional[np.ndarray] = None,
-    product_spectrum: Optional[np.ndarray] = None,
+    grid: Grid1D, params: SystemParams, rows: np.ndarray, products: np.ndarray, product_spectrum: np.ndarray
 ) -> np.ndarray:
     """Kept-band spectral tendency of one RK4 stage, on the band k <= n//3.
 
     rows are the stage's nodal (rho, u, rho_x, u_x); the products u**2,
-    rho**2 and -k2*u*rho_x - (k1+k2)*rho*u_x go through one batched
-    rfft, and the result is (d rho_hat/dt, d u_hat/dt), shape
-    (2, n//3 + 1).  A rho-free stage passes u alone, shape (1, n): only
-    u**2 is transformed, and the result is d u_hat/dt alone, shape
-    (1, n//3 + 1).  ``products`` (shape (3, n), or (1, n) for u alone,
-    which may be rows itself, squared in place) and ``product_spectrum``
-    (its rfft, n//2 + 1 columns), if given, receive the products and
-    their spectrum; the result is always a fresh array.
-    ``spectra_out``, if given, is extended by the kept-band product
-    spectra and the result.
+    rho**2 and -k2*u*rho_x - (k1+k2)*rho*u_x are written into
+    ``products``, shape (3, n), and go through one batched rfft into
+    ``product_spectrum``, shape (3, n//2 + 1), and the result is
+    (d rho_hat/dt, d u_hat/dt), shape (2, n//3 + 1).  A rho-free stage
+    passes u alone, shape (1, n), with buffers of one row (``products``
+    may be rows itself, squared in place): only u**2 is transformed,
+    and the result is d u_hat/dt alone, shape (1, n//3 + 1).  The
+    result is always a fresh array; the buffers are the caller's.
     """
     ops = _operators(grid)
     if len(rows) == 1:
-        products = np.multiply(rows, rows, out=products)
+        np.multiply(rows, rows, out=products)
     else:
         rho, u, rho_x, u_x = rows
-        if products is None:
-            products = np.empty((3, grid.n))
         u_sq, rho_sq, mass = products
         np.multiply(u, u, out=u_sq)
         np.multiply(u, rho_x, out=mass)
@@ -371,8 +348,6 @@ def _tendency_arrays(
         out[0] = p_hat[2]
     if not np.isfinite(out).all():
         raise NonFinite("tendency produced non-finite entries")
-    if spectra_out is not None:
-        spectra_out += (p_hat, out)
     return out
 
 
@@ -384,43 +359,52 @@ def step(state: SolverState, dt: float, spectra_out: Optional[list] = None) -> S
     """One classical RK4 step on the kept spectrum; dt must respect the CFL bound.
 
     Stage 1 reads the state's own nodal rows; stages 2-4 get theirs
-    from one irfft each, and the new state's rows come from a fourth.
-    With rho != 0 the irffts have 4 rows and the rffts 3: 28 transforms
-    in 8 calls.  A rho-free state holds u alone and the step advances u
-    alone: 1-row irffts and rffts in the stages and a 2-row irfft for
-    the new (u, u_x), 9 transforms in 8 calls.  Besides the stage band
-    (see ``_stage_rows``), the step allocates three buffers once: the
-    stage's nodal rows, its products (on the rho-free path the nodal
-    row itself, squared in place) and their spectrum.  Stage 1 writes
-    its products into the second and keeps its own product spectrum;
-    stages 2-4 write all three, the transforms through numpy.fft's
-    ``out=``, and only each stage's tendency is a fresh array.  ``state`` is only read.  Negative dt is accepted for
-    time-reversal consistency checks.  ``spectra_out``, if given, is
-    extended by the first stage's product spectra and tendency, which
-    belong to ``state`` itself (see ``_tendency_arrays``).
+    from one irfft each, and the new state's rows come from a fourth,
+    each through ``_nodal_rows``.  With rho != 0 the irffts have 4 rows
+    and the rffts 3: 28 transforms in 8 calls.  A rho-free state holds
+    u alone and the step advances u alone: 1-row irffts and rffts in the
+    stages and a 2-row irfft for the new (u, u_x), 9 transforms in 8
+    calls.  The step allocates four buffers once: the stage band, one
+    row per nodal row, whose first rows take each stage's s + c*k; the
+    stage's nodal rows; its products (on the rho-free path the nodal
+    row itself, squared in place); and their spectrum.  Stage 1 writes
+    the products and their spectrum, and stages 2-4 all four, the
+    transforms through numpy.fft's ``out=``; only each stage's tendency
+    is a fresh array.  ``state`` is only read.  Negative dt is accepted
+    for time-reversal consistency checks.  ``spectra_out``, if given, is
+    extended by the first stage's kept-band product spectra and
+    tendency, which belong to ``state`` itself; stage 1 then writes its
+    product spectrum into a fifth buffer, which the list keeps.
     """
     if abs(dt) > (limit := cfl_dt(state)) * (1.0 + 1e-12):
         raise ValidationError(f"dt={dt} violates the CFL bound {limit} at t={state.t}")
     grid, params = state.grid, state.params
     s = state.spectrum
+    m, keep = s.shape
     if state.rho_free:
         rows = state.rows[:1]  # u alone: u**2 needs no u_x
         nodal = products = np.empty((1, grid.n))
     else:
         rows = state.rows
         nodal, products = np.empty((4, grid.n)), np.empty((3, grid.n))
-    band = np.empty((len(rows), s.shape[1]), dtype=complex)  # one row per nodal row; see _stage_rows
+    band = np.empty((len(rows), keep), dtype=complex)  # one row per nodal row; see _nodal_rows
     product_spectrum = np.empty((len(products), grid.n // 2 + 1), dtype=complex)
-    buffers = dict(products=products, product_spectrum=product_spectrum)
+    first = product_spectrum if spectra_out is None else np.empty_like(product_spectrum)
     # Overflow surfaces as the NonFinite the finiteness checks raise, not as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _tendency_arrays(grid, params, rows, spectra_out, products=products)
-        k2 = _tendency_arrays(grid, params, _stage_rows(grid, s, 0.5 * dt, k1, band, nodal), **buffers)
-        k3 = _tendency_arrays(grid, params, _stage_rows(grid, s, 0.5 * dt, k2, band, nodal), **buffers)
-        k4 = _tendency_arrays(grid, params, _stage_rows(grid, s, dt, k3, band, nodal), **buffers)
+        ks = [_tendency_arrays(grid, params, rows, products, first)]
+        if spectra_out is not None:
+            spectra_out += (first[:, :keep], ks[0])
+        for c in (0.5 * dt, 0.5 * dt, dt):
+            # the stage band s + c*k, formed in band[:m]
+            np.multiply(c, ks[-1], out=band[:m])
+            np.add(s, band[:m], out=band[:m])
+            stage_rows = _nodal_rows(grid, band, m, nodal)
+            ks.append(_tendency_arrays(grid, params, stage_rows, products, product_spectrum))
+        k1, k2, k3, k4 = ks
         # freed before the new state's rows are made, which a step's peak memory
         # would otherwise hold beside them
-        del band, nodal, products, product_spectrum, buffers
+        del band, nodal, stage_rows, products, product_spectrum, first, ks
         # s + dt/6*(k1 + 2*k2 + 2*k3 + k4) with the same operations, so the
         # same bits, summed in k2's array; k1 may be held by spectra_out.
         spectrum = k2

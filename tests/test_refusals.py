@@ -1,6 +1,6 @@
 """Refusals that no other test reaches, each pinned once with its type and message.
 
-A command line exits 2 with its one message and writes nothing; a library call
+A command line exits 2 with its one message and makes no --out; a library call
 raises the named exception with the named message.
 """
 
@@ -78,10 +78,11 @@ REFUSALS = {
 def test_reachable_refusal(tmp_path, capsys, case):
     *call, message = REFUSALS[case]
     if isinstance(call[0], tuple):
-        argv = call[0]
-        assert main([argv[0], "--out", str(tmp_path), *argv[1:]]) == 2
+        # a fresh --out: the refused run makes no directory
+        argv, out = call[0], tmp_path / "run"
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not any(tmp_path.iterdir())
+        assert not out.exists()
     else:
         build, exc_type = call
         with pytest.raises(exc_type) as exc:
