@@ -211,7 +211,8 @@ def _nodal_rows(grid: Grid1D, band: np.ndarray, m: int, out: Optional[np.ndarray
     stage's band of 1 row, m = 1, gives u alone, shape (1, n), since
     u**2 needs no u_x.
     """
-    np.multiply(band[: len(band) - m], _operators(grid).ik_kept, out=band[m:])
+    if len(band) > m:  # none on a rho-free stage, where an empty multiply would still cost a call
+        np.multiply(band[: len(band) - m], _operators(grid).ik_kept, out=band[m:])
     return np.fft.irfft(band, n=grid.n, out=out)
 
 
@@ -395,16 +396,16 @@ def step(state: SolverState, dt: float, spectra_out: Optional[list] = None) -> S
         ks = [_tendency_arrays(grid, params, rows, products, first)]
         if spectra_out is not None:
             spectra_out += (first[:, :keep], ks[0])
+        stage = band[:m]  # each stage's band s + c*k
         for c in (0.5 * dt, 0.5 * dt, dt):
-            # the stage band s + c*k, formed in band[:m]
-            np.multiply(c, ks[-1], out=band[:m])
-            np.add(s, band[:m], out=band[:m])
+            np.multiply(c, ks[-1], out=stage)
+            np.add(s, stage, out=stage)
             stage_rows = _nodal_rows(grid, band, m, nodal)
             ks.append(_tendency_arrays(grid, params, stage_rows, products, product_spectrum))
         k1, k2, k3, k4 = ks
         # freed before the new state's rows are made, which a step's peak memory
         # would otherwise hold beside them
-        del band, nodal, stage_rows, products, product_spectrum, first, ks
+        del band, stage, nodal, stage_rows, products, product_spectrum, first, ks
         # s + dt/6*(k1 + 2*k2 + 2*k3 + k4) with the same operations, so the
         # same bits, summed in k2's array; k1 may be held by spectra_out.
         spectrum = k2

@@ -484,6 +484,7 @@ def test_validation_messages(tmp_path, capsys, args, config, code, message):
         assert read_json(tmp_path / "run" / "emden_summary.json")["config"]["kappa"] == 0.5
     else:
         assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
+        assert not (tmp_path / "run").exists()  # a refused run makes no --out
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -1197,20 +1198,8 @@ def test_an_unreadable_config_or_unusable_out_exits_2(tmp_path, capsys, argv, me
     assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "bom.json", "deep.json"]
 
 
-# Each exited 2 with its one error line and left an empty --out behind, made
-# before the command refused its settings.
-@pytest.mark.parametrize("argv, message", [
-    (("riccati", "--m", "0", "--v0", "-1", "--dt", "1e-9"), "dt=1e-09 needs ~1e+09 rows, over the cap 1000000"),
-    (("selfsim", "--k3", "0", "--xi", "-1"), "k3 = 0 (free-profile branch) is library-only; pass k3 != 0"),
-], ids=["riccati-dt", "selfsim-k3"])
-def test_a_refused_run_makes_no_out_directory(tmp_path, capsys, argv, message):
-    assert run_cli(argv[0], "--out", str(tmp_path / "o"), *argv[1:]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not any(tmp_path.iterdir())
-
-
 def test_a_refused_setting_wins_over_an_unusable_out(tmp_path, capsys):
-    # the --out refusal came first while the directory was made before the command ran
+    # --out is made at the run's first artefact, after its settings are checked
     (tmp_path / "afile").write_text("")
     assert run_cli("emden", "--out", str(tmp_path / "afile"), "--xi", "-1", "--s-max", "0") == 2
     assert capsys.readouterr().err == "error: s_max must be positive and finite, got s_max=0.0\n"

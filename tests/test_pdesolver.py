@@ -1018,10 +1018,10 @@ def test_in_place_rk4_sum_matches_the_former_expression(rho_scale):
 
 
 # One step's peak traced memory beyond what is held before it, in units of n
-# floats (8n bytes), as read when the stage buffers were first shared: the
-# buffers live until the RK4 sum, and the new state's band of 2m rows is freed
-# before its finiteness scan.  Holding the stage buffers to the return reads
-# 8.69, 9.69, 24.69 and 27.69.
+# floats (8n bytes): the stage buffers are freed before the RK4 sum, and the
+# new state's band of 2m rows before its finiteness scan.  Holding the stage
+# buffers to the return reads 8.69, 9.69, 24.69 and 27.69, and holding the
+# band through the scan 6.14 and 7.15 on the rho-free layout.
 @pytest.mark.parametrize("rho_scale, keep_spectra, reading", [
     (0.0, False, 6.02), (0.0, True, 7.02), (1.0, False, 19.36), (1.0, True, 22.36),
 ], ids=["rho-free", "rho-free-spectra", "coupled", "coupled-spectra"])
