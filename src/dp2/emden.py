@@ -124,11 +124,15 @@ class EmdenProblem:
                 raise ValidationError(f"{name} must be finite")
 
     def energy(self, a, a_dot):
-        """Conserved energy; logarithmic potential for kappa = 1."""
-        if self.kappa == 1.0:
-            return 0.5 * np.asarray(a_dot) ** 2 - (self.xi / self.mu) * np.log(a)
-        pw = 1.0 - self.kappa
-        return 0.5 * np.asarray(a_dot) ** 2 - self.xi * np.asarray(a) ** pw / (self.mu * pw)
+        """Conserved energy a'^2/2 + V(a), with V(a0) = 0.
+
+        V(a) = -(xi/mu) * integral of s^-kappa from a0 to a
+             = (xi/mu) * a0^(1-kappa) * _pull(ln(a/a0), 1-kappa),
+        one expression through kappa = 1, where :func:`_pull` is logarithmic.
+        """
+        om = 1.0 - self.kappa
+        scale = self.xi / self.mu * np.float64(self.a0) ** om  # numpy's power, which overflows to inf
+        return 0.5 * np.asarray(a_dot) ** 2 + scale * _pull(np.log(np.asarray(a) / self.a0), om)
 
 
 @dataclass(frozen=True)
@@ -155,13 +159,18 @@ class EmdenTrajectory:
 
     @functools.cached_property
     def energy_drift_max(self) -> float:
-        """The largest |E - E(0)| over the samples, relative to max(1, |E(0)|);
-        inf when an energy E leaves the float range."""
-        problem = self.problem
+        """The largest |E - E(0)| over the samples, relative to max(1, max a'^2/2);
+        inf when an energy E leaves the float range.
+
+        E(0) = a1^2/2, as the potential V(a0) is 0.  V changes along the
+        orbit by as much as a'^2/2 does, so the largest a'^2/2 over the
+        samples sets the drift's scale.
+        """
+        a_dot = self.samples[:, 2]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed energy reads inf or nan
-            e0 = float(problem.energy(problem.a0, problem.a1))
-            energies = problem.energy(self.samples[:, 1], self.samples[:, 2])
-            drift = float(np.max(np.abs(energies - e0))) / max(1.0, abs(e0))
+            energies = self.problem.energy(self.samples[:, 1], a_dot)
+            kinetic = 0.5 * float(np.max(a_dot * a_dot))
+            drift = float(np.max(np.abs(energies - energies[0]))) / max(1.0, kinetic)
         return drift if math.isfinite(drift) else math.inf
 
     @property

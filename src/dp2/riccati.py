@@ -8,11 +8,14 @@ of the comparison equation
 
 which escapes to -infinity at the closed-form time
 
-    T = (1/(2c)) * ln((v0 - c)/(v0 + c)),
+    T = atanh(c/|v0|) / c,
 
-with the M = 0 limit T = -1/v0 (v(t) = v0/(1 + v0*t)).  The comparison
-is an inequality, so T is an upper bound on the blowup time of the true
-slope, not an exact time.
+with the M = 0 limit T = -1/v0 (v(t) = v0/(1 + v0*t)).  :func:`check`
+evaluates it as log1p(x)/x / (|v0| - c) with x = 2c/(|v0| - c), which
+keeps full precision both as v0 -> -c, where the difference |v0| - c is
+exact, and as c/|v0| -> 0, where log1p(x)/x -> 1 gives the M = 0 limit.
+The comparison is an inequality, so T is an upper bound on the blowup
+time of the true slope, not an exact time.
 """
 
 from __future__ import annotations
@@ -70,10 +73,9 @@ def check(crit: BlowupCriterion) -> Optional[float]:
     """Closed-form blowup-time bound T of the comparison ODE, None when it does not apply."""
     if not crit.applies:
         return None
-    if crit.c == 0.0:
-        return -1.0 / crit.v0
-    c, v0 = crit.c, crit.v0
-    return math.log((v0 - c) / (v0 + c)) / (2.0 * c)
+    gap = -crit.v0 - crit.c
+    x = 2.0 * crit.c / gap  # (|v0| + c)/(|v0| - c) - 1; 0 at c = 0 or when it underflows
+    return (math.log1p(x) / x if x > 0.0 else 1.0) / gap
 
 
 def _rk4_step(v: float, dt: float, c2: float) -> float:

