@@ -296,8 +296,6 @@ def cmd_selfsim(run: Run) -> int:
     if (nodes := len(times) * params["grid_n"]) > pdesolver.SNAPSHOT_POINTS_MAX:
         raise ValidationError(f"{len(times)} snapshot times on grid_n={params['grid_n']} would write"
                               f" {nodes} nodes per field, over the cap {pdesolver.SNAPSHOT_POINTS_MAX}")
-    if params["k3"] == 0.0:
-        raise ValidationError("k3 = 0 (free-profile branch) is library-only; pass k3 != 0")
     sol = _solution(params, params["s_max"])
     metadata = [sol.snapshot_metadata(t) for t in times]  # validates every t before a write
     for idx, meta in enumerate(metadata):

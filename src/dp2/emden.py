@@ -129,10 +129,20 @@ class EmdenProblem:
         V(a) = -(xi/mu) * integral of s^-kappa from a0 to a
              = (xi/mu) * a0^(1-kappa) * _pull(ln(a/a0), 1-kappa),
         one expression through kappa = 1, where :func:`_pull` is logarithmic.
+        When a0^(1-kappa) is not a normal float, V is the product of its
+        factors' mantissas scaled by the sum of their exponents, so that for
+        |1-kappa| <= 1022 it reads inf or 0 only where V leaves the float range.
         """
         om = 1.0 - self.kappa
-        scale = self.xi / self.mu * np.float64(self.a0) ** om  # numpy's power, which overflows to inf
-        return 0.5 * np.asarray(a_dot) ** 2 + scale * _pull(np.log(np.asarray(a) / self.a0), om)
+        pull = _pull(np.log(np.asarray(a) / self.a0), om)
+        with np.errstate(over="ignore"):
+            power = np.float64(self.a0) ** om  # numpy's power, which overflows to inf
+        if sys.float_info.min <= power < math.inf:
+            return 0.5 * np.asarray(a_dot) ** 2 + self.xi / self.mu * power * pull
+        # a0^om = m^n * a0^(om-n) * 2^(e*n), a0 = m*2^e and n = round(om): each factor is in range
+        n, (m, e) = round(min(max(om, -1022.0), 1022.0)), np.frexp(self.a0)
+        mantissas, exponents = zip(*map(np.frexp, (self.xi / self.mu, m**n, np.power(self.a0, om - n), pull)))
+        return 0.5 * np.asarray(a_dot) ** 2 + np.ldexp(math.prod(mantissas), sum(exponents) + e * n)
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,8 @@ class Profile:
 
         Only the sign-matched combinations (k3 > 0, xi > 0) and
         (k3 < 0, xi < 0) give beta > 0 and hence a real compact-support
-        shape; anything else is rejected.
+        shape; anything else, k3 = 0 included, is rejected.
         """
-        if k3 == 0.0:
-            raise ValidationError("k3=0 has no fixed shape; use FreeProfile")
         if not (k3 * xi > 0.0 and mu > 0.0):
             raise ValidationError(
                 f"beta = mu*k3/(4*xi) must be > 0 (xi and k3 of matching sign, mu > 0), "

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -61,21 +61,6 @@ class SystemParams:
         return 0.5 * self.k1 + self.k2 - 1.0
 
 
-@dataclass(frozen=True)
-class FreeProfile:
-    """Arbitrary nonnegative C1 shape for the decoupled branch k3 = 0."""
-
-    rho0: Callable[[np.ndarray], np.ndarray]
-
-    def eval_f(self, eta):
-        vals = np.asarray(self.rho0(np.asarray(eta, dtype=float)), dtype=float)
-        if np.any(vals < 0.0):
-            raise ValidationError("free profile returned negative density")
-        if np.isscalar(eta) or np.ndim(eta) == 0:
-            return float(vals)
-        return vals
-
-
 class OriginFate(enum.Enum):
     DIVERGES_AT_T = "DivergesAtT"
     DECAYS_TO_ZERO = "DecaysToZero"
@@ -90,21 +75,13 @@ class OriginDensityResult:
 @dataclass(frozen=True)
 class SelfSimilarSolution:
     params: SystemParams
-    profile: Union[Profile, FreeProfile]
+    profile: Profile
     traj: EmdenTrajectory
 
     def __post_init__(self) -> None:
         k3, xi = self.params.k3, self.traj.problem.xi
-        if k3 == 0.0:
-            if xi != 0.0:
-                raise WrongBranch("k3 = 0 requires xi = 0")
-            if not isinstance(self.profile, FreeProfile):
-                raise WrongBranch("k3 = 0 takes a FreeProfile shape")
-        else:
-            if not isinstance(self.profile, Profile):
-                raise WrongBranch("k3 != 0 takes the compact-support Profile")
-            if k3 * xi <= 0.0:
-                raise WrongBranch(f"invalid branch: k3={k3} and xi={xi} must share a sign")
+        if k3 * xi <= 0.0:
+            raise WrongBranch(f"invalid branch: k3={k3} and xi={xi} must share a sign")
 
     # -- time handling ----------------------------------------------------
 
@@ -139,15 +116,11 @@ class SelfSimilarSolution:
 
     def support_halfwidth(self, t: float) -> float:
         """Spatial support bound sqrt(beta)*alpha*a(4t)**(k2/4)."""
-        if not isinstance(self.profile, Profile):
-            raise WrongBranch("support bound is defined for compact profiles only")
         a, _ = self._scale_at(t)
         return self.profile.half_width * a ** (0.25 * self.params.k2)
 
     def mass(self, t: float) -> float:
         """Total mass a(4t)**(-k1/4) * mass_eta; conserved exactly iff k1 = 0."""
-        if not isinstance(self.profile, Profile):
-            raise WrongBranch("mass is defined for compact profiles only")
         a, _ = self._scale_at(t)
         return a ** (-0.25 * self.params.k1) * self.profile.mass_eta()
 
@@ -163,8 +136,6 @@ class SelfSimilarSolution:
         rho(t, 0) is 0 or constant; p < 0 at a touchdown, where it falls
         to 0; and a global run on which it rises somewhere.
         """
-        if self.params.k3 == 0.0:
-            raise WrongBranch("origin density fate needs a compact-profile branch")
         alpha, p = self.profile.alpha, self.params.k1 + self.params.k2
         if alpha == 0.0 or p == 0.0:
             raise ValidationError(f"rho(t,0) = alpha/a(4t)**((k1+k2)/4) is 0 at alpha = 0 and constant"
@@ -185,10 +156,8 @@ class SelfSimilarSolution:
             "t": t,
             "a": a,
             "a_dot": a_dot,
-            "mass": self.mass(t) if isinstance(self.profile, Profile) else None,
-            "support_halfwidth": (
-                self.support_halfwidth(t) if isinstance(self.profile, Profile) else None
-            ),
+            "mass": self.mass(t),
+            "support_halfwidth": self.support_halfwidth(t),
         }
 
 
@@ -201,22 +170,14 @@ def build_solution(
     s_max: float = 10.0,
     mu: float = 4.0,
     tol: float = 1e-10,
-    rho0: Optional[Callable] = None,
 ) -> SelfSimilarSolution:
     """Assemble a solution: shape from (k3, xi, alpha, mu), trajectory from kappa.
 
     Every evaluation reads (a, a') from the trajectory's ``state``: one
-    DOP853 step from the last sample at or before s.
-
-    For k3 = 0 (and xi = 0) pass ``rho0``, the arbitrary nonnegative C1
-    shape of the decoupled branch.
+    DOP853 step from the last sample at or before s.  The shape exists
+    only for k3*xi > 0, so k3 = 0 is refused with the profile's message.
     """
     problem = EmdenProblem(xi=xi, kappa=params.kappa, mu=mu, a0=a0, a1=a1, s_max=s_max)
     traj = integrate(problem, tol=tol)
-    if params.k3 == 0.0:
-        if rho0 is None:
-            raise ValidationError("k3 = 0 requires an explicit rho0 shape")
-        prof: Union[Profile, FreeProfile] = FreeProfile(rho0=rho0)
-    else:
-        prof = Profile.from_params(params.k3, xi, alpha, mu)
+    prof = Profile.from_params(params.k3, xi, alpha, mu)
     return SelfSimilarSolution(params=params, profile=prof, traj=traj)

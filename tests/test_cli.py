@@ -17,6 +17,7 @@ import pytest
 from dp2 import cli, emden, selfsim
 from dp2.cli import SCHEMAS, main, write_csv
 from dp2.emden import EmdenProblem, integrate
+from dp2.errors import ValidationError
 from dp2.pdesolver import STEPS_MAX, BlowupExperimentConfig
 from dp2.residual import convergence_study
 from dp2.riccati import comparison_trajectory
@@ -454,6 +455,10 @@ def test_non_finite_float_flags_rejected(tmp_path, capsys, args, key):
     assert not any(tmp_path.iterdir())
 
 
+K3_ZERO_MESSAGE = ("beta = mu*k3/(4*xi) must be > 0 (xi and k3 of matching sign, mu > 0),"
+                   " got k3=0.0, xi=0.0, mu=4.0")
+
+
 @pytest.mark.parametrize("args, config, code, message", [
     # the flat key = value format that --config read before it read dp2's summaries
     (("emden",), "xi = -1\nkappa = 0.5\n", 2,
@@ -469,8 +474,8 @@ def test_non_finite_float_flags_rejected(tmp_path, capsys, args, key):
      "times: could not convert string to float: 'abc'"),
     (("selfsim", "--k3", "-1", "--xi", "-1", "--times", ","), None, 2,
      "times: need at least one sample time"),
-    (("selfsim", "--k3", "0", "--xi", "0"), None, 2,
-     "k3 = 0 (free-profile branch) is library-only; pass k3 != 0"),
+    # selfsim, verify and build_solution refuse k3 = 0 with the profile's one message
+    (("selfsim", "--k3", "0", "--xi", "0"), None, 2, K3_ZERO_MESSAGE),
     (("sweep", "--grid", "xi"), None, 2, "grid axis must be key=start:stop:count, got 'xi'"),
     (("sweep", "--grid", "xi=-1:-0.5"), None, 2,
      "grid axis must be key=start:stop:count, got 'xi=-1:-0.5'"),
@@ -478,6 +483,8 @@ def test_non_finite_float_flags_rejected(tmp_path, capsys, args, key):
      "grid axis xi: invalid literal for int() with base 10: '2.5'"),
     (("sweep", "--grid", "xi=-1:-0.5:0"), None, 2, "grid axis xi: count must be >= 1"),
     (("sweep",), None, 2, "sweep needs at least one --grid axis"),
+    # named rho0, a parameter that no flag sets: "k3 = 0 requires an explicit rho0 shape"
+    (("verify", "--k3", "0", "--xi", "0"), None, 2, K3_ZERO_MESSAGE),
 ])
 def test_validation_messages(tmp_path, capsys, args, config, code, message):
     argv = [args[0], "--out", str(tmp_path / "run"), *args[1:]]
@@ -492,6 +499,12 @@ def test_validation_messages(tmp_path, capsys, args, config, code, message):
     else:
         assert err.startswith("error: ") and err.rstrip("\n").endswith(message)
         assert not (tmp_path / "run").exists()  # a refused run makes no --out
+
+
+def test_build_solution_refuses_k3_zero_with_the_command_line_message():
+    with pytest.raises(ValidationError) as info:
+        build_solution(SystemParams(k1=1.0, k2=1.0, k3=0.0), xi=0.0, alpha=1.0)
+    assert str(info.value) == K3_ZERO_MESSAGE
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -531,6 +544,16 @@ def test_emden_reports_the_drift_of_an_energy_whose_potential_is_near_the_float_
                    "--a1=-1e-8", "--s-max", "1e-8")
     assert code == 0
     assert read_json(tmp_path / "emden_summary.json")["energy_drift_max"] == 4.6875000000000004e-17
+
+
+def test_emden_reports_the_drift_of_an_energy_whose_a0_power_leaves_the_float_range(tmp_path, capsys):
+    # exited 3, "the energy of a(s) left the float range": a0**(1-kappa) = 1e400 overflowed,
+    # though V(2*a0) = -3.75e99 does not
+    code = run_cli("emden", "--out", str(tmp_path), "--xi", "1e-300", "--kappa", "-1", "--a0", "1e200",
+                   "--a1", "1", "--s-max", "1")
+    assert code == 0
+    assert capsys.readouterr() == ("fate = GlobalOnHorizon\n", "")
+    assert read_json(tmp_path / "emden_summary.json")["energy_drift_max"] == 0.0
 
 
 @pytest.mark.parametrize("args, code, message", [

@@ -419,6 +419,19 @@ def test_potential_meets_mpmath_on_a_seeded_lattice():
     assert checked > 1000
 
 
+@pytest.mark.parametrize("xi, kappa, a0, a, a_dot", [
+    # a0**2 = 1e400 overflowed: -inf and numpy's overflow RuntimeWarning, for V = -3.75e99
+    (1e-300, -1.0, 1e200, 2e200, 1.0),
+    # a0**28 = 1e-336 underflowed: 0.0, for V = -8.93e-205
+    (1e-90, -27.0, 1e-12, 1e8 * 1e-12, 0.0),
+], ids=["a0_power_overflows", "a0_power_underflows"])
+def test_energy_keeps_a_potential_whose_a0_power_leaves_the_float_range(xi, kappa, a0, a, a_dot):
+    # the suite's filterwarnings = error also fails a RuntimeWarning here
+    problem = EmdenProblem(xi=xi, kappa=kappa, a0=a0)
+    v, slope = _potential_mpmath(problem, a)
+    assert abs(float(problem.energy(a, a_dot)) - (v + a_dot**2 / 2)) <= 32 * 2.0**-52 * (abs(v) + slope)
+
+
 def test_oracle_agreement_random_touchdowns():
     rng = np.random.default_rng(202)
     for _ in range(20):

@@ -7,7 +7,9 @@ suite's own process has imported everything already, so each check runs
 in a fresh interpreter.
 """
 
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -121,6 +123,34 @@ def test_benchmark_names_exist(module, path):
     for part in path.split("."):
         target = getattr(target, part)
     assert callable(target)
+
+
+# Keywords perfbench/workloads.py and perfbench/tests/test_perfbench.py pass to dp2
+# and attributes they read back.  A deletion here would surface only as a run_failed
+# benchmark, since the suite's testpaths do not reach perfbench/tests.
+BENCHMARK_FIELDS = [
+    ("dp2.emden", "EmdenProblem", ("xi", "kappa", "mu", "a0", "a1", "s_max")),
+    ("dp2.pdesolver", "BlowupExperimentConfig", ("n", "slope", "threshold", "t_max")),
+    ("dp2.pdesolver", "BlowupExperimentResult",
+     ("times", "crossing_time", "bound", "margin", "within_margin", "parity_residual_max")),
+]
+
+
+@pytest.mark.parametrize("module,cls,names", BENCHMARK_FIELDS, ids=[cls for _, cls, _ in BENCHMARK_FIELDS])
+def test_benchmark_fields_exist(module, cls, names):
+    target = getattr(importlib.import_module(module), cls)
+    fields = {field.name for field in dataclasses.fields(target)}
+    assert [name for name in names if name not in fields and not hasattr(target, name)] == []
+
+
+def test_benchmark_call_surface_exists():
+    from dp2 import cli, emden, pdesolver, selfsim
+
+    params = inspect.signature(pdesolver.SolverState.make).parameters
+    assert list(params) == ["t", "rho", "u", "params", "grid"]
+    # perfbench's tracer patches these import bindings beside the definitions
+    assert selfsim.integrate is emden.integrate
+    assert cli.build_solution is selfsim.build_solution
 
 
 def test_dp2_source_calls_no_lapack():

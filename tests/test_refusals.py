@@ -16,14 +16,10 @@ from dp2.grid import Grid1D
 from dp2.pdesolver import LENGTH, SolverState
 from dp2.profile import Profile
 from dp2.riccati import BlowupCriterion
-from dp2.selfsim import FreeProfile, SelfSimilarSolution, SystemParams, WrongBranch, build_solution
+from dp2.selfsim import SelfSimilarSolution, SystemParams, WrongBranch
 
 PARAMS = SystemParams(k1=1.0, k2=1.0, k3=1.0)
-FREE = SystemParams(k1=1.0, k2=1.0, k3=0.0)  # the decoupled branch k3 = 0, xi = 0
-
-
-def bump(eta):
-    return np.exp(-eta**2)
+K3_ZERO = SystemParams(k1=1.0, k2=1.0, k3=0.0)
 
 
 def branch(params, profile, xi):
@@ -60,15 +56,8 @@ REFUSALS = {
                            "v0 must be finite, got v0=nan"),
     "SystemParams-k1": (lambda: SystemParams(k1=math.nan, k2=1.0, k3=1.0), ValidationError,
                         "k1 must be finite"),
-    "build_solution-rho0": (lambda: build_solution(FREE, xi=0.0, alpha=1.0), ValidationError,
-                            "k3 = 0 requires an explicit rho0 shape"),
-    "support_halfwidth-free": (
-        lambda: build_solution(FREE, xi=0.0, alpha=1.0, rho0=bump).support_halfwidth(0.0),
-        WrongBranch, "support bound is defined for compact profiles only"),
-    "branch-profile-k3=0": (lambda: branch(FREE, Profile(alpha=1.0, beta=1.0), 0.0), WrongBranch,
-                            "k3 = 0 takes a FreeProfile shape"),
-    "branch-free-k3!=0": (lambda: branch(PARAMS, FreeProfile(rho0=bump), 1.0), WrongBranch,
-                          "k3 != 0 takes the compact-support Profile"),
+    "branch-profile-k3=0": (lambda: branch(K3_ZERO, Profile(alpha=1.0, beta=1.0), 0.0), WrongBranch,
+                            "invalid branch: k3=0.0 and xi=0.0 must share a sign"),
     "branch-signs": (lambda: branch(PARAMS, Profile(alpha=1.0, beta=1.0), -1.0), WrongBranch,
                      "invalid branch: k3=1.0 and xi=-1.0 must share a sign"),
 }

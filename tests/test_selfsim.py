@@ -191,46 +191,6 @@ def test_origin_density_limit_refuses_a_density_that_does_not_diverge_or_decay(k
     assert message in str(info.value)
 
 
-def test_origin_density_limit_rejects_free_branch():
-    sol = build_solution(
-        SystemParams(k1=1.0, k2=1.0, k3=0.0),
-        xi=0.0,
-        alpha=0.0,
-        a1=1.0,
-        rho0=lambda eta: np.exp(-(eta**2)),
-    )
-    with pytest.raises(WrongBranch):
-        sol.origin_density_limit()
-
-
-def test_free_profile_branch_evaluation():
-    shape = lambda eta: np.exp(-(eta**2))
-    sol = build_solution(
-        SystemParams(k1=1.0, k2=1.0, k3=0.0), xi=0.0, alpha=0.0, a1=1.0, rho0=shape
-    )
-    xs = np.linspace(-2.0, 2.0, 11)
-    rho, u = sol.evaluate(0.0, xs)
-    assert np.allclose(rho, shape(xs))
-    assert np.allclose(u, xs)  # a1 = 1, a0 = 1
-    t = 0.25  # s = 1, a = 2 under linear motion
-    a, _ = sol.traj.state(1.0)
-    rho_t, _ = sol.evaluate(t, xs)
-    assert np.allclose(rho_t, shape(xs / a**0.25) / a**0.5, atol=1e-12)
-    with pytest.raises(WrongBranch):
-        sol.mass(0.0)
-
-
-def test_free_profile_rejects_negative_shape():
-    sol = build_solution(
-        SystemParams(k1=1.0, k2=1.0, k3=0.0),
-        xi=0.0,
-        alpha=0.0,
-        rho0=lambda eta: -np.ones_like(eta),
-    )
-    with pytest.raises(ValidationError):
-        sol.evaluate(0.0, np.array([0.0, 1.0]))
-
-
 def test_snapshot_metadata_fields():
     sol = make_branch2()
     meta = sol.snapshot_metadata(0.3)
