@@ -131,7 +131,8 @@ class EmdenProblem:
         one expression through kappa = 1, where :func:`_pull` is logarithmic.
         When a0^(1-kappa) is not a normal float, V is the product of its
         factors' mantissas scaled by the sum of their exponents, so that for
-        |1-kappa| <= 1022 it reads inf or 0 only where V leaves the float range.
+        |1-kappa| <= 1022 it reads inf or 0 only where V or _pull leaves the
+        float range.
         """
         om = 1.0 - self.kappa
         pull = _pull(np.log(np.asarray(a) / self.a0), om)
